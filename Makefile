@@ -1,8 +1,8 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench bench-baseline bench-compare bench-backend \
+.PHONY: install test bench bench-baseline bench-compare \
 	bench-ablate bench-ablate-search bench-sched bench-serve serve \
-	fleet-bench stream-sweep stream-bench experiments \
+	stream-sweep stream-bench experiments \
 	experiments-parallel ablations ablate tune-smoke faults-sweep ci \
 	examples clean
 
@@ -27,19 +27,14 @@ bench-baseline:
 bench-compare:
 	python -m repro.runtime.profiling bench --out auto --compare BENCH_0.json
 
-# Per-backend rows for the array-API kernel ports (BENCH_4).
-bench-backend:
-	python -m repro.runtime.profiling bench --select fleet_backend \
-		--out BENCH_4.json
-
 # Ablation-matrix engine rows: cold wall time + warm cache-hit rate
 # (BENCH_5).
 bench-ablate:
 	python -m repro.runtime.profiling bench --select ablation_matrix \
 		--out BENCH_5.json
 
-# Batched tune-engine rows: slow-reference vs cold vs warm halving
-# search plus population-objective throughput (BENCH_6).
+# Batched tune-engine rows: cold vs warm halving search plus
+# population-objective throughput (BENCH_6).
 bench-ablate-search:
 	python -m repro.runtime.profiling bench --select ablation_search \
 		--out BENCH_6.json
@@ -59,10 +54,6 @@ bench-serve:
 # The what-if capacity-planning service (foreground; ^C drains).
 serve:
 	python -m repro serve --job-dir serve-jobs
-
-# Batched-vs-scalar fleet engine timings with equivalence checks.
-fleet-bench:
-	python -m repro fleet-bench
 
 # Bounded-memory capacity sweep through the block pipeline, with
 # resumable shard spills under stream-shards/.

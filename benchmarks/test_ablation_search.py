@@ -1,20 +1,12 @@
-"""Batched tune engine: slow-reference vs cold vs warm halving search.
+"""Batched tune engine: cold vs warm halving search.
 
 The acceptance row for the batched evaluator: a halving search over the
 α/Tp thresholds at cell edge.  Threshold-only sweeps share one load
 projection, so the batched path runs its discrete-event loads once per
-projection — the slow row (``REPRO_ABLATE_SLOW=1``, the scalar per-unit
-reference with no load memo) pays them once per trial per rung.  The
-golden tests prove the two produce byte-identical traces and reports;
-these rows record the wall-time gap (the warm row must beat the slow
-row ≥5×, checked in CI against the same-machine rows) plus the
+projection.  These rows record the cold and warm wall times, the
 load-cache hit rate and the population-objective throughput through
 the fleet block kernel.
 """
-
-import os
-
-import pytest
 
 from repro.ablation.objective import (
     _REFERENCE_MEMO,
@@ -63,19 +55,6 @@ def _publish_load_stats(benchmark) -> None:
     benchmark.extra_info["load_cache_hit_rate"] = (
         hits / lookups if lookups else 0.0)
     benchmark.extra_info["page_loads"] = stats["loads"]
-
-
-def test_ablation_search_halving_slow(benchmark, tmp_path):
-    """The before-state: scalar reference, a fresh load per trial."""
-    os.environ["REPRO_ABLATE_SLOW"] = "1"
-    try:
-        _fresh_process_state()
-        result = benchmark.pedantic(
-            _search, args=(tmp_path / "slow.jsonl",),
-            rounds=1, iterations=1)
-    finally:
-        del os.environ["REPRO_ABLATE_SLOW"]
-    assert result.best is not None
 
 
 def test_ablation_search_halving_cold(benchmark, tmp_path):

@@ -1,18 +1,13 @@
-"""Fleet engine bench: batched vs scalar paths at 10x fig11 scale.
+"""Fleet engine bench: the batched drop resolver at 10x fig11 scale.
 
-The fig11-shaped pair runs the same five-point load-factor sweep
-(0.8..1.2) over an M/G/2000 system — ten times the paper's N=200
-channels, with the user counts scaled to match — once through the
-batched drop resolver and once through the per-session heapq loop
-(``REPRO_FLEET_SLOW=1``).  The RRC pair accounts the same random fleet
-through the closed-form array engine and through per-handset event-
-kernel replay.  The committed ``BENCH_2.json`` records the ratios.
+Runs the five-point load-factor sweep (0.8..1.2) over an M/G/2000
+system — ten times the paper's N=200 channels, with the user counts
+scaled to match — through the batched drop resolver.
 """
 
 import numpy as np
 
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-from repro.fleet.rrc import account, account_scalar, random_fleet
 
 #: 10x the paper's channel count; user counts scale with it.
 SCALE = 10
@@ -39,33 +34,9 @@ def _sweep(simulator, counts):
     return [simulator.run(n) for n in counts]
 
 
-def test_fleet_fig11_sweep_10x(benchmark, monkeypatch):
-    monkeypatch.delenv("REPRO_FLEET_SLOW", raising=False)
+def test_fleet_fig11_sweep_10x(benchmark):
     simulator = _simulator()
     counts = _user_counts(simulator)
     results = benchmark.pedantic(_sweep, args=(simulator, counts),
                                  rounds=3, iterations=1)
     assert sum(result.dropped for result in results) > 0
-
-
-def test_fleet_fig11_sweep_10x_scalar(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_FLEET_SLOW", "1")
-    simulator = _simulator()
-    counts = _user_counts(simulator)
-    results = benchmark.pedantic(_sweep, args=(simulator, counts),
-                                 rounds=3, iterations=1)
-    assert sum(result.dropped for result in results) > 0
-
-
-def test_fleet_rrc_account(benchmark):
-    trace = random_fleet(np.random.default_rng(8), n_handsets=1500)
-    ledger = benchmark.pedantic(account, args=(trace,),
-                                rounds=3, iterations=1)
-    assert float(ledger.radio_energy().sum()) > 0
-
-
-def test_fleet_rrc_account_scalar(benchmark):
-    trace = random_fleet(np.random.default_rng(8), n_handsets=1500)
-    ledger = benchmark.pedantic(account_scalar, args=(trace,),
-                                rounds=1, iterations=1)
-    assert float(ledger.radio_energy().sum()) > 0

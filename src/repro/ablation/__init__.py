@@ -20,8 +20,7 @@ from repro.ablation.engine import (KIND_ABLATE, MatrixResult, MatrixRun,
                                    warm_process)
 from repro.ablation.matrix import (GENERATORS, RunSpec, generate,
                                    spec_run_id)
-from repro.ablation.objective import (ABLATE_SLOW_ENV, PopulationSpec,
-                                      Scenario, ablate_fast_enabled,
+from repro.ablation.objective import (PopulationSpec, Scenario,
                                       evaluate_setup, evaluate_setups,
                                       load_cache_stats, load_projection,
                                       reset_load_cache,
@@ -34,11 +33,11 @@ from repro.ablation.search import (ALGORITHMS, Constraint, Parameter,
                                    random_search)
 
 __all__ = [
-    "ABLATE_SLOW_ENV", "ALGORITHMS", "Component", "ComponentRegistry",
+    "ALGORITHMS", "Component", "ComponentRegistry",
     "Constraint", "GENERATORS", "KIND_ABLATE", "MatrixResult",
     "MatrixRun", "Parameter", "PopulationSpec", "Ranking", "RunSpec",
     "Scenario", "SearchResult", "SearchSpace", "STOCK_SETUP",
-    "VariantSetup", "ablate_fast_enabled", "default_registry",
+    "VariantSetup", "default_registry",
     "default_space", "evaluate_setup", "evaluate_setups", "generate",
     "grid_search", "halving_search", "load_cache_stats",
     "load_projection", "promote", "random_search", "rank_components",

@@ -32,8 +32,8 @@ import numpy as np
 from repro.ablation.components import ComponentRegistry, VariantSetup, \
     default_registry
 from repro.ablation.matrix import RunSpec, generate
-from repro.ablation.objective import (Scenario, ablate_fast_enabled,
-                                      evaluate_setup, evaluate_setups)
+from repro.ablation.objective import (Scenario, evaluate_setup,
+                                      evaluate_setups)
 from repro.runtime.cache import ResultCache, cache_key, code_version_hash
 
 #: Task kind under which matrix studies appear in ``runtime.parallel``.
@@ -323,7 +323,7 @@ def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
 
     if pending:
         cache_dir = str(cache.root) if cache is not None else None
-        if processes == 1 and len(pending) > 1 and ablate_fast_enabled():
+        if processes == 1 and len(pending) > 1:
             payloads = _execute_specs_batched(registry_name, pending,
                                               scenario, seeds, cache_dir)
         elif processes == 1 or len(pending) == 1:

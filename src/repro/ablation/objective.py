@@ -22,8 +22,9 @@ Metrics per run:
 - ``load_time``, ``tx_time`` — mean load / data-transmission times.
 - ``switch_rate`` — fraction of units Algorithm 2 switched to IDLE.
 - ``drop_probability`` — only with a population: an M/G/N capacity run
-  (:class:`repro.capacity.simulator.CapacitySimulator`, fleet-backed)
-  whose service pool is the variant's own measured channel-hold times,
+  (the arrival/service draw of :class:`repro.capacity.simulator.
+  CapacitySimulator`, resolved by the block drop kernel) whose service
+  pool is the variant's own measured channel-hold times,
   so reorganisation and timer choices move the drop curve.
 
 Determinism: fault plans derive from ``(scenario.seed, page index)`` —
@@ -40,15 +41,13 @@ projection)`` — process-local plus the content-addressed on-disk
 :class:`~repro.runtime.cache.ResultCache` — and a tune sweep over
 thresholds runs its simulations once, not once per trial.  Scoring then
 runs over the whole (trials × pages × readings) unit grid through the
-``*_grid`` array forms of :mod:`repro.rrc.tail` in a fleet backend
-namespace.  The scalar per-unit loop is retained verbatim behind
-``REPRO_ABLATE_SLOW=1`` and the two paths are golden-gated
-byte-identical (``tests/ablation/test_batched_golden.py``).
+``*_grid`` array forms of :mod:`repro.rrc.tail`.  The scalar per-unit
+evaluator it replaced lives on as ``tests/oracles/ablation.py``; the
+two are gated byte-identical (``tests/ablation/test_batched_golden.py``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,7 +60,6 @@ from repro.browser.original import OriginalEngine
 from repro.core.session import browse_and_read
 from repro.faults.injector import FaultPlan
 from repro.faults.profiles import get_profile
-from repro.fleet import backend as fleet_backend
 from repro.rrc.states import RrcState
 from repro.rrc.tail import (
     STATE_IDLE,
@@ -86,29 +84,9 @@ from repro.runtime.singleflight import (
 )
 from repro.webpages.corpus import find_page
 
-#: Set to any non-empty value to route through the scalar per-unit
-#: reference evaluator (no load memo, no grid scoring) — the golden
-#: twin of the batched path, read at call time like REPRO_FLEET_SLOW.
-ABLATE_SLOW_ENV = "REPRO_ABLATE_SLOW"
-
-#: Array namespace the grid scoring runs in ("numpy" default;
-#: "restricted" enforces array-API-only usage in CI).
-ABLATE_BACKEND_ENV = "REPRO_ABLATE_BACKEND"
-
 #: Cache kind for memoised page-load outcomes (tentpole: loads are
 #: keyed by the load-relevant projection, not the full setup).
 KIND_LOAD_PAGE = "ablate-load"
-
-
-def ablate_fast_enabled() -> bool:
-    """Whether the batched evaluator is active (checked per call)."""
-    return not os.environ.get(ABLATE_SLOW_ENV)
-
-
-def scoring_namespace():
-    """The array namespace the unit-grid scoring runs in."""
-    return fleet_backend.get_namespace(
-        os.environ.get(ABLATE_BACKEND_ENV) or "numpy")
 
 #: Default page set: two mid-size full-version Table 3 pages — big
 #: enough that reorganisation matters, small enough for dense matrices.
@@ -219,8 +197,10 @@ def _load_page(page_name: str, setup: VariantSetup, profile: str,
     session = browse_and_read(page, engine_cls, reading_time=0.0,
                               config=setup.to_config(), faults=plan)
     load = session.load
+    # A transfer the fault plan failed never completed; the reading
+    # anchor is the last byte that did arrive.
     last_byte = max(t.completed_at - load.started_at
-                    for t in load.transfers)
+                    for t in load.transfers if t.completed_at is not None)
     released = setup.reorganisation and setup.fast_dormancy
     # Channel-hold time: with fast dormancy the channels go at the last
     # byte; otherwise the DCH inactivity timer T1 keeps them allocated.
@@ -336,17 +316,6 @@ def _load_page_cached(page_name: str, setup: VariantSetup, profile: str,
     return _LOAD_MEMO.do(memo_key, _compute)
 
 
-def _wants_switch(setup: VariantSetup, reading: float,
-                  predicted: float) -> bool:
-    """Algorithm 2's decision for one unit, given a prediction."""
-    if not setup.fast_dormancy:
-        return False
-    if reading <= setup.alpha:  # the user left before the decision point
-        return False
-    threshold = setup.tp if setup.mode == "power" else setup.td
-    return predicted > threshold
-
-
 def _predictions(setup: VariantSetup, readings: np.ndarray,
                  eval_seed: int) -> np.ndarray:
     """The predictor level's reading-time estimates, deterministically.
@@ -393,81 +362,6 @@ def _reading_phase(setup: VariantSetup, load: _PageLoad, reading: float,
     return energy, RrcState.IDLE
 
 
-def _drop_probability(holds: List[float], population: PopulationSpec,
-                      eval_seed: int) -> float:
-    """Population-scale objective: drop probability of an M/G/N cell
-    whose service pool is the variant's own channel-hold times."""
-    from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-
-    config = CapacityConfig(n_channels=population.n_channels,
-                            mean_interval=population.mean_interval,
-                            horizon=population.horizon,
-                            seed=eval_seed)
-    simulator = CapacitySimulator(np.asarray(holds, dtype=float), config)
-    capacity_seed = int(np.random.SeedSequence(
-        eval_seed, spawn_key=(1,)).generate_state(1)[0])
-    result = simulator.run(population.n_users, seed=capacity_seed)
-    return result.drop_probability
-
-
-def _evaluate_setup_slow(setup: VariantSetup, scenario: Scenario,
-                         eval_seed: int) -> Dict[str, float]:
-    """The scalar per-unit reference evaluator (``REPRO_ABLATE_SLOW``).
-
-    One full discrete-event load per page per call — no memo, no disk
-    cache, no grid scoring — so it is the honest before-state the
-    BENCH_6 rows compare against, and the golden twin the batched path
-    must match byte for byte.
-    """
-    page_seeds = spawn_seeds(scenario.seed, len(scenario.pages))
-    loads = [_load_page(name, setup, scenario.profile, page_seed)
-             for name, page_seed in zip(scenario.pages, page_seeds)]
-
-    readings = np.asarray(
-        [r for _ in scenario.pages for r in scenario.reading_times],
-        dtype=float)
-    predicted = _predictions(setup, readings, eval_seed)
-
-    rrc = setup.to_config().rrc
-    energies: List[float] = []
-    delays: List[float] = []
-    switches = 0
-    unit = 0
-    for load in loads:
-        for reading in scenario.reading_times:
-            switch = _wants_switch(setup, float(reading),
-                                   float(predicted[unit]))
-            unit += 1
-            read_energy, state = _reading_phase(setup, load,
-                                                float(reading), switch,
-                                                rrc)
-            switches += bool(switch)
-            energies.append(load.loading_energy + read_energy
-                            + promotion_energy(state, rrc))
-            delays.append(promotion_latency(state, rrc))
-    KERNEL_STATS.record_work(len(energies))
-
-    metrics: Dict[str, float] = {
-        "energy": float(np.mean(energies)),
-        "delay": float(np.mean(delays)),
-        "load_time": float(np.mean([load.load_time for load in loads])),
-        "tx_time": float(np.mean([load.tx_time for load in loads])),
-        "switch_rate": switches / len(energies),
-    }
-    if scenario.population is not None:
-        metrics["drop_probability"] = _drop_probability(
-            [load.hold_time for load in loads], scenario.population,
-            eval_seed)
-    reference = reference_metrics(scenario)
-    if reference["energy"] > 0:
-        metrics["energy_saving"] = (
-            (reference["energy"] - metrics["energy"])
-            / reference["energy"])
-    else:
-        metrics["energy_saving"] = 0.0
-    return metrics
-
-
 def _drop_probabilities_batched(pools: Sequence[np.ndarray],
                                 population: PopulationSpec,
                                 eval_seeds: Sequence[int],
@@ -476,12 +370,12 @@ def _drop_probabilities_batched(pools: Sequence[np.ndarray],
     """Per-trial drop probabilities through the streaming block kernel.
 
     Each trial reuses :meth:`CapacitySimulator.draw` for the canonical
-    arrival/service streams (same config seeding, same
-    ``spawn_key=(1,)`` capacity seed as :func:`_drop_probability`),
+    arrival/service streams (config seeded with ``eval_seed``, the run
+    seeded with its ``spawn_key=(1,)`` child),
     then resolves drops by threading :class:`DropCarry` through
     :func:`repro.fleet.capacity.resolve_drops_block` — identical masks
-    to one whole-array ``resolve_drops`` per cell (the block-chaining
-    golden gates of PRs 5–6), without a scalar heap in sight.
+    to one whole-array ``resolve_drops`` per cell, without a scalar heap
+    in sight.
     """
     from repro.capacity.simulator import CapacityConfig, CapacitySimulator
     from repro.fleet.capacity import resolve_drops_block
@@ -515,7 +409,6 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
                     load_cache: Optional[ResultCache] = None
                     ) -> List[Dict[str, float]]:
     """Score every ``(setup, eval_seed)`` pair in one unit-grid pass."""
-    xp = scoring_namespace()
     page_seeds = spawn_seeds(scenario.seed, len(scenario.pages))
     n_read = len(scenario.reading_times)
     n_units = len(scenario.pages) * n_read
@@ -563,29 +456,14 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
     # the whole grid.
     rrc = pairs[0][0].to_config().rrc
 
-    sx = fleet_backend.as_namespace_array(start, xp)
-    rx = fleet_backend.as_namespace_array(reading, xp)
-    ax = fleet_backend.as_namespace_array(alpha, xp)
-    b1x = fleet_backend.as_namespace_array(b1, xp)
-    b2x = fleet_backend.as_namespace_array(b2, xp)
-    swx = fleet_backend.as_namespace_array(switch, xp)
-    lx = fleet_backend.as_namespace_array(loading, xp)
-
-    end_full = sx + rx
-    e_full = tail_energy_grid(xp, sx, end_full, b1x, b2x, rrc)
-    e_cut = (tail_energy_grid(xp, sx, sx + ax, b1x, b2x, rrc)
-             + rrc.power.idle * (rx - ax))
-    read_energy = xp.where(swx, e_cut, e_full)
-
-    states = tail_state_grid(xp, end_full, b1x, b2x)
-    idle = xp.full(states.shape, STATE_IDLE, dtype=xp.int64)
-    states = xp.where(swx, idle, states)
-
-    energies = ((lx + read_energy)
-                + promotion_energy_grid(xp, states, rrc))
-    delays = promotion_latency_grid(xp, states, rrc)
-    energies_np = fleet_backend.to_numpy(energies)
-    delays_np = fleet_backend.to_numpy(delays)
+    end_full = start + reading
+    e_full = tail_energy_grid(start, end_full, b1, b2, rrc)
+    e_cut = (tail_energy_grid(start, start + alpha, b1, b2, rrc)
+             + rrc.power.idle * (reading - alpha))
+    read_energy = np.where(switch, e_cut, e_full)
+    states = np.where(switch, STATE_IDLE, tail_state_grid(end_full, b1, b2))
+    energies = (loading + read_energy) + promotion_energy_grid(states, rrc)
+    delays = promotion_latency_grid(states, rrc)
     KERNEL_STATS.record_work(total)
 
     drops: Optional[List[float]] = None
@@ -602,8 +480,8 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
         span = slice(t * n_units, (t + 1) * n_units)
         loads = loads_per_trial[t]
         metrics: Dict[str, float] = {
-            "energy": float(np.mean(energies_np[span])),
-            "delay": float(np.mean(delays_np[span])),
+            "energy": float(np.mean(energies[span])),
+            "delay": float(np.mean(delays[span])),
             "load_time": float(np.mean([load.load_time
                                         for load in loads])),
             "tx_time": float(np.mean([load.tx_time for load in loads])),
@@ -629,16 +507,11 @@ def evaluate_setups(pairs: Sequence[Tuple[VariantSetup, int]],
 
     Byte-identical to calling :func:`evaluate_setup` per pair — the
     grid slices are elementwise what the per-trial arrays would be, and
-    ``np.mean`` over equal values at equal length is exact.  With
-    ``REPRO_ABLATE_SLOW`` set, falls through to the scalar reference
-    one pair at a time.
+    ``np.mean`` over equal values at equal length is exact.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    if not ablate_fast_enabled():
-        return [_evaluate_setup_slow(setup, scenario, eval_seed)
-                for setup, eval_seed in pairs]
     return _evaluate_batch(pairs, scenario, load_cache)
 
 
@@ -647,8 +520,6 @@ def evaluate_setup(setup: VariantSetup, scenario: Scenario,
                    load_cache: Optional[ResultCache] = None
                    ) -> Dict[str, float]:
     """Score one variant under one scenario; pure given its inputs."""
-    if not ablate_fast_enabled():
-        return _evaluate_setup_slow(setup, scenario, eval_seed)
     return _evaluate_batch([(setup, eval_seed)], scenario,
                            load_cache)[0]
 
@@ -670,17 +541,9 @@ def reference_metrics(scenario: Scenario,
     def _compute() -> Dict[str, float]:
         reference = replace(scenario, population=None)
         page_seeds = spawn_seeds(reference.seed, len(reference.pages))
-        if ablate_fast_enabled():
-            loads = [_load_page_cached(name, STOCK_SETUP,
-                                       reference.profile, page_seed,
-                                       load_cache)
-                     for name, page_seed in zip(reference.pages,
-                                                page_seeds)]
-        else:
-            loads = [_load_page(name, STOCK_SETUP, reference.profile,
-                                page_seed)
-                     for name, page_seed in zip(reference.pages,
-                                                page_seeds)]
+        loads = [_load_page_cached(name, STOCK_SETUP, reference.profile,
+                                   page_seed, load_cache)
+                 for name, page_seed in zip(reference.pages, page_seeds)]
         rrc = STOCK_SETUP.to_config().rrc
         energies: List[float] = []
         delays: List[float] = []
@@ -708,17 +571,13 @@ def variant_hold_pool(setup: VariantSetup, scenario: Scenario,
     """The variant's channel-hold-time pool under ``scenario``.
 
     One hold time per scenario page, in page order — exactly the
-    service pool :func:`_drop_probability` builds inside the evaluator,
+    service pool the evaluator's ``drop_probability`` metric draws from,
     exposed so the serving layer can run a *single* capacity simulation
     that yields both the drop probability and the service-time
     quantiles, instead of paying the M/G/N run twice.
     """
     page_seeds = spawn_seeds(scenario.seed, len(scenario.pages))
-    if ablate_fast_enabled():
-        loads = [_load_page_cached(name, setup, scenario.profile,
-                                   page_seed, load_cache)
-                 for name, page_seed in zip(scenario.pages, page_seeds)]
-    else:
-        loads = [_load_page(name, setup, scenario.profile, page_seed)
-                 for name, page_seed in zip(scenario.pages, page_seeds)]
+    loads = [_load_page_cached(name, setup, scenario.profile, page_seed,
+                               load_cache)
+             for name, page_seed in zip(scenario.pages, page_seeds)]
     return np.asarray([load.hold_time for load in loads], dtype=float)

@@ -13,13 +13,11 @@ more supportable users at the same dropping probability (Fig. 11).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.fleet import fleet_enabled
 from repro.fleet.capacity import resolve_drops
 from repro.runtime.seeding import spawn_seeds
 from repro.units import hours, require_positive
@@ -70,25 +68,6 @@ def arrival_draw_count(rate: float, horizon: float) -> int:
     return int(n_expected + 6 * np.sqrt(n_expected) + 10)
 
 
-def heap_drop_count(arrivals: np.ndarray, services: np.ndarray,
-                    n_channels: int) -> int:
-    """Dropped-session count via the scalar min-heap reference loop."""
-    busy: list = []  # min-heap of channel release times
-    dropped = 0
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    # Iterate plain floats: numpy-scalar comparisons inside the heap
-    # would dominate this loop's cost.
-    for arrival, service in zip(arrivals.tolist(), services.tolist()):
-        while busy and busy[0] <= arrival:
-            heappop(busy)
-        if len(busy) >= n_channels:
-            dropped += 1
-            continue
-        heappush(busy, arrival + service)
-    return dropped
-
-
 class CapacitySimulator:
     """Erlang-loss simulation with empirical service times."""
 
@@ -134,15 +113,10 @@ class CapacitySimulator:
         rng = np.random.default_rng(config.seed if seed is None else seed)
         arrivals, services = self.draw(n_users, rng)
 
-        if fleet_enabled():
-            # Same draws, same loss process: the sorted-count sweep of
-            # repro.fleet.capacity resolves the identical drop set
-            # without walking the heap session by session.
-            dropped = int(resolve_drops(
-                arrivals, services, config.n_channels).sum())
-        else:
-            dropped = heap_drop_count(arrivals, services,
-                                      config.n_channels)
+        # The sorted-count sweep of repro.fleet.capacity resolves the
+        # drop set a per-session min-heap of channel release times would.
+        dropped = int(resolve_drops(arrivals, services,
+                                    config.n_channels).sum())
         return CapacityResult(n_users=n_users, sessions=int(arrivals.size),
                               dropped=dropped)
 

@@ -11,7 +11,6 @@ Subcommands::
     repro tune [--algorithm halving] [--profile cell_edge]
                [--budget-delay 1.2] [--trace search.jsonl]
     repro profile fig11 [--kind experiment] [--top 25] [--report prof.json]
-    repro fleet-bench [--scale 10] [--handsets 1500]
     repro stream-sweep [--scale 10] [--horizon 28800] [--out shards/]
                        [--work-dir D --worker-id k/K [--unit-blocks 8]]
     repro trace --out trace.csv
@@ -33,7 +32,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.comparison import compare_engines
-from repro.fleet import FLEET_SLOW_ENV
 from repro.stream import STREAM_ENV
 from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.runner import ALL_EXPERIMENTS
@@ -66,28 +64,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_fleet_flag(args: argparse.Namespace) -> None:
-    """Translate ``--fleet/--no-fleet`` into the env toggle.
-
-    The library reads ``REPRO_FLEET_SLOW`` at call time (and forked
-    workers inherit the environment), so setting it here covers the
-    whole run.  Without either flag the inherited environment stands.
-    """
-    fleet = getattr(args, "fleet", None)
-    if fleet is None:
-        return
-    if fleet:
-        os.environ.pop(FLEET_SLOW_ENV, None)
-    else:
-        os.environ[FLEET_SLOW_ENV] = "1"
-
-
 def _apply_stream_flag(args: argparse.Namespace) -> None:
     """Translate ``--stream/--no-stream`` into the env toggle.
 
-    Opposite polarity to the fleet flag: streaming is opt-in, so
-    ``--stream`` *sets* ``REPRO_STREAM`` and ``--no-stream`` clears it.
-    Without either flag the inherited environment stands.
+    Streaming is opt-in: ``--stream`` *sets* ``REPRO_STREAM`` and
+    ``--no-stream`` clears it.  The library reads it at call time (and
+    forked workers inherit the environment), so setting it here covers
+    the whole run.  Without either flag the inherited environment
+    stands.
     """
     stream = getattr(args, "stream", None)
     if stream is None:
@@ -100,7 +84,6 @@ def _apply_stream_flag(args: argparse.Namespace) -> None:
 
 def _run_suite(kind: str, ids: List[str],
                args: argparse.Namespace) -> int:
-    _apply_fleet_flag(args)
     _apply_stream_flag(args)
     cache = None
     if getattr(args, "cache", False) or getattr(args, "cache_dir", None):
@@ -271,139 +254,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.report:
         write_report(payload, args.report)
         print(f"report -> {args.report}")
-    return 0
-
-
-def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    """Head-to-head timing: fleet engine vs the scalar golden paths.
-
-    Two sections: the fig11-shaped capacity sweep at ``--scale`` times
-    the paper's channel count, and batched RRC accounting over
-    ``--handsets`` random traces.  Every timed pair is also checked for
-    agreement, so the printout doubles as a live equivalence probe.
-    ``--backend`` other than ``numpy`` appends a third section timing
-    the array-API kernel ports on that namespace against the NumPy
-    reference, with element-identical parity checks.
-    """
-    import time as _time
-
-    import numpy as np
-
-    from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-    from repro.fleet import backend as fleet_backend
-    from repro.fleet.rrc import account, account_scalar, random_fleet
-
-    xp = None
-    if args.backend != "numpy":
-        try:
-            xp = fleet_backend.get_namespace(args.backend)
-        except fleet_backend.BackendUnavailableError as exc:
-            print(f"backend {args.backend!r} unavailable: {exc}",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    def _timed(fn):
-        started = _time.perf_counter()
-        result = fn()
-        return result, _time.perf_counter() - started
-
-    saved = os.environ.get(FLEET_SLOW_ENV)
-    n_channels = 200 * args.scale
-    rng = np.random.default_rng(args.seed)
-    pool = rng.lognormal(np.log(14.0), 0.5, size=400)
-    config = CapacityConfig(n_channels=n_channels, horizon=900.0,
-                            seed=args.seed)
-    simulator = CapacitySimulator(pool, config)
-    per_user = config.mean_interval / simulator.mean_service_time
-    print(f"capacity sweep: M/G/{n_channels}, horizon "
-          f"{config.horizon:.0f}s, load factors 0.8..1.2")
-    print(f"{'users':>8s} {'scalar s':>9s} {'fleet s':>9s} "
-          f"{'speedup':>8s}  drops")
-    scalar_total = fleet_total = 0.0
-    try:
-        for rho in (0.8, 0.9, 1.0, 1.1, 1.2):
-            n_users = int(round(rho * n_channels * per_user))
-            os.environ[FLEET_SLOW_ENV] = "1"
-            slow, scalar_s = _timed(lambda: simulator.run(n_users))
-            os.environ.pop(FLEET_SLOW_ENV, None)
-            fast, fleet_s = _timed(lambda: simulator.run(n_users))
-            if slow != fast:
-                print(f"MISMATCH at {n_users} users: {slow} != {fast}",
-                      file=sys.stderr)
-                return 1
-            scalar_total += scalar_s
-            fleet_total += fleet_s
-            print(f"{n_users:8d} {scalar_s:9.3f} {fleet_s:9.3f} "
-                  f"{scalar_s / fleet_s:7.2f}x  {fast.dropped}"
-                  f"/{fast.sessions}")
-    finally:
-        if saved is None:
-            os.environ.pop(FLEET_SLOW_ENV, None)
-        else:
-            os.environ[FLEET_SLOW_ENV] = saved
-    print(f"{'TOTAL':>8s} {scalar_total:9.3f} {fleet_total:9.3f} "
-          f"{scalar_total / fleet_total:7.2f}x")
-
-    trace = random_fleet(np.random.default_rng(args.seed + 1),
-                         n_handsets=args.handsets)
-    fleet_ledger, fleet_s = _timed(lambda: account(trace))
-    scalar_ledger, scalar_s = _timed(lambda: account_scalar(trace))
-    worst = max(
-        float(np.abs(getattr(fleet_ledger, field)
-                     - getattr(scalar_ledger, field)).max())
-        for field in ("time_idle", "time_fach", "time_dch",
-                      "time_dch_tx", "end_time"))
-    print(f"\nrrc accounting: {args.handsets} handsets x "
-          f"{trace.max_bursts} bursts")
-    print(f"{'':8s} {scalar_s:9.3f} {fleet_s:9.3f} "
-          f"{scalar_s / fleet_s:7.2f}x  max dwell delta {worst:.2e}s")
-    if worst > 1e-9:
-        print("MISMATCH: dwell ledgers diverged", file=sys.stderr)
-        return 1
-    if xp is None:
-        return 0
-
-    # Backend section: the array-API kernel ports on --backend, parity
-    # plus timing against the NumPy reference implementations.
-    from repro.fleet.capacity import resolve_drops, resolve_drops_block
-    from repro.fleet.rrc import account_xp
-
-    name = fleet_backend.namespace_name(xp)
-    print(f"\nbackend: {name}")
-    bench_rng = np.random.default_rng(args.seed + 2)
-    arrivals = np.sort(bench_rng.uniform(
-        0.0, 900.0, size=50 * n_channels))
-    services = bench_rng.lognormal(np.log(14.0), 0.5,
-                                   size=arrivals.size)
-    ref_mask, ref_s = _timed(
-        lambda: resolve_drops(arrivals, services, n_channels))
-    arrivals_xp = fleet_backend.as_namespace_array(arrivals, xp)
-    services_xp = fleet_backend.as_namespace_array(services, xp)
-    (port_mask, _), port_s = _timed(
-        lambda: resolve_drops_block(arrivals_xp, services_xp,
-                                    n_channels, xp=xp))
-    if not np.array_equal(ref_mask, fleet_backend.to_numpy(port_mask)):
-        print(f"MISMATCH: {name} drop mask diverged from numpy",
-              file=sys.stderr)
-        return 1
-    print(f"{'drops':>8s} {ref_s:9.3f} {port_s:9.3f} "
-          f"{ref_s / port_s:7.2f}x  {arrivals.size} sessions")
-
-    port_ledger, port_s = _timed(lambda: account_xp(trace, xp=xp))
-    ref_ledger, ref_s = _timed(lambda: account(trace))
-    for field in ("time_idle", "time_fach", "time_dch", "time_dch_tx",
-                  "promotions_idle", "promotions_fach",
-                  "fast_dormancy", "end_time"):
-        if not np.array_equal(getattr(ref_ledger, field),
-                              getattr(port_ledger, field)):
-            print(f"MISMATCH: {name} rrc ledger field {field} diverged",
-                  file=sys.stderr)
-            return 1
-    print(f"{'rrc':>8s} {ref_s:9.3f} {port_s:9.3f} "
-          f"{ref_s / port_s:7.2f}x  ledgers element-identical")
     return 0
 
 
@@ -712,11 +562,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         help="root seed for per-task seed derivation "
              f"(default: {DEFAULT_ROOT_SEED})")
     parser.add_argument(
-        "--fleet", action=argparse.BooleanOptionalAction, default=None,
-        help="force the batched fleet paths on (--fleet) or the scalar "
-             f"golden reference (--no-fleet, i.e. {FLEET_SLOW_ENV}=1); "
-             "default: inherit the environment")
-    parser.add_argument(
         "--stream", action=argparse.BooleanOptionalAction, default=None,
         help="route sweeps through the bounded-memory block pipelines "
              f"(--stream, i.e. {STREAM_ENV}=1) or the in-memory paths "
@@ -888,23 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--report", metavar="PATH",
                          help="write hotspots + kernel metrics as JSON")
     profile.set_defaults(func=_cmd_profile)
-
-    fleet_bench = subparsers.add_parser(
-        "fleet-bench",
-        help="time the batched fleet engine against the scalar paths")
-    fleet_bench.add_argument(
-        "--scale", type=int, default=10,
-        help="channel-count multiple of the paper's N=200 (default: 10)")
-    fleet_bench.add_argument(
-        "--handsets", type=int, default=1500,
-        help="handsets in the RRC accounting round (default: 1500)")
-    fleet_bench.add_argument("--seed", type=int, default=7)
-    fleet_bench.add_argument(
-        "--backend", default="numpy",
-        help="array namespace for the kernel ports: numpy (default, "
-             "reference path), restricted, array_api_strict, torch, "
-             "cupy; non-numpy adds a backend parity/timing section")
-    fleet_bench.set_defaults(func=_cmd_fleet_bench)
 
     stream_sweep = subparsers.add_parser(
         "stream-sweep",

@@ -30,7 +30,6 @@ from repro.browser.energy_aware import EnergyAwareEngine
 from repro.browser.original import OriginalEngine
 from repro.core.config import ExperimentConfig, PolicyConfig
 from repro.core.session import browse_and_read
-from repro.fleet import fleet_enabled
 from repro.fleet.policy import switch_decisions
 from repro.prediction.policy import (
     AlwaysOffPolicy,
@@ -236,7 +235,7 @@ class PolicyEvaluator:
         switches = 0
         count = 0
         switch_flags: Optional[np.ndarray] = None
-        if policy is not None and fleet_enabled():
+        if policy is not None:
             switch_flags = self._batched_switches(policy)
         for session in self.eval_set.sessions():
             state = RrcState.IDLE  # sessions start after a long gap

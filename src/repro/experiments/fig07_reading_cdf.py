@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis.stats import cdf_points
 from repro.analysis.weibull import WeibullFit, fit_weibull
 from repro.analysis.tables import format_table
-from repro.fleet import fleet_enabled
 from repro.fleet.policy import threshold_fractions
 from repro.traces.generator import TraceConfig, generate_trace
 
@@ -53,16 +52,11 @@ def run(trace_config: Optional[TraceConfig] = None) -> Fig07Result:
     dataset = generate_trace(trace_config).filter_reading_time()
     times = dataset.reading_times()
     grid = cdf_points(times, np.arange(0.0, 21.0, 2.0))
-    if fleet_enabled():
-        # One sort answers every anchor; bitwise the per-anchor means.
-        fractions = threshold_fractions(
-            times, [threshold for threshold, _ in PAPER_ANCHORS])
-        anchors = [(threshold, paper, ours)
-                   for (threshold, paper), ours
-                   in zip(PAPER_ANCHORS, fractions)]
-    else:
-        anchors = [(threshold, paper,
-                    100.0 * float(np.mean(times < threshold)))
-                   for threshold, paper in PAPER_ANCHORS]
+    # One sort answers every anchor; bitwise the per-anchor means.
+    fractions = threshold_fractions(
+        times, [threshold for threshold, _ in PAPER_ANCHORS])
+    anchors = [(threshold, paper, ours)
+               for (threshold, paper), ours
+               in zip(PAPER_ANCHORS, fractions)]
     return Fig07Result(grid=grid, anchors=anchors, n_records=len(dataset),
                        weibull=fit_weibull(times))

@@ -1,49 +1,18 @@
-"""Batched struct-of-arrays simulation for independent-handset workloads.
+"""Batched array kernels for independent-handset workloads.
 
 The scalar engines simulate one handset per Python object; capacity
 sweeps, reading-time CDFs, and policy evaluation all iterate thousands
 of *statistically independent* handsets through them one event at a
-time.  ``repro.fleet`` advances N handsets per vectorised NumPy step
-instead:
+time.  ``repro.fleet`` answers those questions with whole-array NumPy
+passes instead:
 
-- :mod:`repro.fleet.rrc` — vectorised RRC power/state accounting with
-  closed-form energy integration over inter-event intervals, validated
-  against :class:`repro.rrc.machine.RrcMachine`;
 - :mod:`repro.fleet.capacity` — sorted-event-sweep channel-occupancy
-  resolution replacing the per-session heap loop of
-  :class:`repro.capacity.simulator.CapacitySimulator`;
+  resolution for :class:`repro.capacity.simulator.CapacitySimulator`,
+  whole-stream or block by block with a carried busy frontier;
 - :mod:`repro.fleet.policy` — Algorithm 2 thresholds applied to whole
-  prediction vectors plus batched reading-tail energies;
-- :mod:`repro.fleet.backend` — array-namespace shim (array-API
-  standard spirit) that lets the hot kernels above run on alternative
-  backends.  ``get_namespace("numpy")`` is the default;
-  ``"restricted"`` is a dependency-free allowlist proxy that enforces
-  array-API-only usage in CI; ``"array_api_strict"``, ``"torch"`` and
-  ``"cupy"`` resolve when installed and raise
-  :class:`~repro.fleet.backend.BackendUnavailableError` otherwise.
-  The kernels accept a keyword-only ``xp`` namespace
-  (:func:`repro.fleet.capacity.resolve_drops_block`,
-  :func:`repro.fleet.rrc.account_xp`, the policy helpers), and
-  ``repro fleet-bench --backend`` / ``stream_capacity_run(...,
-  backend=...)`` select one end to end.
+  prediction vectors plus batched CDF anchors.
 
-Every fleet path keeps the scalar implementation as the golden
-reference behind ``REPRO_FLEET_SLOW=1`` (read at call time, like
-``REPRO_KERNEL_SLOW``), and the golden-equivalence tests prove the two
-produce byte-identical experiment reports.  The backend ports are
-gated the same way: element-identical masks and ledgers against the
-NumPy reference on the fuzz corpus and the fig11 sweep.
+The scalar loops these kernels replaced live on as test oracles in
+``tests/oracles/``; the differential and golden tests require identical
+results.
 """
-
-from __future__ import annotations
-
-import os
-
-#: Set to any non-empty value to route through the scalar reference
-#: implementations (per-session heap loop, per-record policy decisions).
-FLEET_SLOW_ENV = "REPRO_FLEET_SLOW"
-
-
-def fleet_enabled() -> bool:
-    """Whether the batched fleet paths are active (checked per call)."""
-    return not os.environ.get(FLEET_SLOW_ENV)

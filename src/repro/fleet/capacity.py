@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fleet import backend as _backend
 from repro.runtime.observability import KERNEL_STATS
 from repro.sim.kernel import SimulationError
 
@@ -67,7 +66,7 @@ _BLOCK_ARRIVALS = 4096
 _MAX_SWEEPS = 96
 
 
-def _require_valid_stream(xp, arrivals, services,
+def _require_valid_stream(arrivals, services,
                           lower: "float | None" = None) -> None:
     """Reject the two verified silent-wrongness inputs up front.
 
@@ -87,13 +86,12 @@ def _require_valid_stream(xp, arrivals, services,
         raise ValueError(
             f"arrivals and services must have matching shapes, got "
             f"{arrivals.shape} vs {services.shape}")
-    if not bool(xp.all(xp.isfinite(arrivals))) \
-            or not bool(xp.all(xp.isfinite(services))):
+    if not np.isfinite(arrivals).all() or not np.isfinite(services).all():
         raise SimulationError(
             "arrivals and services must be finite: a NaN/inf session "
             "is silently dropped from the busy frontier while its "
             "arrival is still marked accepted")
-    if bool(xp.any(arrivals[1:] < arrivals[:-1])):
+    if (arrivals[1:] < arrivals[:-1]).any():
         raise ValueError(
             "arrivals must be non-decreasing (documented contract); "
             "an unsorted stream returns a plausible-looking wrong "
@@ -124,7 +122,7 @@ def resolve_drops(arrivals: np.ndarray, services: np.ndarray,
     dropped = np.zeros(m, dtype=bool)
     if m == 0:
         return dropped
-    _require_valid_stream(np, arrivals, services)
+    _require_valid_stream(arrivals, services)
 
     departures = arrivals + services
     # bins[j]: first arrival index at or after d_j — the arrival whose
@@ -262,15 +260,11 @@ class DropCarry:
     occupancy at the boundary and bounded by ``n_channels``: the carried
     state between blocks is O(n_channels) regardless of stream length.
 
-    Device/dtype contract: ``busy`` lives in the namespace of the
-    *last block resolved* and is canonicalised to that block's
-    promotion dtype (``result_type(arrivals, services)``) at every
-    block boundary — a float32 stream carries a float32 frontier
-    instead of being silently upcast to float64 mid-stream.
-    ``boundary`` stays a host ``float``.  The streaming checkpoints
-    spill ``busy`` through :func:`repro.fleet.backend.to_numpy` and
-    the block kernels move an incoming host frontier back onto the
-    active namespace, so carries round-trip devices losslessly.
+    Dtype contract: ``busy`` is canonicalised to the last block's
+    promotion dtype (``result_type(arrivals, services)``) at every block
+    boundary — a float32 stream carries a float32 frontier instead of
+    being silently upcast to float64 mid-stream.  ``boundary`` is a
+    plain ``float``.
     """
 
     busy: np.ndarray
@@ -282,21 +276,14 @@ class DropCarry:
 
     @property
     def nbytes(self) -> int:
-        """Carried-state footprint (frontier array + boundary scalar).
-
-        ``nbytes`` is not part of the array-API standard, so frontiers
-        held by other namespaces fall back to shape × itemsize-of-f64
-        (an upper bound for the dtypes the kernels emit).
-        """
-        nbytes = getattr(self.busy, "nbytes", None)
-        if nbytes is None:
-            nbytes = int(self.busy.shape[0]) * 8
-        return int(nbytes) + 8
+        """Carried-state footprint (frontier array + boundary scalar)."""
+        return int(self.busy.nbytes) + 8
 
 
-def resolve_drops_block(arrivals, services, n_channels: int,
+def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
+                        n_channels: int,
                         carry: "DropCarry | None" = None,
-                        max_sweeps: int = _MAX_SWEEPS, *, xp=None):
+                        max_sweeps: int = _MAX_SWEEPS):
     """Resolve one arrival block of a longer stream; returns
     ``(dropped_mask, next_carry)``.
 
@@ -309,43 +296,21 @@ def resolve_drops_block(arrivals, services, n_channels: int,
     only, so earlier blocks are final when a block is resolved.  A block
     that exhausts the sweep budget is replayed by the scalar heap loop
     seeded from the carried frontier, so pathological saturation costs
-    one scalar block, not the stream.
-
-    Backend dispatch: NumPy arrays (the default, ``xp=None``) take the
-    reference path below, byte-identical to what every release shipped.
-    Any other array-API array — or an explicit ``xp`` namespace — takes
-    the namespace-agnostic port, whose mask and carry are
-    element-identical to the reference (golden-gated in
-    ``tests/fleet/test_capacity_backend.py``).  The returned carry
-    lives in the block's namespace at the block's dtype; see
-    :class:`DropCarry` for the device/dtype contract.
+    one scalar block, not the stream.  The returned carry keeps the
+    block's dtype; see :class:`DropCarry`.
     """
-    if xp is None and isinstance(arrivals, np.ndarray):
-        return _resolve_drops_block_numpy(arrivals, services, n_channels,
-                                          carry, max_sweeps)
-    if xp is None:
-        xp = _backend.get_namespace(arrivals)
-    return _resolve_drops_block_xp(xp, arrivals, services, n_channels,
-                                   carry, max_sweeps)
-
-
-def _resolve_drops_block_numpy(arrivals: np.ndarray, services: np.ndarray,
-                               n_channels: int,
-                               carry: "DropCarry | None",
-                               max_sweeps: int):
-    """The NumPy reference path (searchsorted/bincount live counts)."""
     if carry is None:
         carry = DropCarry.empty()
     m = int(arrivals.size)
     if m == 0:
         return np.zeros(0, dtype=bool), carry
-    _require_valid_stream(np, arrivals, services, lower=carry.boundary)
+    _require_valid_stream(arrivals, services, lower=carry.boundary)
     departures = arrivals + services
     # Canonical carry dtype: the block's own promotion result.  The
     # frontier used to come back at whatever ``concatenate`` promoted
     # (float32 inputs upcast to float64 mid-stream once the float64
-    # empty frontier mixed in), making device carries ping-pong
-    # precision; pinning it to the block dtype keeps the carry stable.
+    # empty frontier mixed in); pinning it to the block dtype keeps the
+    # carry stable.
     busy = np.asarray(carry.busy, dtype=departures.dtype)
     bins = np.searchsorted(arrivals, np.sort(departures), side='left')
     live = np.cumsum(np.bincount(bins, minlength=m + 1))[:m]
@@ -365,94 +330,6 @@ def _resolve_drops_block_numpy(arrivals: np.ndarray, services: np.ndarray,
         [busy[busy > boundary], survivors[survivors > boundary]])
     KERNEL_STATS.record_work(work)
     return blk_dropped, DropCarry(busy=next_busy, boundary=boundary)
-
-
-def _resolve_drops_block_xp(xp, arrivals, services, n_channels: int,
-                            carry: "DropCarry | None", max_sweeps: int):
-    """Namespace-agnostic port of :func:`_resolve_drops_block_numpy`.
-
-    Same algorithm, portable primitives: the live-departure counts come
-    from :func:`repro.fleet.backend.count_leq` (stable merge rank)
-    instead of ``searchsorted`` + ``bincount``, and the fixpoint's
-    running minimum from a doubling scan instead of
-    ``minimum.accumulate``.  Both are exact, so the mask is
-    element-identical to the reference, and the returned carry stays in
-    ``xp``'s namespace at the block dtype (an incoming host/NumPy carry
-    — e.g. one restored from a shard checkpoint — is moved in here).
-    """
-    if carry is None:
-        carry = DropCarry.empty()
-    arrivals = xp.asarray(arrivals)
-    services = xp.asarray(services)
-    m = int(arrivals.shape[0])
-    if m == 0:
-        return xp.zeros((0,), dtype=xp.bool), carry
-    _require_valid_stream(xp, arrivals, services, lower=carry.boundary)
-    dtype = xp.result_type(arrivals.dtype, services.dtype)
-    busy = _backend.as_namespace_array(carry.busy, xp, dtype=dtype)
-    departures = arrivals + services
-    live = _backend.count_leq(xp, departures, arrivals)
-    n_busy = int(busy.shape[0])
-    if n_busy:
-        live = live + _backend.count_leq(xp, busy, arrivals)
-    blk_dropped, converged, work = _block_fixpoint_xp(
-        xp, arrivals, departures, live, n_busy + 1, n_channels,
-        max_sweeps)
-    if not converged:
-        replay = np.zeros(m, dtype=bool)
-        work += _scalar_block(_backend.to_numpy(arrivals),
-                              _backend.to_numpy(services), n_channels,
-                              _backend.to_numpy(busy), replay)
-        blk_dropped = xp.asarray(replay)
-    boundary = float(arrivals[-1])
-    survivors = departures[~blk_dropped]
-    next_busy = xp.concat(
-        [busy[busy > boundary], survivors[survivors > boundary]])
-    KERNEL_STATS.record_work(work)
-    return blk_dropped, DropCarry(busy=next_busy, boundary=boundary)
-
-
-def _block_fixpoint_xp(xp, arr_blk, blk_deps, live, carry: int,
-                       n_channels: int, max_sweeps: int):
-    """Least-fixpoint iteration in array-API primitives.
-
-    Where the NumPy :func:`_block_fixpoint` patches only the suffix
-    past the first fresh drop, this port re-evaluates the whole block
-    per sweep — data-independent shapes suit device backends, and the
-    extra arithmetic is exact either way.  The candidate set climbs the
-    same lattice from below, so each sweep's mask is a superset of the
-    last and the fixpoints coincide; only the *sweep counter* can
-    differ from the reference by one near the budget, which at worst
-    trades convergence for the (equally exact) scalar replay.
-
-    Returns ``(mask, converged, work)``.
-    """
-    size = int(arr_blk.shape[0])
-    floor_blk = n_channels - xp.arange(size, dtype=xp.int64)
-    carry_arr = xp.full((1,), carry, dtype=xp.int64)
-    dropped = xp.zeros((size,), dtype=xp.bool)
-    sweeps = 0
-    work = 0
-    while True:
-        sweeps += 1
-        work += size
-        ceiling = floor_blk + live
-        slack = _backend.cumulative_minimum(xp, ceiling)
-        # shifted[0] = carry; shifted[i] = min(slack[i-1], carry):
-        # drop_i <=> min(slack_{i-1}, carry) > ceiling_i, as in the
-        # reference (slack_{-1} := +inf collapses to the bare carry).
-        shifted = xp.concat(
-            [carry_arr, xp.minimum(slack[:size - 1], carry_arr)])
-        mask = shifted > ceiling
-        fresh = mask & ~dropped
-        if not bool(xp.any(fresh)):
-            return dropped, True, work
-        if sweeps >= max_sweeps:
-            return dropped | mask, False, work
-        dropped = dropped | mask
-        # Cancel the fresh drops' departures from the live counts; a
-        # dropped session never frees a channel.
-        live = live - _backend.count_leq(xp, blk_deps[fresh], arr_blk)
 
 
 def _scalar_block(arrivals: np.ndarray, services: np.ndarray,

@@ -18,40 +18,31 @@ policy_eval` can depend on it without an import cycle.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.fleet import backend as _backend
 from repro.runtime.observability import KERNEL_STATS
 
 
 def switch_decisions(predicted: np.ndarray, mode: str,
                      power_threshold: float,
-                     delay_threshold: float, *,
-                     xp: Optional[object] = None) -> np.ndarray:
+                     delay_threshold: float) -> np.ndarray:
     """Vectorised Algorithm 2 over a vector of predicted reading times.
 
     Returns a boolean array: ``True`` where the radio should be forced
     to IDLE.  Matches ``PredictivePolicy.decide`` element for element.
-    Pass ``xp`` (an array namespace from :func:`repro.fleet.backend.
-    get_namespace`) to evaluate on another backend; the decision array
-    then lives in that namespace.
     """
-    if xp is None:
-        predicted = np.asarray(predicted, dtype=float)
-    else:
-        predicted = xp.asarray(predicted, dtype=xp.float64)
+    predicted = np.asarray(predicted, dtype=float)
     switch = predicted > delay_threshold
     if mode == "power":
         switch = switch | (predicted > power_threshold)
-    KERNEL_STATS.record_work(int(np.prod(predicted.shape)))
+    KERNEL_STATS.record_work(predicted.size)
     return switch
 
 
 def threshold_fractions(times: np.ndarray,
-                        thresholds: Sequence[float], *,
-                        xp: Optional[object] = None) -> "list[float]":
+                        thresholds: Sequence[float]) -> "list[float]":
     """CDF percentages ``100 * P(time < threshold)`` for many thresholds.
 
     One sort of ``times`` answers every anchor via binary search; the
@@ -60,23 +51,11 @@ def threshold_fractions(times: np.ndarray,
     boolean mask is the exact integer count (far below 2**53) divided
     by the exact size, and ``searchsorted(side='left')`` on the sorted
     array produces the same count.
-
-    With ``xp`` given, the strict-``<`` count is computed namespace-
-    agnostically via :func:`repro.fleet.backend.count_lt` (the
-    merge-rank reformulation of ``searchsorted``) — the same exact
-    integer counts, so the percentages stay bitwise identical.
     """
-    if xp is None:
-        times = np.asarray(times, dtype=float)
-        counts = np.searchsorted(np.sort(times),
-                                 np.asarray(thresholds, dtype=float),
-                                 side="left")
-        size = times.size
-    else:
-        times = xp.asarray(times, dtype=xp.float64)
-        anchors = xp.asarray(list(thresholds), dtype=xp.float64)
-        counts = _backend.to_numpy(
-            _backend.count_lt(xp, times, anchors))
-        size = times.shape[0]
+    times = np.asarray(times, dtype=float)
+    counts = np.searchsorted(np.sort(times),
+                             np.asarray(thresholds, dtype=float),
+                             side="left")
+    size = times.size
     KERNEL_STATS.record_work(size + len(thresholds))
     return [100.0 * (int(count) / size) for count in counts]

@@ -15,13 +15,12 @@ round (the leaf line-search still uses only the drawn samples).
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro.ml.losses import Loss, SquaredLoss
-from repro.ml.tree import _SLOW_GBRT_ENV, RegressionTree
+from repro.ml.tree import RegressionTree
 from repro.runtime.observability import KERNEL_STATS
 
 
@@ -69,13 +68,12 @@ class GradientBoostedRegressor:
         self.trees_ = []
         self.train_losses_ = []
 
-        slow = bool(os.environ.get(_SLOW_GBRT_ENV))
         full_sample = self.subsample >= 1.0
         # The feature matrix never changes between rounds when every
         # round trains on the full sample, so the stable argsort the
         # split search needs is paid once here, not once per round.
         presorted = (np.argsort(x, axis=0, kind="stable")
-                     if full_sample and not slow else None)
+                     if full_sample else None)
 
         for _ in range(self.n_estimators):
             if full_sample:
@@ -104,16 +102,13 @@ class GradientBoostedRegressor:
                     leaf.value = self.loss.leaf_value(
                         y_round[in_leaf], pred_round[in_leaf])
 
-            if slow:
-                prediction += self.learning_rate * tree.predict(x)
-            else:
-                # tree.predict(x) would re-partition x; the regions are
-                # already known (identically) from apply, so look the
-                # leaf values up instead.  Full sample: reuse the
-                # line-search regions outright.
-                regions_full = regions if full_sample else tree.apply(x)
-                leaf_values = np.array([leaf.value for leaf in leaves])
-                prediction += self.learning_rate * leaf_values[regions_full]
+            # tree.predict(x) would re-partition x; the regions are
+            # already known (identically) from apply, so look the leaf
+            # values up instead.  Full sample: reuse the line-search
+            # regions outright.
+            regions_full = regions if full_sample else tree.apply(x)
+            leaf_values = np.array([leaf.value for leaf in leaves])
+            prediction += self.learning_rate * leaf_values[regions_full]
             self.trees_.append(tree)
             self.train_losses_.append(self.loss.loss(y, prediction))
         # Model fitting never enters the event loop; report its work so

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-#: Set to any non-empty value to route split search through the original
-#: per-node, per-feature loop.  The vectorised path is required to grow
-#: byte-identical trees (the golden tests serialise both and diff).
-_SLOW_GBRT_ENV = "REPRO_GBRT_SLOW"
-
 
 class TreeNode:
     """One node of a fitted regression tree.
@@ -88,8 +81,7 @@ class _Split:
     left_value: float
     right_value: float
     #: Per-feature stable sort orders of each child's rows, propagated
-    #: by the vectorised split search so children never re-sort (absent
-    #: on the reference path).
+    #: by the split search so children never re-sort.
     left_order: Optional[np.ndarray] = None
     right_order: Optional[np.ndarray] = None
 
@@ -107,7 +99,7 @@ def _best_split(x: np.ndarray, y: np.ndarray, index: np.ndarray,
     filtering the parent's — a stable sort of a subset is the subset of
     the stable sort, so every node sees exactly the sorted values,
     prefix sums, floats, and tie-breaks the original per-node loop
-    computed.
+    computed.  ``tests/oracles/tree.py`` keeps that loop.
     """
     n_features, n = order.shape
     if n < 2 * min_samples_leaf:
@@ -169,63 +161,6 @@ def _best_split(x: np.ndarray, y: np.ndarray, index: np.ndarray,
         left_order=left_order, right_order=right_order)
 
 
-def _best_split_slow(x: np.ndarray, y: np.ndarray, index: np.ndarray,
-                     min_samples_leaf: int) -> Optional[_Split]:
-    """Original per-feature split search, kept as the equivalence
-    reference behind ``REPRO_GBRT_SLOW``."""
-    n = index.size
-    if n < 2 * min_samples_leaf:
-        return None
-    y_node = y[index]
-    total_sum = y_node.sum()
-    total_sq = float(y_node @ y_node)
-    parent_sse = total_sq - total_sum ** 2 / n
-
-    best: Optional[_Split] = None
-    best_gain = 1e-12  # require strictly positive gain
-    for feature in range(x.shape[1]):
-        values = x[index, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_y = y_node[order]
-        prefix_sum = np.cumsum(sorted_y)
-        # Candidate split after position i (1-based sizes i+1).
-        left_sizes = np.arange(1, n)
-        left_sums = prefix_sum[:-1]
-        right_sizes = n - left_sizes
-        right_sums = total_sum - left_sums
-        # SSE reduction = S_L²/n_L + S_R²/n_R − S²/n  (the −Σy² terms
-        # cancel between parent and children).
-        gains = (left_sums ** 2 / left_sizes
-                 + right_sums ** 2 / right_sizes
-                 - total_sum ** 2 / n)
-        # Valid positions: both children big enough, threshold between
-        # distinct values.
-        valid = ((left_sizes >= min_samples_leaf)
-                 & (right_sizes >= min_samples_leaf)
-                 & (sorted_values[:-1] < sorted_values[1:]))
-        if not valid.any():
-            continue
-        gains = np.where(valid, gains, -np.inf)
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain <= best_gain:
-            continue
-        best_gain = gain
-        threshold = float((sorted_values[pos] + sorted_values[pos + 1]) / 2)
-        left_mask = values <= threshold
-        left_index = index[left_mask]
-        right_index = index[~left_mask]
-        best = _Split(
-            gain=gain, feature=feature, threshold=threshold,
-            left_index=left_index, right_index=right_index,
-            left_value=float(y[left_index].mean()),
-            right_value=float(y[right_index].mean()))
-    # ``parent_sse`` is implicit in the gain formula; keep the flake quiet.
-    del parent_sse
-    return best
-
-
 class RegressionTree:
     """A J-terminal-node least-squares regression tree."""
 
@@ -263,30 +198,18 @@ class RegressionTree:
         self.root = TreeNode(value=float(y.mean()), n_samples=index.size)
         self.split_gains = []
 
-        if os.environ.get(_SLOW_GBRT_ENV):
-            def find_split(node_index: np.ndarray,
-                           order: Optional[np.ndarray]) -> Optional[_Split]:
-                return _best_split_slow(x, y, node_index,
-                                        self.min_samples_leaf)
-
-            root_order: Optional[np.ndarray] = None
-        else:
-            def find_split(node_index: np.ndarray,
-                           order: Optional[np.ndarray]) -> Optional[_Split]:
-                return _best_split(x, y, node_index,
-                                   self.min_samples_leaf, order)
-
-            sort_idx = (presorted if presorted is not None
-                        else np.argsort(x, axis=0, kind="stable"))
-            root_order = sort_idx.T
+        sort_idx = (presorted if presorted is not None
+                    else np.argsort(x, axis=0, kind="stable"))
+        root_order = sort_idx.T
 
         # Best-first growth: a max-heap of (−gain, tiebreak, node, split).
         counter = itertools.count()
         heap: list = []
 
         def push(node: TreeNode, node_index: np.ndarray,
-                 order: Optional[np.ndarray]) -> None:
-            split = find_split(node_index, order)
+                 order: np.ndarray) -> None:
+            split = _best_split(x, y, node_index, self.min_samples_leaf,
+                                order)
             if split is not None:
                 heapq.heappush(heap, (-split.gain, next(counter), node,
                                       split))
@@ -332,17 +255,6 @@ class RegressionTree:
                 index = index[mask]
             out[index] = node.value
         return out
-
-    def _predict_into(self, node: TreeNode, x: np.ndarray,
-                      index: np.ndarray, out: np.ndarray) -> None:
-        """Recursive reference partition (kept for the equivalence
-        tests; :meth:`predict` uses the iterative frontier)."""
-        if node.is_leaf:
-            out[index] = node.value
-            return
-        mask = x[index, node.feature] <= node.threshold
-        self._predict_into(node.left, x, index[mask], out)
-        self._predict_into(node.right, x, index[~mask], out)
 
     def predict_one(self, row) -> float:
         """Scalar prediction by plain traversal (the on-phone code path

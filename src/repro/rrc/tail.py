@@ -13,13 +13,12 @@ The Fig. 16 policy evaluation uses these to score thousands of trace
 pageviews without running a discrete-event simulation per view; tests
 cross-check them against the :class:`repro.rrc.machine.RrcMachine`.
 
-The ``*_grid`` forms at the bottom are array versions of the same
+The ``*_grid`` forms at the bottom are NumPy versions of the same
 closed forms, used by the batched ablation evaluator to score a whole
-(trials × pages × readings) unit grid in one call.  They take an
-explicit array namespace ``xp`` (the :mod:`repro.fleet.backend` shim)
-and per-element boundary arrays ``b1``/``b2`` so one call can mix
-anchors: after-tx units carry ``(t1, t1 + t2)``, after-release units
-carry ``(0.0, t2)`` — the first segment is then empty because offsets
+(trials × pages × readings) unit grid in one call.  They take
+per-element boundary arrays ``b1``/``b2`` so one call can mix anchors:
+after-tx units carry ``(t1, t1 + t2)``, after-release units carry
+``(0.0, t2)`` — the first segment is then empty because offsets
 are non-negative, which reduces the three-segment integral to the
 two-segment release form exactly.  Each grid form performs the same
 IEEE operations in the same order as its scalar twin (the only extra
@@ -31,6 +30,8 @@ are bitwise identical — the golden tests in
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from repro.rrc.config import RrcConfig
 from repro.rrc.states import RrcState
@@ -127,39 +128,23 @@ def promotion_energy(state: RrcState,
 
 # ----------------------------------------------------------------------
 # Array forms — the batched ablation evaluator's unit-grid scoring.
-# Array namespaces cannot hold RrcState members, so states travel as
-# small integer codes.
+# Arrays cannot hold RrcState members, so states travel as small
+# integer codes.
 # ----------------------------------------------------------------------
 
 #: Integer state codes used by the grid forms.
 STATE_DCH, STATE_FACH, STATE_IDLE = 0, 1, 2
 
-#: RrcState per grid code, for callers crossing back to scalar land.
-STATE_BY_CODE = {STATE_DCH: RrcState.DCH, STATE_FACH: RrcState.FACH,
-                 STATE_IDLE: RrcState.IDLE}
 
-
-def tail_boundaries(released: bool,
-                    config: Optional[RrcConfig] = None):
-    """The ``(b1, b2)`` segment boundaries for one anchor choice.
-
-    After a channel release the DCH segment is empty (``b1 = 0``), so
-    the same three-segment grid math covers both anchors.
-    """
-    config = config or RrcConfig()
-    if released:
-        return 0.0, config.t2
-    return config.t1, config.t1 + config.t2
-
-
-def tail_energy_grid(xp, start, end, b1, b2,
-                     config: Optional[RrcConfig] = None):
+def tail_energy_grid(start: np.ndarray, end: np.ndarray, b1: np.ndarray,
+                     b2: np.ndarray,
+                     config: Optional[RrcConfig] = None) -> np.ndarray:
     """Radio tail energy over ``[start, end)`` per grid element.
 
-    ``start``/``end``/``b1``/``b2`` are same-shape float arrays in the
-    namespace ``xp``; power levels come from ``config`` (the batched
-    evaluator never varies powers across trials — only the timers,
-    which ride in ``b1``/``b2``).  Bitwise identical to
+    ``start``/``end``/``b1``/``b2`` are same-shape float arrays; power
+    levels come from ``config`` (the batched evaluator never varies
+    powers across trials — only the timers, which ride in
+    ``b1``/``b2``).  Bitwise identical to
     :func:`_integrate` with boundaries ``(b1, b2)`` and powers
     ``(dch, fach, idle)``: each segment duration is the same
     ``min(...) - max(...)`` subtraction, empty segments contribute an
@@ -167,47 +152,40 @@ def tail_energy_grid(xp, start, end, b1, b2,
     """
     config = config or RrcConfig()
     power = config.power
-    zero = xp.zeros(start.shape, dtype=start.dtype)
-    d1 = xp.maximum(xp.minimum(end, b1) - xp.maximum(start, zero), zero)
-    d2 = xp.maximum(xp.minimum(end, b2) - xp.maximum(start, b1), zero)
-    d3 = xp.maximum(end - xp.maximum(start, b2), zero)
+    zero = np.zeros(start.shape, dtype=start.dtype)
+    d1 = np.maximum(np.minimum(end, b1) - np.maximum(start, zero), zero)
+    d2 = np.maximum(np.minimum(end, b2) - np.maximum(start, b1), zero)
+    d3 = np.maximum(end - np.maximum(start, b2), zero)
     return (power.dch * d1 + power.fach * d2) + power.idle * d3
 
 
-def tail_state_grid(xp, offset, b1, b2):
+def tail_state_grid(offset: np.ndarray, b1: np.ndarray,
+                    b2: np.ndarray) -> np.ndarray:
     """State code per grid element ``offset`` seconds after the anchor
     (DCH below ``b1``, FACH below ``b2``, IDLE beyond)."""
-    dch = xp.full(offset.shape, STATE_DCH, dtype=xp.int64)
-    fach = xp.full(offset.shape, STATE_FACH, dtype=xp.int64)
-    idle = xp.full(offset.shape, STATE_IDLE, dtype=xp.int64)
-    return xp.where(offset < b1, dch, xp.where(offset < b2, fach, idle))
+    return np.where(offset < b1, STATE_DCH,
+                    np.where(offset < b2, STATE_FACH, STATE_IDLE))
 
 
-def promotion_latency_grid(xp, states,
-                           config: Optional[RrcConfig] = None):
+def promotion_latency_grid(states: np.ndarray,
+                           config: Optional[RrcConfig] = None
+                           ) -> np.ndarray:
     """:func:`promotion_latency` over an array of state codes."""
     config = config or RrcConfig()
-    zero = xp.zeros(states.shape, dtype=xp.float64)
-    fach = xp.full(states.shape, config.promo_fach_latency,
-                   dtype=xp.float64)
-    idle = xp.full(states.shape, config.promo_idle_latency,
-                   dtype=xp.float64)
-    return xp.where(states == STATE_DCH, zero,
-                    xp.where(states == STATE_FACH, fach, idle))
+    return np.where(states == STATE_DCH, 0.0,
+                    np.where(states == STATE_FACH,
+                             config.promo_fach_latency,
+                             config.promo_idle_latency))
 
 
-def promotion_energy_grid(xp, states,
-                          config: Optional[RrcConfig] = None):
+def promotion_energy_grid(states: np.ndarray,
+                          config: Optional[RrcConfig] = None
+                          ) -> np.ndarray:
     """:func:`promotion_energy` over an array of state codes."""
     config = config or RrcConfig()
     power = config.power
-    zero = xp.zeros(states.shape, dtype=xp.float64)
-    fach = xp.full(states.shape,
-                   power.promotion * config.promo_fach_latency,
-                   dtype=xp.float64)
-    idle = xp.full(states.shape,
-                   power.promotion * config.promo_idle_latency
-                   + config.promo_idle_signalling_energy,
-                   dtype=xp.float64)
-    return xp.where(states == STATE_DCH, zero,
-                    xp.where(states == STATE_FACH, fach, idle))
+    return np.where(states == STATE_DCH, 0.0,
+                    np.where(states == STATE_FACH,
+                             power.promotion * config.promo_fach_latency,
+                             power.promotion * config.promo_idle_latency
+                             + config.promo_idle_signalling_energy))

@@ -2,7 +2,7 @@
 
 The fleet engines are batch-native: one ``evaluate_setups`` call over N
 trials costs far less than N calls over one trial each (one unit-grid
-pass, one set of namespace transfers).  A serving process receives
+pass, one set of array allocations).  A serving process receives
 those N trials as N *concurrent HTTP requests*, so the batcher's job is
 to re-assemble them: the first request thread to arrive becomes the
 round's **leader**, waits a small collection window for peers, then

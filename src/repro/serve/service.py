@@ -163,8 +163,8 @@ class WhatIfService:
                           eval_seed: int) -> dict:
         """One M/G/N run: drop probability *and* service quantiles.
 
-        Seeded exactly like the evaluator's ``_drop_probability`` —
-        same config seed, same ``spawn_key=(1,)`` capacity stream —
+        Seeded exactly like the evaluator's ``drop_probability`` metric
+        — same config seed, same ``spawn_key=(1,)`` capacity stream —
         and executed through :func:`~repro.stream.sweep.sweep_point`,
         whose sessions/dropped are golden-gated byte-identical to
         ``CapacitySimulator.run``.

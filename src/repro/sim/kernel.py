@@ -18,20 +18,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time as _time
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.runtime.observability import KERNEL_STATS, SimRunStats
 from repro.sim.events import Event, EventQueue
 from repro.units import require_non_negative
-
-#: Set to any non-empty value to route ``Simulator.run`` through the
-#: original peek/step loop instead of the inlined drain loop.  The two
-#: are byte-identical in observable behaviour (golden tests assert it);
-#: the gate exists so the equivalence stays testable.
-_SLOW_KERNEL_ENV = "REPRO_KERNEL_SLOW"
-
 
 class SimulationError(RuntimeError):
     """Raised when the kernel is used incorrectly."""
@@ -154,10 +146,9 @@ class Simulator:
         tests).
 
         The event loop is inlined over the queue's heap (one pop per
-        live event, no per-event ``peek_time``/``step`` indirection).
-        Setting ``REPRO_KERNEL_SLOW`` in the environment routes through
-        the original peek/step loop instead; the golden-equivalence
-        tests run every experiment both ways and diff the reports.
+        live event, no per-event ``peek_time``/``step`` indirection);
+        ``tests/oracles/kernel.py`` keeps the peek/step loop it must
+        match.
         """
         if self._running:
             raise SimulationError("run() re-entered; the kernel is not "
@@ -171,10 +162,7 @@ class Simulator:
         self._run_peak_depth = len(self._queue)
         wall_start = _time.perf_counter()
         try:
-            if os.environ.get(_SLOW_KERNEL_ENV):
-                self._run_slow(until, max_events)
-            else:
-                self._run_fast(until, max_events)
+            self._drain(until, max_events)
             if until is not None and until > self.now:
                 self.now = until
         finally:
@@ -188,7 +176,7 @@ class Simulator:
                 sim_time=self.now - run_started_at,
                 wall_time=wall_time)
 
-    def _run_fast(self, until: Optional[float],
+    def _drain(self, until: Optional[float],
                   max_events: Optional[int]) -> None:
         """Drain loop with the queue internals bound locally.
 
@@ -224,22 +212,6 @@ class Simulator:
                 event.callback(*event.args)
         finally:
             self._events_processed += processed
-
-    def _run_slow(self, until: Optional[float],
-                  max_events: Optional[int]) -> None:
-        """Original peek/step loop, kept as the equivalence reference."""
-        processed = 0
-        while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}")
-            self.step()
-            processed += 1
 
     @property
     def pending_events(self) -> int:

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.capacity.simulator import (CapacityConfig, CapacityResult,
                                       CapacitySimulator)
-from repro.fleet import backend as _backend
 from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import KERNEL_STATS
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
@@ -120,11 +119,7 @@ def _write_checkpoint(store: ShardStore, carry: DropCarry,
         "block_index": int(block_index),
         "aggregate": None if aggregate is None else aggregate.to_state(),
     }
-    # The carry may live on a device backend — checkpoints always
-    # spill host float64 so a resume (possibly on another backend)
-    # restores from neutral ground.
-    return store.put(_CHECKPOINT_KEY,
-                     {"busy": _backend.to_numpy(carry.busy)}, meta)
+    return store.put(_CHECKPOINT_KEY, {"busy": carry.busy}, meta)
 
 
 def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
@@ -134,8 +129,7 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
                         aggregate: Optional[ServiceAggregate] = None,
                         store: Optional[ShardStore] = None,
                         checkpoint_every: int = 8,
-                        threaded: bool = True,
-                        backend: Optional[str] = None) -> CapacityResult:
+                        threaded: bool = True) -> CapacityResult:
     """Run one capacity simulation in bounded memory.
 
     Returns the same :class:`CapacityResult` as ``simulator.run`` —
@@ -143,19 +137,11 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
     stream into ``aggregate`` (if given) and checkpointing into
     ``store`` (if given).  ``threaded=False`` drops the producer thread
     and draws blocks inline, for deterministic single-thread debugging.
-
-    ``backend`` names an array namespace (see :data:`repro.fleet.
-    backend.BACKEND_NAMES`) to run the block resolver on; blocks are
-    drawn on the host as always, moved into the namespace per block,
-    and the carry stays in the namespace between blocks (checkpoints
-    spill it back to host float64).  ``None`` keeps the NumPy
-    reference path untouched.
     """
     require_positive("n_users", n_users)
     if checkpoint_every < 1:
         raise ValueError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    xp = None if backend is None else _backend.get_namespace(backend)
     config = simulator.config
 
     if store is not None:
@@ -204,16 +190,9 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
                   for arrivals, services in source.blocks())
 
     for arrivals, services, source_state in blocks:
-        if xp is None:
-            mask, carry = resolve_drops_block(arrivals, services,
-                                              config.n_channels, carry)
-            dropped += int(mask.sum())
-        else:
-            mask, carry = resolve_drops_block(
-                _backend.as_namespace_array(arrivals, xp),
-                _backend.as_namespace_array(services, xp),
-                config.n_channels, carry, xp=xp)
-            dropped += int(xp.sum(xp.astype(mask, xp.int64)))
+        mask, carry = resolve_drops_block(arrivals, services,
+                                          config.n_channels, carry)
+        dropped += int(mask.sum())
         if aggregate is not None:
             aggregate.add_block(services)
         block_index += 1
@@ -253,18 +232,15 @@ class StreamingCapacitySimulator(CapacitySimulator):
     def __init__(self, service_times, config=None, *,
                  block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 threaded: bool = True,
-                 backend: Optional[str] = None):
+                 threaded: bool = True):
         super().__init__(service_times, config)
         self.block_arrivals = int(block_arrivals)
         self.queue_depth = int(queue_depth)
         self.threaded = bool(threaded)
-        self.backend = backend
 
     def run(self, n_users: int, seed: Optional[int] = None
             ) -> CapacityResult:
         return stream_capacity_run(self, n_users, seed,
                                    block_arrivals=self.block_arrivals,
                                    queue_depth=self.queue_depth,
-                                   threaded=self.threaded,
-                                   backend=self.backend)
+                                   threaded=self.threaded)

@@ -30,9 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.capacity.simulator import (CapacityConfig, CapacitySimulator,
-                                      heap_drop_count)
-from repro.fleet import fleet_enabled
+from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.fleet.capacity import resolve_drops
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
 from repro.stream.aggregate import SERVICE_QUANTILES, ServiceAggregate
@@ -199,12 +197,8 @@ def sweep_point(simulator: CapacitySimulator, n_users: int, seed: int,
         rng = np.random.default_rng(
             simulator.config.seed if seed is None else seed)
         arrivals, services = simulator.draw(n_users, rng)
-        if fleet_enabled():
-            dropped = int(resolve_drops(
-                arrivals, services, simulator.config.n_channels).sum())
-        else:
-            dropped = heap_drop_count(arrivals, services,
-                                      simulator.config.n_channels)
+        dropped = int(resolve_drops(
+            arrivals, services, simulator.config.n_channels).sum())
         sessions = int(arrivals.size)
         aggregate.add_block(services)
     return StreamPoint.from_parts(n_users, seed, sessions, dropped,

@@ -1,14 +1,14 @@
 """Golden gates for the batched trial evaluator.
 
-``REPRO_ABLATE_SLOW=1`` routes evaluation through the scalar per-unit
-reference — one discrete-event load per page per call, no projection
-memo, no grid scoring, a ``CapacitySimulator`` per population cell.
-Every comparison here proves the batched default produces exactly the
-same bytes: matrix reports, tune JSONL traces and reports (including a
-population scenario), and the raw metrics dicts.  The Hypothesis
-properties pin the load-cache-key contract: the key is exactly the
-load-relevant projection, so setups differing only in α/Tp/Td/mode or
-the predictor level share one cached load.
+``tests/oracles/ablation.py`` is the scalar per-unit reference — one
+discrete-event load per page per call, no projection memo, no grid
+scoring, a ``CapacitySimulator`` per population cell.  Patching it over
+the engine's evaluator, every comparison here proves the batched path
+produces exactly the same bytes: matrix reports, tune JSONL traces and
+reports (including a population scenario), and the raw metrics dicts.
+The Hypothesis properties pin the load-cache-key contract: the key is
+exactly the load-relevant projection, so setups differing only in
+α/Tp/Td/mode or the predictor level share one cached load.
 """
 
 from dataclasses import replace
@@ -17,12 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ablation.engine as engine_module
 from repro.ablation.components import VariantSetup
 from repro.ablation.engine import run_matrix
 from repro.ablation.objective import (
     _REFERENCE_MEMO,
-    PopulationSpec,
-    Scenario,
     evaluate_setup,
     evaluate_setups,
     load_cache_key,
@@ -30,19 +29,15 @@ from repro.ablation.objective import (
     load_projection,
     reset_load_cache,
 )
-from repro.ablation.search import Parameter, SearchSpace, halving_search
+from repro.ablation.search import halving_search
 from repro.runtime.cache import ResultCache
+from tests import golden
+from tests.oracles import ablation as oracle
 
-TINY = Scenario(profile="ideal", pages=("www.motors.ebay.com",),
-                reading_times=(2.0, 9.0, 30.0))
-EDGE = replace(TINY, profile="cell_edge")
-POP = replace(TINY, population=PopulationSpec(
-    n_users=400, n_channels=20, horizon=600.0, mean_interval=10.0))
-
-#: The acceptance-criteria search: α/Tp only — every trial shares one
-#: load projection, which is what makes the warm sweep cheap.
-THRESHOLD_SPACE = SearchSpace((Parameter("alpha", 0.5, 4.0),
-                               Parameter("tp", 2.0, 18.0)))
+TINY = golden.tiny_scenario()
+EDGE = golden.edge_scenario()
+POP = golden.population_scenario()
+THRESHOLD_SPACE = golden.threshold_space()
 
 
 def _clear_process_state() -> None:
@@ -58,9 +53,12 @@ def fresh_state():
 
 
 def _slow(monkeypatch) -> None:
-    """Flip to the scalar reference with all memoised state dropped, so
-    the slow pass recomputes everything from scratch."""
-    monkeypatch.setenv("REPRO_ABLATE_SLOW", "1")
+    """Route the engine through the scalar oracle with all memoised
+    state dropped, so the slow pass recomputes everything from scratch."""
+    monkeypatch.setattr(engine_module, "evaluate_setup",
+                        oracle.evaluate_setup)
+    monkeypatch.setattr(engine_module, "evaluate_setups",
+                        oracle.evaluate_setups)
     _clear_process_state()
 
 
@@ -109,11 +107,11 @@ def test_tune_trace_byte_identical_slow_vs_fast(tmp_path, monkeypatch):
     assert fast.to_dict() == slow.to_dict()
 
 
-def test_population_metrics_byte_identical(monkeypatch):
+def test_population_metrics_byte_identical():
     fast = [evaluate_setup(setup, POP, 42 + i)
             for i, setup in enumerate(SETUPS)]
-    _slow(monkeypatch)
-    slow = [evaluate_setup(setup, POP, 42 + i)
+    _clear_process_state()
+    slow = [oracle.evaluate_setup(setup, POP, 42 + i)
             for i, setup in enumerate(SETUPS)]
     assert fast == slow
     assert all("drop_probability" in metrics for metrics in fast)

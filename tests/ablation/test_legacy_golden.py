@@ -2,9 +2,9 @@
 the original study implementations bit-for-bit.
 
 Each public ablation in ``repro.experiments.ablations`` now delegates to
-:mod:`repro.ablation.legacy`; the pre-port bodies were kept as
-``_reference_*``.  These tests run both paths and compare the full
-result objects and their rendered reports.
+:mod:`repro.ablation.legacy`; the pre-port bodies live on as
+``tests/oracles/legacy.py``.  These tests run both paths and compare
+the full result objects and their rendered reports.
 """
 
 import pytest
@@ -12,11 +12,6 @@ import pytest
 from repro.core.config import ExperimentConfig, RrcConfig
 from repro.experiments.ablations import (
     ALL_ABLATIONS,
-    _reference_carrier_ablation,
-    _reference_interest_threshold_ablation,
-    _reference_predictor_ablation,
-    _reference_reorganisation_ablation,
-    _reference_timer_ablation,
     carrier_ablation,
     interest_threshold_ablation,
     predictor_ablation,
@@ -25,6 +20,7 @@ from repro.experiments.ablations import (
 )
 from repro.ablation.legacy import LEGACY_STUDIES, legacy_registry
 from repro.traces.generator import TraceConfig
+from tests.oracles import legacy
 
 #: Small synthetic trace: enough structure for stable model metrics.
 SMALL = TraceConfig(n_users=14, mean_views_per_user=110,
@@ -33,7 +29,7 @@ SMALL = TraceConfig(n_users=14, mean_views_per_user=110,
 
 def test_reorganisation_matches_reference():
     ported = reorganisation_ablation()
-    reference = _reference_reorganisation_ablation()
+    reference = legacy.reorganisation_ablation()
     assert ported == reference
     assert ported.report() == reference.report()
 
@@ -41,33 +37,33 @@ def test_reorganisation_matches_reference():
 def test_reorganisation_matches_reference_with_custom_config():
     config = ExperimentConfig(rrc=RrcConfig(t1=6.0, t2=12.0))
     assert reorganisation_ablation(config) \
-        == _reference_reorganisation_ablation(config)
+        == legacy.reorganisation_ablation(config)
 
 
 def test_timer_matches_reference():
     ported = timer_ablation(reading_time=8.0)
-    reference = _reference_timer_ablation(reading_time=8.0)
+    reference = legacy.timer_ablation(reading_time=8.0)
     assert ported == reference
     assert ported.report() == reference.report()
 
 
 def test_predictor_matches_reference():
     ported = predictor_ablation(SMALL)
-    reference = _reference_predictor_ablation(SMALL)
+    reference = legacy.predictor_ablation(SMALL)
     assert ported == reference
     assert ported.report() == reference.report()
 
 
 def test_alpha_matches_reference():
     ported = interest_threshold_ablation(SMALL)
-    reference = _reference_interest_threshold_ablation(SMALL)
+    reference = legacy.interest_threshold_ablation(SMALL)
     assert ported == reference
     assert ported.report() == reference.report()
 
 
 def test_carrier_matches_reference():
     ported = carrier_ablation(reading_time=15.0)
-    reference = _reference_carrier_ablation(reading_time=15.0)
+    reference = legacy.carrier_ablation(reading_time=15.0)
     assert ported == reference
     assert ported.report() == reference.report()
 

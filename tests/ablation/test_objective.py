@@ -4,7 +4,12 @@ import pytest
 
 from repro.ablation.components import STOCK_SETUP, VariantSetup
 from repro.ablation.objective import (PopulationSpec, Scenario,
-                                      evaluate_setup, reference_metrics)
+                                      _load_page, evaluate_setup,
+                                      reference_metrics)
+from repro.browser.original import OriginalEngine
+from repro.core.session import browse_and_read
+from repro.faults.injector import FaultPlan
+from repro.webpages.corpus import find_page
 
 #: One cheap page, three readings spanning the Tp break-even.
 TINY = Scenario(profile="ideal", pages=("www.motors.ebay.com",),
@@ -113,3 +118,25 @@ def test_population_validation():
         PopulationSpec(n_users=0)
     with pytest.raises(ValueError):
         PopulationSpec(horizon=-1.0)
+
+
+def test_load_page_survives_a_failed_transfer():
+    """On cell_edge at page seed 0 the stock browser loses one of cnn's
+    14 transfers for good.  Its ``completed_at`` is None, which used to
+    raise TypeError; the reading anchor is the last byte that arrived."""
+    session = browse_and_read(find_page("cnn"), OriginalEngine,
+                              reading_time=0.0,
+                              config=STOCK_SETUP.to_config(),
+                              faults=FaultPlan.named("cell_edge", seed=0))
+    transfers = session.load.transfers
+    assert [t.label for t in transfers if t.completed_at is None] \
+        == ["m-cnn/img0"]
+    assert len(transfers) == 14
+
+    load = _load_page("cnn", STOCK_SETUP, "cell_edge", 0)
+    last_byte = max(t.completed_at for t in transfers
+                    if t.completed_at is not None)
+    assert load.tail_offset == (session.load.started_at
+                                + session.load.load_complete_time
+                                - last_byte)
+    assert load.tail_offset >= 0.0

@@ -1,167 +1,106 @@
-"""Golden equivalence: the fast paths must be byte-identical to the
-slow reference paths.
+"""Golden equivalence: every workload reproduces its committed fixture.
 
-The kernel keeps its original peek/pop/step loop behind
-``REPRO_KERNEL_SLOW=1``, the GBRT keeps its per-feature split search
-and per-row boosting update behind ``REPRO_GBRT_SLOW=1``, and the
-fleet engine keeps the scalar heapq/per-record paths behind
-``REPRO_FLEET_SLOW=1``.  Each test runs the same workload in two
-subprocesses — one per path — and asserts the *entire* serialised
-output matches, timestamps included.  The env vars are read at call
-time inside library code, so subprocesses (not monkeypatching) are the
-reliable way to flip whole runs.
+``tests/golden/`` holds the outputs the experiments, the GBRT fits and
+the ablation engine printed before their slow reference twins left
+``src/``.  Each workload reruns here in-process and must match its
+fixture byte for byte, timestamps included.  The ``*_on_slow_*`` tests
+rerun a workload with a scalar oracle from ``tests/oracles/`` patched
+over the kernel it replaced — the event loop, the split search, or the
+fleet paths — and require the same fixture again.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import pytest
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
-
-
-def _run(script: str, slow_var: str = "", timeout: float = 600.0) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC
-    env.pop("REPRO_KERNEL_SLOW", None)
-    env.pop("REPRO_GBRT_SLOW", None)
-    env.pop("REPRO_FLEET_SLOW", None)
-    if slow_var:
-        env[slow_var] = "1"
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def _assert_identical(script: str, slow_var: str) -> None:
-    fast = _run(script)
-    slow = _run(script, slow_var=slow_var)
-    assert fast == slow
-    assert fast  # a trivially empty "report" would prove nothing
-
-
-FIG08 = """
-from repro.experiments.fig08_transmission_time import run
-print(run().report())
-"""
-
-FIG11 = """
-from repro.experiments.fig11_capacity import run
-from repro.units import hours
-print(run(horizon=hours(0.1)).report())
-"""
-
-FIG07 = """
-from repro.experiments.fig07_reading_cdf import run
-print(run().report())
-"""
-
-POLICY_EVAL = """
+import repro.capacity.simulator as capacity_simulator
+import repro.core.comparison as comparison
+import repro.experiments.fig07_reading_cdf as fig07_module
+import repro.ml.tree as tree_module
+import repro.stream.sweep as stream_sweep
 from repro.core.policy_eval import PolicyEvaluator
-from repro.traces.generator import TraceConfig
-evaluator = PolicyEvaluator(
-    trace_config=TraceConfig(n_users=8, mean_views_per_user=40, seed=3))
-for case in evaluator.evaluate():
-    print(case)
-"""
-
-FAULTS_SWEEP = """
-from repro.experiments.fig_sensitivity import run_profile
-from repro.webpages.corpus import benchmark_pages
-pages = benchmark_pages(mobile=True)[:2] + benchmark_pages(mobile=False)[:1]
-print(run_profile("congested", seed=123, pages=pages).report())
-"""
-
-GBRT_FIG15 = """
-import json
-import numpy as np
-from repro.ml.gbrt import GradientBoostedRegressor
-from repro.ml.validation import train_test_split
-from repro.traces.generator import generate_trace
-
-dataset = generate_trace().filter_reading_time()
-x, y = dataset.to_arrays()
-x_train, x_test, y_train, _ = train_test_split(
-    x, y, test_fraction=0.3, random_state=7)
-# The fig15 predictor configuration, at reduced rounds for test speed.
-model = GradientBoostedRegressor(
-    n_estimators=40, max_leaves=8, learning_rate=0.08,
-    min_samples_leaf=10, subsample=1.0, random_state=13)
-model.fit(x_train, np.log1p(y_train))
-print(json.dumps({
-    "model": model.to_dict(),
-    "train_losses": model.train_losses_,
-    "predict": model.predict(x_test).tolist(),
-    "apply": [t.apply(x_test).tolist() for t in model.trees_[:3]],
-    "predict_one": model.predict_one(x_test[0]),
-}))
-"""
-
-GBRT_SUBSAMPLE = """
-import json
-import numpy as np
-from repro.ml.gbrt import GradientBoostedRegressor
-from repro.ml.losses import AbsoluteLoss
-
-rng = np.random.default_rng(99)
-x = rng.normal(size=(300, 6))
-y = x[:, 0] - 2.0 * x[:, 3] + rng.normal(scale=0.3, size=300)
-model = GradientBoostedRegressor(
-    n_estimators=25, max_leaves=6, subsample=0.7, min_samples_leaf=1,
-    loss=AbsoluteLoss(), random_state=5)
-model.fit(x, y)
-print(json.dumps({
-    "model": model.to_dict(),
-    "train_losses": model.train_losses_,
-    "predict": model.predict(x).tolist(),
-}))
-"""
+from repro.runtime.singleflight import SingleFlight
+from repro.sim.kernel import Simulator
+from tests import golden
+from tests.oracles import capacity, kernel, policy, tree
 
 
-def test_fig08_report_identical_on_slow_kernel():
-    _assert_identical(FIG08, "REPRO_KERNEL_SLOW")
+def _assert_golden(name: str) -> None:
+    produced = golden.WORKLOADS[name]()
+    assert produced  # a trivially empty "report" would prove nothing
+    assert produced == golden.fixture(name)
 
 
-def test_fig11_report_identical_on_slow_kernel():
-    _assert_identical(FIG11, "REPRO_KERNEL_SLOW")
+@pytest.mark.parametrize("name", sorted(golden.WORKLOADS))
+def test_output_matches_golden_fixture(name):
+    _assert_golden(name)
 
 
-def test_faults_sweep_report_identical_on_slow_kernel():
-    _assert_identical(FAULTS_SWEEP, "REPRO_KERNEL_SLOW")
+@pytest.fixture
+def slow_kernel(monkeypatch):
+    """Drain every simulation through the peek/step oracle, with the
+    memoised benchmark comparisons recomputed on it."""
+    monkeypatch.setattr(Simulator, "_drain", kernel.drain)
+    monkeypatch.setattr(comparison, "_BENCHMARK_MEMO", SingleFlight())
 
 
-def test_fig11_report_identical_on_slow_fleet():
+@pytest.fixture
+def slow_fleet(monkeypatch):
+    """The per-session heap, per-record ``decide`` and per-anchor means
+    in place of the batched fleet paths."""
+    monkeypatch.setattr(capacity_simulator, "resolve_drops",
+                        capacity.resolve_drops)
+    monkeypatch.setattr(stream_sweep, "resolve_drops",
+                        capacity.resolve_drops)
+    monkeypatch.setattr(PolicyEvaluator, "_batched_switches",
+                        lambda self, policy: None)
+    monkeypatch.setattr(fig07_module, "threshold_fractions",
+                        policy.threshold_fractions)
+
+
+@pytest.fixture
+def slow_gbrt(monkeypatch):
+    monkeypatch.setattr(tree_module, "_best_split", tree.split_search)
+
+
+def test_fig08_report_identical_on_slow_kernel(slow_kernel):
+    _assert_golden("fig08.txt")
+
+
+def test_fig11_report_identical_on_slow_kernel(slow_kernel):
+    _assert_golden("fig11.txt")
+
+
+def test_faults_sweep_report_identical_on_slow_kernel(slow_kernel):
+    _assert_golden("faults_sweep.txt")
+
+
+def test_fig11_report_identical_on_slow_fleet(slow_fleet):
     """The batched drop resolver vs the per-session heapq loop —
     identical CapacityResults, so an identical fig11 report."""
-    _assert_identical(FIG11, "REPRO_FLEET_SLOW")
+    _assert_golden("fig11.txt")
 
 
-def test_fig07_report_identical_on_slow_fleet():
+def test_fig07_report_identical_on_slow_fleet(slow_fleet):
     """Sorted-search CDF anchors vs the per-anchor boolean means."""
-    _assert_identical(FIG07, "REPRO_FLEET_SLOW")
+    _assert_golden("fig07.txt")
 
 
-def test_policy_eval_identical_on_slow_fleet():
+def test_policy_eval_identical_on_slow_fleet(slow_fleet):
     """Whole-vector Algorithm 2 vs per-record ``decide`` — every
     Table-6 case's energy/delay/switch-rate must match exactly."""
-    _assert_identical(POLICY_EVAL, "REPRO_FLEET_SLOW")
+    _assert_golden("policy_eval.txt")
 
 
-def test_faults_sweep_report_identical_on_slow_fleet():
-    """The sensitivity sweep rides the same toggle; its report must not
-    move when the fleet paths are disabled."""
-    _assert_identical(FAULTS_SWEEP, "REPRO_FLEET_SLOW")
+def test_faults_sweep_report_identical_on_slow_fleet(slow_fleet):
+    _assert_golden("faults_sweep.txt")
 
 
-def test_gbrt_fig15_config_identical_on_slow_path():
+def test_gbrt_fig15_config_identical_on_slow_path(slow_gbrt):
     """Same trees (serialised node for node), same losses, same
-    predictions — vectorised vs per-feature/per-row reference."""
-    _assert_identical(GBRT_FIG15, "REPRO_GBRT_SLOW")
+    predictions — vectorised vs per-feature split search."""
+    _assert_golden("gbrt_fig15.json")
 
 
-def test_gbrt_subsampled_lad_identical_on_slow_path():
+def test_gbrt_subsampled_lad_identical_on_slow_path(slow_gbrt):
     """The stochastic (subsample < 1) path re-sorts per round and uses
     a different loss; it must match the reference too."""
-    _assert_identical(GBRT_SUBSAMPLE, "REPRO_GBRT_SLOW")
+    _assert_golden("gbrt_subsample.json")

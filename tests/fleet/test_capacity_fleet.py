@@ -1,12 +1,11 @@
 """Batched Erlang-loss drop resolution vs the scalar heap loop."""
 
-import heapq
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.capacity.simulator as capacity_simulator
 from repro.capacity.simulator import (
     CapacityConfig,
     CapacitySimulator,
@@ -14,21 +13,8 @@ from repro.capacity.simulator import (
 )
 from repro.fleet.capacity import resolve_drops, resolve_drops_block
 from repro.units import hours
-
-
-def _reference_drops(arrivals, services, n_channels):
-    """The CapacitySimulator heap loop, recording per-session status."""
-    dropped = np.zeros(arrivals.size, dtype=bool)
-    busy: list = []
-    for i, (arrival, service) in enumerate(zip(arrivals.tolist(),
-                                               services.tolist())):
-        while busy and busy[0] <= arrival:
-            heapq.heappop(busy)
-        if len(busy) >= n_channels:
-            dropped[i] = True
-            continue
-        heapq.heappush(busy, arrival + service)
-    return dropped
+from tests.oracles import capacity as oracle
+from tests.oracles.capacity import heap_drops
 
 
 def _random_case(rng):
@@ -51,7 +37,7 @@ def test_resolver_matches_heap_reference(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         arrivals, services, n_channels = _random_case(rng)
-        expected = _reference_drops(arrivals, services, n_channels)
+        expected = heap_drops(arrivals, services, n_channels)
         got = resolve_drops(arrivals, services, n_channels)
         np.testing.assert_array_equal(got, expected)
 
@@ -63,7 +49,7 @@ def test_resolver_matches_with_tiny_blocks_and_budget(seed):
     rng = np.random.default_rng(100 + seed)
     for _ in range(10):
         arrivals, services, n_channels = _random_case(rng)
-        expected = _reference_drops(arrivals, services, n_channels)
+        expected = heap_drops(arrivals, services, n_channels)
         block = int(rng.integers(3, 64))
         budget = int(rng.integers(1, 4))
         got = resolve_drops(arrivals, services, n_channels,
@@ -92,7 +78,7 @@ def test_scalar_tail_fallback_fires_and_matches_vectorised():
     services = np.concatenate([idle_services, burst_services])
     n_channels = 4
 
-    expected = _reference_drops(arrivals, services, n_channels)
+    expected = heap_drops(arrivals, services, n_channels)
     unbudgeted = resolve_drops(arrivals, services, n_channels)
     np.testing.assert_array_equal(unbudgeted, expected)
 
@@ -121,7 +107,7 @@ def test_scalar_tail_from_first_block():
     rng = np.random.default_rng(23)
     arrivals = np.cumsum(rng.exponential(0.05, size=400))
     services = rng.uniform(10.0, 40.0, size=400)
-    expected = _reference_drops(arrivals, services, 3)
+    expected = heap_drops(arrivals, services, 3)
     budgeted = resolve_drops(arrivals, services, 3,
                              block_arrivals=64, max_sweeps=1)
     np.testing.assert_array_equal(budgeted, expected)
@@ -137,7 +123,7 @@ def test_scalar_tail_from_first_block():
 def test_resolver_matches_on_arbitrary_floats(pairs, n_channels):
     arrivals = np.sort(np.array([a for a, _ in pairs]))
     services = np.array([s for _, s in pairs])
-    expected = _reference_drops(arrivals, services, n_channels)
+    expected = heap_drops(arrivals, services, n_channels)
     got = resolve_drops(arrivals, services, n_channels,
                         block_arrivals=7)
     np.testing.assert_array_equal(got, expected)
@@ -156,10 +142,10 @@ def test_resolver_matches_on_arbitrary_floats(pairs, n_channels):
          cut_frac=0.5)
 def test_cut_point_parity_with_whole_stream(pairs, n_channels,
                                             cut_frac):
-    """Property (satellite of the backend port): splitting a stream
-    into two blocks at *any* cut point and threading the DropCarry
-    yields the same mask as resolve_drops on the whole stream.  Times
-    are half-integers, so arrival/departure/boundary ties are exact."""
+    """Property: splitting a stream into two blocks at *any* cut point
+    and threading the DropCarry yields the same mask as resolve_drops
+    on the whole stream.  Times are half-integers, so
+    arrival/departure/boundary ties are exact."""
     gaps = np.array([g for g, _ in pairs], dtype=float) * 0.5
     services = np.array([s for _, s in pairs], dtype=float) * 0.5
     arrivals = np.cumsum(gaps)
@@ -187,10 +173,11 @@ def test_simulator_fleet_path_identical_to_slow(monkeypatch):
     simulator = CapacitySimulator(
         pool, CapacityConfig(horizon=hours(0.25), seed=9))
     for n_users in (150, 300, 420, 700):
-        monkeypatch.delenv("REPRO_FLEET_SLOW", raising=False)
         fast = simulator.run(n_users)
-        monkeypatch.setenv("REPRO_FLEET_SLOW", "1")
-        slow = simulator.run(n_users)
+        with monkeypatch.context() as patch:
+            patch.setattr(capacity_simulator, "resolve_drops",
+                          oracle.resolve_drops)
+            slow = simulator.run(n_users)
         assert fast == slow
 
 
@@ -199,8 +186,8 @@ def test_capacity_search_identical_to_slow(monkeypatch):
     pool = rng.lognormal(np.log(14.0), 0.5, size=200)
     simulator = CapacitySimulator(
         pool, CapacityConfig(n_channels=50, horizon=hours(0.1), seed=2))
-    monkeypatch.delenv("REPRO_FLEET_SLOW", raising=False)
     fast = capacity_at_drop_target(simulator, 0.02, seed=2)
-    monkeypatch.setenv("REPRO_FLEET_SLOW", "1")
+    monkeypatch.setattr(capacity_simulator, "resolve_drops",
+                        oracle.resolve_drops)
     slow = capacity_at_drop_target(simulator, 0.02, seed=2)
     assert fast == slow

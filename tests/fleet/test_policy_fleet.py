@@ -6,6 +6,7 @@ from repro.core.config import PolicyConfig
 from repro.fleet.policy import switch_decisions, threshold_fractions
 from repro.prediction.policy import PredictivePolicy
 from repro.prediction.predictor import ReadingTimePredictor
+from tests.oracles import policy as oracle
 
 
 def _trained_predictor(seed=17, n=200):
@@ -48,29 +49,8 @@ def test_threshold_fractions_bitwise_equal_scalar_means():
     # Plant exact threshold collisions so side='left' is exercised.
     times[:10] = 9.0
     thresholds = [2.0, 9.0, 20.0]
-    batched = threshold_fractions(times, thresholds)
-    for threshold, ours in zip(thresholds, batched):
-        assert ours == 100.0 * float(np.mean(times < threshold))
-
-
-def test_backend_port_bitwise_equal(xp):
-    """The xp= paths of both policy helpers vs the NumPy reference,
-    with planted threshold/sample collisions (count_lt tie semantics
-    are the whole point of the port)."""
-    from repro.fleet import backend
-
-    rng = np.random.default_rng(8)
-    times = rng.weibull(0.6, size=3000) * 18.0
-    times[:10] = 9.0
-    thresholds = [2.0, 9.0, 20.0, float(times[42])]
     assert threshold_fractions(times, thresholds) \
-        == threshold_fractions(times, thresholds, xp=xp)
-    predictions = rng.exponential(15.0, size=500)
-    for mode in ("power", "delay"):
-        reference = switch_decisions(predictions, mode, 9.0, 20.0)
-        ported = backend.to_numpy(
-            switch_decisions(predictions, mode, 9.0, 20.0, xp=xp))
-        np.testing.assert_array_equal(ported, reference)
+        == oracle.threshold_fractions(times, thresholds)
 
 
 def test_power_mode_is_a_superset_of_delay_mode():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml.tree import RegressionTree
+import repro.ml.tree as tree_module
+from repro.ml.tree import RegressionTree, _best_split
+from tests.oracles import tree as oracle
 
 
 def test_single_split_on_step_function():
@@ -140,3 +142,52 @@ def test_property_training_sse_never_worse_than_stump(seed):
     sse_tree = float(np.sum((y - tree.predict(x)) ** 2))
     sse_mean = float(np.sum((y - y.mean()) ** 2))
     assert sse_tree <= sse_mean + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Differential: the split search vs the per-feature oracle.
+# ----------------------------------------------------------------------
+
+@st.composite
+def _split_problems(draw):
+    """Small matrices on an integer grid (many ties), a random node
+    subset, and its per-feature stable sort order."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=4))
+    x = draw(hnp.arrays(np.float64, (n, d),
+                        elements=st.integers(-3, 3).map(float)))
+    y = draw(hnp.arrays(np.float64, (n,),
+                        elements=st.floats(min_value=-50, max_value=50)))
+    keep = draw(hnp.arrays(np.bool_, (n,)))
+    index = np.flatnonzero(keep) if keep.any() else np.arange(n)
+    order = index[np.argsort(x[index], axis=0, kind="stable")].T
+    min_samples_leaf = draw(st.integers(min_value=1, max_value=5))
+    return x, y, index, order, min_samples_leaf
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_problems())
+def test_best_split_matches_oracle(problem):
+    x, y, index, order, min_samples_leaf = problem
+    fast = _best_split(x, y, index, min_samples_leaf, order)
+    slow = oracle.best_split(x, y, index, min_samples_leaf)
+    if slow is None:
+        assert fast is None
+        return
+    assert (fast.gain, fast.feature, fast.threshold, fast.left_value,
+            fast.right_value) == (slow.gain, slow.feature, slow.threshold,
+                                  slow.left_value, slow.right_value)
+    np.testing.assert_array_equal(fast.left_index, slow.left_index)
+    np.testing.assert_array_equal(fast.right_index, slow.right_index)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_split_problems(), st.integers(min_value=2, max_value=8))
+def test_grown_tree_matches_oracle_split_search(problem, max_leaves):
+    """Whole trees, node for node, grown with either split search."""
+    x, y, _, _, min_samples_leaf = problem
+    fast = RegressionTree(max_leaves, min_samples_leaf).fit(x, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_best_split", oracle.split_search)
+        slow = RegressionTree(max_leaves, min_samples_leaf).fit(x, y)
+    assert fast.to_dict() == slow.to_dict()

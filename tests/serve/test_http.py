@@ -17,6 +17,10 @@ from repro.serve.service import WhatIfService, predict_eval_seed
 
 PREDICT = {"n_users": 30, "n_channels": 20, "horizon": 200.0,
            "mean_interval": 6.0}
+#: cnn on cell_edge at seed 3 loses a transfer for good; the page load
+#: used to raise TypeError and answer 500 for the whole micro-batch.
+FAILED_TRANSFER = {"profile": "cell_edge", "pages": ["cnn"], "seed": 3,
+                   "n_users": 30, "n_channels": 20, "horizon": 200.0}
 SWEEP = {"users": [5, 9], "n_channels": 8, "horizon": 50.0,
          "mean_interval": 2.0, "pool_size": 16}
 
@@ -79,6 +83,14 @@ def test_predict_is_idempotent_on_the_wire(server):
     one = _request(server.url + "/predict", "POST", PREDICT)
     two = _request(server.url + "/predict", "POST", PREDICT)
     assert one == two
+
+
+def test_predict_with_a_failed_transfer_answers_200(server):
+    status, body, _ = _request(server.url + "/predict", "POST",
+                               FAILED_TRANSFER)
+    assert status == 200
+    assert body["request"]["pages"] == ["cnn"]
+    assert body["metrics"]["load_time"] > 0
 
 
 def test_predict_validation_error_is_400(server):

@@ -1,10 +1,13 @@
 """Simulator clock and event-loop behaviour."""
 
+import functools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
+from tests.oracles import kernel
 
 
 def test_clock_advances_to_event_time():
@@ -285,3 +288,67 @@ def test_schedule_many_events_are_cancellable():
     sim.cancel(events[1])
     sim.run()
     assert fired == [1, 3]
+
+
+# ----------------------------------------------------------------------
+# Differential: Simulator.run vs the peek/step oracle loop.
+# ----------------------------------------------------------------------
+
+#: Few distinct delays, so equal timestamps (FIFO ties) are common.
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
+
+
+def _replay(program, roots, untils, max_events, drain=None):
+    """Run one drawn event program; returns everything observable.
+
+    Event ``k`` is scheduled from ``program[k] = (delay, children,
+    cancel)``.  When it fires it logs ``(now, k)``, cancels event
+    ``cancel`` if that one exists, and schedules the next ``children``
+    programs in order.  ``roots`` events are scheduled up front.
+    """
+    sim = Simulator()
+    if drain is not None:
+        sim._drain = functools.partial(drain, sim)
+    log, events = [], []
+
+    def schedule_next():
+        if len(events) < len(program):
+            k = len(events)
+            events.append(sim.schedule(program[k][0], fire, k))
+
+    def fire(k):
+        log.append((sim.now, k))
+        _, children, cancel = program[k]
+        if cancel < len(events):
+            sim.cancel(events[cancel])
+        for _ in range(children):
+            schedule_next()
+
+    for _ in range(roots):
+        schedule_next()
+    outcome = []
+    for until in sorted(untils):
+        sim.run(until=until)
+        outcome.append((sim.now, len(log)))
+    try:
+        sim.run(max_events=max_events)
+        outcome.append("drained")
+    except SimulationError:
+        outcome.append("guard")
+    return (log, outcome, sim.now, sim.events_processed,
+            sim.cancellations, sim.pending_events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=st.lists(st.tuples(_DELAYS, st.integers(0, 3),
+                                  st.integers(0, 30)),
+                        min_size=1, max_size=30),
+       roots=st.integers(1, 4),
+       untils=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5]),
+                       max_size=3),
+       max_events=st.one_of(st.none(), st.integers(0, 20)))
+def test_run_matches_peek_step_oracle(program, roots, untils, max_events):
+    """Same callbacks in the same order at the same clock, same
+    horizon handling, same runaway guard, same counters."""
+    assert _replay(program, roots, untils, max_events) == \
+        _replay(program, roots, untils, max_events, drain=kernel.drain)

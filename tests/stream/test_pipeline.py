@@ -32,35 +32,6 @@ def test_matches_in_memory_run(simulator, block_arrivals, threaded):
         assert streamed == reference
 
 
-def test_backend_run_matches_reference(simulator, tmp_path):
-    """The block resolver on an array-API backend, end to end through
-    the pipeline — results, aggregate and checkpoints (the carry spills
-    to host and re-enters the namespace) all match the NumPy path."""
-    reference = simulator.run(120, seed=99)
-    aggregate = ServiceAggregate()
-    fingerprint = params_fingerprint({"n_users": 120, "seed": 99,
-                                      "backend": "restricted"})
-    streamed = stream_capacity_run(
-        simulator, 120, 99, block_arrivals=1000, backend="restricted",
-        aggregate=aggregate,
-        store=ShardStore(tmp_path / "pt", fingerprint),
-        checkpoint_every=2)
-    assert streamed == reference
-    _, services = simulator.draw(120, np.random.default_rng(99))
-    assert aggregate == ServiceAggregate().add_block(services)
-
-    streaming = StreamingCapacitySimulator(simulator.service_times,
-                                           simulator.config,
-                                           block_arrivals=2048,
-                                           backend="restricted")
-    assert streaming.run(40, seed=5) == simulator.run(40, seed=5)
-
-
-def test_unknown_backend_rejected_before_any_work(simulator):
-    with pytest.raises(ValueError, match="unknown backend"):
-        stream_capacity_run(simulator, 40, 5, backend="nonsense")
-
-
 def test_aggregate_equals_materialised_fold(simulator):
     aggregate = ServiceAggregate()
     stream_capacity_run(simulator, 120, 99, block_arrivals=1000,
