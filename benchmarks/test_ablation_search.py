@@ -94,8 +94,8 @@ def test_ablation_search_halving_warm(benchmark, tmp_path):
 
 
 def test_ablation_search_population(benchmark, tmp_path):
-    """Population-objective throughput: per-trial M/G/N capacity runs
-    batched through resolve_drops_block (work_units = sessions)."""
+    """Population-objective throughput: one M/G/N CapacitySimulator.run
+    per trial (work_units = sessions)."""
     _fresh_process_state()
     result = benchmark.pedantic(
         _search, args=(tmp_path / "pop.jsonl",),

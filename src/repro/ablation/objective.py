@@ -21,11 +21,11 @@ Metrics per run:
   metric (``repro tune --budget-delay``).
 - ``load_time``, ``tx_time`` — mean load / data-transmission times.
 - ``switch_rate`` — fraction of units Algorithm 2 switched to IDLE.
-- ``drop_probability`` — only with a population: an M/G/N capacity run
-  (the arrival/service draw of :class:`repro.capacity.simulator.
-  CapacitySimulator`, resolved by the block drop kernel) whose service
-  pool is the variant's own measured channel-hold times,
-  so reorganisation and timer choices move the drop curve.
+- ``drop_probability`` — only with a population: one
+  :class:`repro.capacity.simulator.CapacitySimulator` run (seeded by
+  :func:`capacity_seed`) whose service pool is the variant's own
+  measured channel-hold times, so reorganisation and timer choices
+  move the drop curve.
 
 Determinism: fault plans derive from ``(scenario.seed, page index)`` —
 identical across runs and variants — while the run's own randomness (the
@@ -57,6 +57,7 @@ import numpy as np
 from repro.ablation.components import STOCK_SETUP, VariantSetup
 from repro.browser.energy_aware import EnergyAwareEngine
 from repro.browser.original import OriginalEngine
+from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.core.session import browse_and_read
 from repro.faults.injector import FaultPlan
 from repro.faults.profiles import get_profile
@@ -362,46 +363,25 @@ def _reading_phase(setup: VariantSetup, load: _PageLoad, reading: float,
     return energy, RrcState.IDLE
 
 
-def _drop_probabilities_batched(pools: Sequence[np.ndarray],
-                                population: PopulationSpec,
-                                eval_seeds: Sequence[int],
-                                block_size: int = 1 << 16
-                                ) -> List[float]:
-    """Per-trial drop probabilities through the streaming block kernel.
+def capacity_seed(eval_seed: int) -> int:
+    """Seed of the M/G/N run behind ``drop_probability``: the
+    ``spawn_key=(1,)`` child of the evaluation seed (the capacity
+    config itself is seeded with ``eval_seed``)."""
+    return int(np.random.SeedSequence(
+        eval_seed, spawn_key=(1,)).generate_state(1)[0])
 
-    Each trial reuses :meth:`CapacitySimulator.draw` for the canonical
-    arrival/service streams (config seeded with ``eval_seed``, the run
-    seeded with its ``spawn_key=(1,)`` child),
-    then resolves drops by threading :class:`DropCarry` through
-    :func:`repro.fleet.capacity.resolve_drops_block` — identical masks
-    to one whole-array ``resolve_drops`` per cell, without a scalar heap
-    in sight.
-    """
-    from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-    from repro.fleet.capacity import resolve_drops_block
 
-    out: List[float] = []
-    for pool, eval_seed in zip(pools, eval_seeds):
-        config = CapacityConfig(n_channels=population.n_channels,
-                                mean_interval=population.mean_interval,
-                                horizon=population.horizon,
-                                seed=eval_seed)
-        simulator = CapacitySimulator(pool, config)
-        capacity_seed = int(np.random.SeedSequence(
-            eval_seed, spawn_key=(1,)).generate_state(1)[0])
-        rng = np.random.default_rng(capacity_seed)
-        arrivals, services = simulator.draw(population.n_users, rng)
-        dropped = 0
-        carry = None
-        for lo in range(0, arrivals.size, block_size):
-            mask, carry = resolve_drops_block(
-                arrivals[lo:lo + block_size],
-                services[lo:lo + block_size],
-                population.n_channels, carry)
-            dropped += int(mask.sum())
-        sessions = int(arrivals.size)
-        out.append(dropped / sessions if sessions else 0.0)
-    return out
+def _drop_probability(pool: np.ndarray, population: PopulationSpec,
+                      eval_seed: int) -> float:
+    """One trial's drop probability: a :class:`CapacitySimulator` run
+    over the variant's own channel-hold pool."""
+    config = CapacityConfig(n_channels=population.n_channels,
+                            mean_interval=population.mean_interval,
+                            horizon=population.horizon,
+                            seed=eval_seed)
+    return CapacitySimulator(pool, config).run(
+        population.n_users, seed=capacity_seed(eval_seed)
+    ).drop_probability
 
 
 def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
@@ -468,11 +448,11 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
 
     drops: Optional[List[float]] = None
     if scenario.population is not None:
-        pools = [np.asarray([load.hold_time for load in loads],
-                            dtype=float)
-                 for loads in loads_per_trial]
-        drops = _drop_probabilities_batched(
-            pools, scenario.population, [seed for _, seed in pairs])
+        drops = [_drop_probability(
+                     np.asarray([load.hold_time for load in loads],
+                                dtype=float),
+                     scenario.population, eval_seed)
+                 for loads, (_, eval_seed) in zip(loads_per_trial, pairs)]
 
     reference = reference_metrics(scenario, load_cache=load_cache)
     results: List[Dict[str, float]] = []

@@ -32,7 +32,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.comparison import compare_engines
-from repro.stream import STREAM_ENV
 from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.runner import ALL_EXPERIMENTS
 from repro.faults.profiles import PROFILES
@@ -64,27 +63,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_stream_flag(args: argparse.Namespace) -> None:
-    """Translate ``--stream/--no-stream`` into the env toggle.
-
-    Streaming is opt-in: ``--stream`` *sets* ``REPRO_STREAM`` and
-    ``--no-stream`` clears it.  The library reads it at call time (and
-    forked workers inherit the environment), so setting it here covers
-    the whole run.  Without either flag the inherited environment
-    stands.
-    """
-    stream = getattr(args, "stream", None)
-    if stream is None:
-        return
-    if stream:
-        os.environ[STREAM_ENV] = "1"
-    else:
-        os.environ.pop(STREAM_ENV, None)
-
-
 def _run_suite(kind: str, ids: List[str],
                args: argparse.Namespace) -> int:
-    _apply_stream_flag(args)
     cache = None
     if getattr(args, "cache", False) or getattr(args, "cache_dir", None):
         cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
@@ -561,11 +541,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=DEFAULT_ROOT_SEED,
         help="root seed for per-task seed derivation "
              f"(default: {DEFAULT_ROOT_SEED})")
-    parser.add_argument(
-        "--stream", action=argparse.BooleanOptionalAction, default=None,
-        help="route sweeps through the bounded-memory block pipelines "
-             f"(--stream, i.e. {STREAM_ENV}=1) or the in-memory paths "
-             "(--no-stream); default: inherit the environment")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ from repro.capacity.simulator import (
 )
 from repro.core.comparison import benchmark_comparison
 from repro.core.config import ExperimentConfig
-from repro.stream import stream_enabled
 from repro.units import hours
 from repro.webpages.corpus import warm_corpus
 
@@ -97,20 +96,8 @@ def _service_times(comparisons, engine: str) -> List[float]:
 def run(config: Optional[ExperimentConfig] = None,
         drop_target: float = 0.02,
         horizon: float = hours(2),
-        seed: int = 7,
-        stream: Optional[bool] = None) -> Fig11Result:
-    """Run the capacity comparison for both benchmark halves.
-
-    ``stream`` routes the M/G/N runs through the bounded-memory block
-    pipeline (default: the ``REPRO_STREAM`` toggle).  Results are
-    byte-identical either way — the golden test compares the reports.
-    """
-    use_stream = stream_enabled() if stream is None else stream
-    if use_stream:
-        from repro.stream.pipeline import StreamingCapacitySimulator
-        simulator_cls = StreamingCapacitySimulator
-    else:
-        simulator_cls = CapacitySimulator
+        seed: int = 7) -> Fig11Result:
+    """Run the capacity comparison for both benchmark halves."""
     # Page generation and the corpus-wide engine comparison are paid
     # once per process (warm memo), not once per capacity grid point;
     # only the per-point seeds differ below.
@@ -123,7 +110,7 @@ def run(config: Optional[ExperimentConfig] = None,
         finite_capacity: Dict[str, int] = {}
         for engine in ("original", "energy-aware"):
             services = _service_times(comparisons, engine)
-            simulator = simulator_cls(
+            simulator = CapacitySimulator(
                 services, CapacityConfig(horizon=horizon, seed=seed))
             capacity = capacity_at_drop_target(simulator, drop_target,
                                                seed=seed)

@@ -22,7 +22,7 @@ stays positive — grouping transmissions helps even at the cell edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.tables import format_table
@@ -31,51 +31,11 @@ from repro.core.config import ExperimentConfig
 from repro.faults.injector import FaultPlan, FaultStats
 from repro.faults.profiles import PROFILE_ORDER, get_profile
 from repro.runtime.seeding import DEFAULT_ROOT_SEED, spawn_seeds
-from repro.stream import stream_enabled
 from repro.webpages.corpus import benchmark_pages
 
 #: Reading period after each load, seconds — past the switching threshold
 #: so the Fig. 10 (read-then-click) scenario is what the sweep measures.
 SWEEP_READING_TIME = 30.0
-
-
-@dataclass(frozen=True)
-class PageRow:
-    """One page's sweep outcome, folded down to report-sized scalars.
-
-    This is the streaming sweep's unit of carried state: everything the
-    sensitivity report needs, with the handsets, traces and load graphs
-    of the underlying :class:`EngineComparison` already released.  The
-    floats are stored at full precision (rounding happens at render
-    time), so a report built from rows is byte-identical to one built
-    from live comparisons.
-    """
-
-    page_url: str
-    original_energy: float
-    energy_aware_energy: float
-    energy_saving: float
-    loading_saving: float
-    #: Transfer attempts across both handsets (original + ours).
-    transfer_attempts: int
-    #: Failed objects across both handsets.
-    failed_objects: int
-    #: RIL errors across both handsets.
-    ril_errors: int
-    faults: FaultStats
-
-    def to_state(self) -> dict:
-        state = {f.name: getattr(self, f.name) for f in fields(self)
-                 if f.name != "faults"}
-        state["faults"] = {f.name: getattr(self.faults, f.name)
-                           for f in fields(FaultStats)}
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PageRow":
-        payload = dict(state)
-        payload["faults"] = FaultStats(**payload["faults"])
-        return cls(**payload)
 
 
 @dataclass
@@ -92,65 +52,27 @@ class PageSensitivity:
         return (self.comparison.original.load.degraded
                 or self.comparison.energy_aware.load.degraded)
 
-    def to_row(self) -> PageRow:
-        comp = self.comparison
-        return PageRow(
-            page_url=self.page_url,
-            original_energy=comp.original.total_energy,
-            energy_aware_energy=comp.energy_aware.total_energy,
-            energy_saving=comp.energy_saving,
-            loading_saving=comp.loading_time_saving,
-            transfer_attempts=(comp.original.load.transfer_attempts
-                               + comp.energy_aware.load
-                               .transfer_attempts),
-            failed_objects=(len(comp.original.load.failed_objects)
-                            + len(comp.energy_aware.load
-                                  .failed_objects)),
-            ril_errors=(len(comp.original.handset.ril.errors)
-                        + len(comp.energy_aware.handset.ril.errors)),
-            faults=self.faults)
+    @property
+    def transfer_attempts(self) -> int:
+        """Transfer attempts across both handsets (original + ours)."""
+        return (self.comparison.original.load.transfer_attempts
+                + self.comparison.energy_aware.load.transfer_attempts)
 
-
-def _render_report(profile_name: str, reading_time: float,
-                   rows: List[PageRow]) -> str:
-    """The sensitivity table, from folded rows.
-
-    Single rendering path for both sweep variants: the in-memory result
-    folds its live comparisons down to rows first, so streamed and
-    in-memory reports are the same bytes.
-    """
-    table_rows = []
-    for row in rows:
-        table_rows.append((
-            row.page_url,
-            round(row.original_energy, 2),
-            round(row.energy_aware_energy, 2),
-            f"{100 * row.energy_saving:.1f}%",
-            row.transfer_attempts,
-            row.faults.transfer_retries,
-            row.failed_objects,
-            row.ril_errors,
-        ))
-    total = FaultStats()
-    for row in rows:
-        total = total.merged(row.faults)
-    table_rows.append((
-        "MEAN / TOTAL",
-        round(mean([r.original_energy for r in rows]), 2),
-        round(mean([r.energy_aware_energy for r in rows]), 2),
-        f"{100 * mean([r.energy_saving for r in rows]):.1f}%",
-        sum(r.transfer_attempts for r in rows),
-        total.transfer_retries,
-        total.transfers_failed,
-        total.ril_drops + total.dormancy_failures,
-    ))
-    return format_table(
-        ("page", "orig J", "ours J", "E save",
-         "attempts", "retries", "failed", "ril errs"),
-        table_rows,
-        title=(f"Sensitivity: {profile_name} channel "
-               f"(read {reading_time:.0f}s, "
-               f"{total.faults_injected} faults injected)"))
+    def report_row(self) -> tuple:
+        """This page's row of the sensitivity table."""
+        original = self.comparison.original
+        ours = self.comparison.energy_aware
+        return (
+            self.page_url,
+            round(original.total_energy, 2),
+            round(ours.total_energy, 2),
+            f"{100 * self.comparison.energy_saving:.1f}%",
+            self.transfer_attempts,
+            self.faults.transfer_retries,
+            len(original.load.failed_objects)
+            + len(ours.load.failed_objects),
+            len(original.handset.ril.errors) + len(ours.handset.ril.errors),
+        )
 
 
 @dataclass
@@ -178,46 +100,28 @@ class SensitivityResult:
         return total
 
     def report(self) -> str:
-        return _render_report(self.profile_name, self.reading_time,
-                              [row.to_row() for row in self.rows])
-
-
-@dataclass
-class StreamedSensitivityResult:
-    """One profile's sweep, held as folded rows instead of live
-    comparisons.
-
-    Same reporting surface as :class:`SensitivityResult` (``report``,
-    ``mean_energy_saving``, ``mean_loading_saving``, ``total_faults``),
-    but the resident state per page is one :class:`PageRow` — the
-    handsets and traces of each comparison are released as soon as the
-    page is folded, so sweeping a corpus holds O(pages) scalars rather
-    than O(pages) simulations.
-    """
-
-    profile_name: str
-    seed: int
-    reading_time: float
-    rows: List[PageRow]
-
-    @property
-    def mean_energy_saving(self) -> float:
-        return mean([r.energy_saving for r in self.rows])
-
-    @property
-    def mean_loading_saving(self) -> float:
-        return mean([r.loading_saving for r in self.rows])
-
-    @property
-    def total_faults(self) -> FaultStats:
-        total = FaultStats()
-        for row in self.rows:
-            total = total.merged(row.faults)
-        return total
-
-    def report(self) -> str:
-        return _render_report(self.profile_name, self.reading_time,
-                              self.rows)
+        rows = self.rows
+        total = self.total_faults
+        table_rows = [row.report_row() for row in rows]
+        table_rows.append((
+            "MEAN / TOTAL",
+            round(mean([r.comparison.original.total_energy
+                         for r in rows]), 2),
+            round(mean([r.comparison.energy_aware.total_energy
+                         for r in rows]), 2),
+            f"{100 * self.mean_energy_saving:.1f}%",
+            sum(r.transfer_attempts for r in rows),
+            total.transfer_retries,
+            total.transfers_failed,
+            total.ril_drops + total.dormancy_failures,
+        ))
+        return format_table(
+            ("page", "orig J", "ours J", "E save",
+             "attempts", "retries", "failed", "ril errs"),
+            table_rows,
+            title=(f"Sensitivity: {self.profile_name} channel "
+                   f"(read {self.reading_time:.0f}s, "
+                   f"{total.faults_injected} faults injected)"))
 
 
 def _sweep_page(page, page_seed: int, profile_name: str,
@@ -239,10 +143,7 @@ def run_profile(profile_name: str,
                 seed: int = DEFAULT_ROOT_SEED,
                 config: Optional[ExperimentConfig] = None,
                 reading_time: float = SWEEP_READING_TIME,
-                pages: Optional[List] = None,
-                stream: Optional[bool] = None,
-                shard_dir=None,
-                ):
+                pages: Optional[List] = None) -> SensitivityResult:
     """Sweep one channel profile over both benchmark halves.
 
     Each page gets its own child seed (positional, from ``seed``), and
@@ -252,55 +153,16 @@ def run_profile(profile_name: str,
     ``pages`` substitutes an explicit page list for the full corpus —
     used by the golden-equivalence tests to sweep a small subset (child
     seeds are positional over whatever list is swept).
-
-    ``stream`` (default: the ``REPRO_STREAM`` toggle) folds each page
-    down to a :class:`PageRow` as soon as it completes and returns a
-    :class:`StreamedSensitivityResult`; with ``shard_dir`` each row also
-    spills to a shard, so a killed sweep rerun with the same directory
-    resumes past the pages already done.  Reports are byte-identical
-    between the two modes.
     """
     get_profile(profile_name)  # validate the name before any work
     if pages is None:
         pages = benchmark_pages(mobile=True) + benchmark_pages(mobile=False)
     seeds = spawn_seeds(seed, len(pages))
-    use_stream = stream_enabled() if stream is None else stream
-    if not use_stream:
-        rows = [_sweep_page(page, page_seed, profile_name,
-                            reading_time, config)
-                for page, page_seed in zip(pages, seeds)]
-        return SensitivityResult(profile_name=profile_name, seed=seed,
-                                 reading_time=reading_time, rows=rows)
-
-    from repro.runtime.observability import KERNEL_STATS
-    store = None
-    if shard_dir is not None:
-        from repro.stream.shard import ShardStore, params_fingerprint
-        store = ShardStore(shard_dir, params_fingerprint({
-            "profile": profile_name,
-            "seed": int(seed),
-            "reading_time": reading_time,
-            "pages": [page.url for page in pages],
-        }))
-    stream_rows: List[PageRow] = []
-    for index, (page, page_seed) in enumerate(zip(pages, seeds)):
-        key = f"page-{index:03d}"
-        if store is not None:
-            cached = store.get(key)
-            if cached is not None:
-                stream_rows.append(PageRow.from_state(cached[1]))
-                continue
-        row = _sweep_page(page, page_seed, profile_name, reading_time,
-                          config).to_row()
-        stream_rows.append(row)
-        KERNEL_STATS.record_stream(blocks=1, merges=1)
-        if store is not None:
-            nbytes = store.put(key, {}, row.to_state())
-            KERNEL_STATS.record_stream(spills=1, shard_bytes=nbytes)
-    return StreamedSensitivityResult(profile_name=profile_name,
-                                     seed=seed,
-                                     reading_time=reading_time,
-                                     rows=stream_rows)
+    rows = [_sweep_page(page, page_seed, profile_name, reading_time,
+                        config)
+            for page, page_seed in zip(pages, seeds)]
+    return SensitivityResult(profile_name=profile_name, seed=seed,
+                             reading_time=reading_time, rows=rows)
 
 
 def _make_runner(profile_name: str):

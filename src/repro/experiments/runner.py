@@ -88,23 +88,7 @@ def main(argv: List[str]) -> int:
                         help="experiment ids (default: all)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
                         help="worker processes (default: 1, sequential)")
-    parser.add_argument("--stream",
-                        action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="route capacity sweeps through the "
-                             "bounded-memory block pipeline (results "
-                             "are identical; default: inherit "
-                             "REPRO_STREAM)")
     args = parser.parse_args(argv[1:])
-    if args.stream is not None:
-        import os
-
-        from repro.stream import STREAM_ENV
-
-        if args.stream:
-            os.environ[STREAM_ENV] = "1"
-        else:
-            os.environ.pop(STREAM_ENV, None)
     only = tuple(args.ids)
     if args.parallel > 1:
         # Imported here: repro.runtime.parallel imports this module.

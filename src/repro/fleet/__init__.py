@@ -8,7 +8,7 @@ passes instead:
 
 - :mod:`repro.fleet.capacity` — sorted-event-sweep channel-occupancy
   resolution for :class:`repro.capacity.simulator.CapacitySimulator`,
-  whole-stream or block by block with a carried busy frontier;
+  block by block with a carried busy frontier;
 - :mod:`repro.fleet.policy` — Algorithm 2 thresholds applied to whole
   prediction vectors plus batched CDF anchors.
 

@@ -40,13 +40,16 @@ Two facts make the iteration exact and well-behaved:
   set, every drop a sweep finds is a true drop.
 - *Drops cascade forward only*, so the stream is processed in blocks of
   arrivals: each block's fixpoint runs with all earlier blocks
-  finalised, which keeps the number of sweeps proportional to the
-  *local* cascade depth instead of the global one.
+  finalised (their still-busy departures carried as a
+  :class:`DropCarry`), which keeps the number of sweeps proportional
+  to the *local* cascade depth instead of the global one.
 
-Dense saturation (binary-search probes far above capacity) can still
-cascade heavily inside a block; past a sweep budget the resolver hands
-the rest of the stream to the scalar heap loop, so the worst case costs
-about one scalar run rather than thousands of sweeps.
+:func:`resolve_drops_block` is the one drop algorithm; the in-memory
+:func:`resolve_drops` chains it over fixed-size slices.  Dense
+saturation (binary-search probes far above capacity) can still cascade
+heavily inside a block; past a sweep budget that block alone is
+replayed by the scalar heap loop, and the next block goes back to the
+vectorised path.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ _BLOCK_ARRIVALS = 4096
 _MAX_SWEEPS = 96
 
 
+def _require_matching_shapes(arrivals, services) -> None:
+    if arrivals.shape != services.shape:
+        raise ValueError(
+            f"arrivals and services must have matching shapes, got "
+            f"{arrivals.shape} vs {services.shape}")
+
+
 def _require_valid_stream(arrivals, services,
                           lower: "float | None" = None) -> None:
     """Reject the two verified silent-wrongness inputs up front.
@@ -82,10 +92,7 @@ def _require_valid_stream(arrivals, services,
     anyway.  ``lower`` (the carried block boundary) guards the
     cross-block ordering contract the same way.
     """
-    if arrivals.shape != services.shape:
-        raise ValueError(
-            f"arrivals and services must have matching shapes, got "
-            f"{arrivals.shape} vs {services.shape}")
+    _require_matching_shapes(arrivals, services)
     if not np.isfinite(arrivals).all() or not np.isfinite(services).all():
         raise SimulationError(
             "arrivals and services must be finite: a NaN/inf session "
@@ -117,74 +124,18 @@ def resolve_drops(arrivals: np.ndarray, services: np.ndarray,
         while busy and busy[0] <= arrival: heappop(busy)
         if len(busy) >= n_channels: drop
         else: heappush(busy, arrival + service)
+
+    The in-memory stream is the chained case of
+    :func:`resolve_drops_block`: ``block_arrivals``-sized slices
+    threading one :class:`DropCarry`.
     """
-    m = int(arrivals.size)
-    dropped = np.zeros(m, dtype=bool)
-    if m == 0:
-        return dropped
-    _require_valid_stream(arrivals, services)
-
-    departures = arrivals + services
-    # bins[j]: first arrival index at or after d_j — the arrival whose
-    # pop would release channel j (d <= a counts, hence side='left').
-    # Only the bin *counts* matter, and sorted queries keep the binary
-    # searches cache-local, so bin the departures in sorted order (they
-    # are nearly sorted already — arrivals are — making the sort cheap).
-    bins = np.searchsorted(arrivals, np.sort(departures), side='left')
-    # cum_all[i]: departures (live or not) at or before a_i.
-    cum_all = np.cumsum(np.bincount(bins, minlength=m + 1))[:m]
-
-    work = 0
-    # Carried state: T_{b0-1} = occupancy + L at the previous arrival.
-    t_prev = 0
-    # Cancelled departures from finalised blocks: a scalar count of
-    # those already behind the boundary plus the times of those still
-    # ahead of it (kept unsorted; each block bins them once).
-    cancelled_behind = 0
-    cancelled_ahead = np.empty(0, dtype=float)
-    start = 0
-    while start < m:
-        stop = min(start + block_arrivals, m)
-        size = stop - start
-        blk = slice(start, stop)
-        arr_blk = arrivals[blk]
-        base = cum_all[blk] - cancelled_behind
-        if cancelled_ahead.size:
-            ahead_bins = np.searchsorted(arr_blk, cancelled_ahead,
-                                         side='left')
-            base = base - np.cumsum(
-                np.bincount(ahead_bins, minlength=size + 1))[:size]
-        # Offset of the within-block running-minimum closed form:
-        # T_i = i + min(min_{start<=j<=i}(N + L_j - j), t_prev - start + 1).
-        # The fixpoint helper works in block-local indices; subtracting
-        # ``start`` from the live counts keeps ceiling = N - local + live
-        # identical to the global N - global_index + base.
-        carry = t_prev - start + 1
-        blk_deps = departures[blk]
-        blk_dropped, converged, tmin, blk_work = _block_fixpoint(
-            arr_blk, blk_deps, base - start, carry, n_channels, max_sweeps)
-        work += blk_work
-        dropped[blk] = blk_dropped
-        if not converged:
-            work += _scalar_tail(arrivals, services, n_channels,
-                                 dropped, start)
-            break
-        # T_{stop-1} for the next block's carry.
-        t_prev = (stop - 1) + tmin
-        boundary = arr_blk[-1]
-        if cancelled_ahead.size:
-            cancelled_behind += int(
-                np.count_nonzero(cancelled_ahead <= boundary))
-            cancelled_ahead = cancelled_ahead[cancelled_ahead > boundary]
-        if blk_dropped.any():
-            new_deps = blk_deps[blk_dropped]
-            still_ahead = new_deps[new_deps > boundary]
-            cancelled_behind += new_deps.size - still_ahead.size
-            if still_ahead.size:
-                cancelled_ahead = np.concatenate(
-                    [cancelled_ahead, still_ahead])
-        start = stop
-    KERNEL_STATS.record_work(work)
+    _require_matching_shapes(arrivals, services)
+    dropped = np.empty(int(arrivals.size), dtype=bool)
+    carry = None
+    for start in range(0, dropped.size, block_arrivals):
+        blk = slice(start, start + block_arrivals)
+        dropped[blk], carry = resolve_drops_block(
+            arrivals[blk], services[blk], n_channels, carry, max_sweeps)
     return dropped
 
 
@@ -193,16 +144,10 @@ def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
                     max_sweeps: int):
     """Iterate one block's candidate drop set to its least fixpoint.
 
-    ``live`` holds the live-departure counts at each arrival in
-    block-local indexing; any common integer offset may be folded into
-    both ``live`` and ``carry`` (the drop test compares ``min(slack,
-    carry)`` against ``ceiling``, and both sides shift together).  The
-    global resolver passes counts shifted by ``-start``; the streaming
-    block API passes raw local counts with ``carry = occupancy + 1``.
-
-    Returns ``(blk_dropped, converged, tmin, work)`` where ``tmin =
-    min(slack[-1], carry)`` reconstructs the outgoing ``T`` carry (only
-    meaningful when ``converged``).
+    ``live`` holds the live-departure counts at each arrival of the
+    block (carried frontier included) and ``carry`` is the occupancy at
+    the block start plus one.  Returns ``(blk_dropped, converged,
+    work)``.
     """
     size = int(arr_blk.size)
     minimum_accumulate = np.minimum.accumulate
@@ -226,7 +171,7 @@ def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
     # the running minimum from the untouched prefix.
     while pending.size:
         if sweeps >= max_sweeps:
-            return blk_dropped, False, 0, work
+            return blk_dropped, False, work
         sweeps += 1
         cancel_bins = np.searchsorted(arr_blk,
                                       np.sort(blk_deps[pending]),
@@ -245,7 +190,7 @@ def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
                  & ~blk_dropped[suffix:])
         pending = suffix + np.flatnonzero(fresh)
         blk_dropped[pending] = True
-    return blk_dropped, True, min(int(slack[-1]), carry), work
+    return blk_dropped, True, work
 
 
 @dataclass(frozen=True)
@@ -289,7 +234,7 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
 
     Feeding consecutive blocks of one non-decreasing arrival stream
     through this function (threading the returned carry) yields exactly
-    the mask :func:`resolve_drops` computes on the concatenated arrays —
+    the mask the scalar heap loop computes on the concatenated arrays —
     the block-local recursion starts from ``T_{-1} = occupancy =
     busy.size`` (the carried frontier's departures bin into this block's
     ``live`` counts like any other departure), and drops cascade forward
@@ -318,7 +263,7 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
         busy_bins = np.searchsorted(arrivals, np.sort(busy), side='left')
         live = live + np.cumsum(
             np.bincount(busy_bins, minlength=m + 1))[:m]
-    blk_dropped, converged, _, work = _block_fixpoint(
+    blk_dropped, converged, work = _block_fixpoint(
         arrivals, departures, live, int(busy.size) + 1, n_channels,
         max_sweeps)
     if not converged:
@@ -354,37 +299,3 @@ def _scalar_block(arrivals: np.ndarray, services: np.ndarray,
         dropped[i] = False
         heappush(busy, arrival + service)
     return int(arrivals.size)
-
-
-def _scalar_tail(arrivals: np.ndarray, services: np.ndarray,
-                 n_channels: int, dropped: np.ndarray, start: int) -> int:
-    """Resolve arrivals from ``start`` onwards with the scalar heap loop.
-
-    Reconstructs the heap at the boundary — departure times of accepted
-    earlier sessions not yet popped when arrival ``start - 1`` was
-    processed — then replays the remaining arrivals sequentially,
-    writing final statuses into ``dropped``.  Returns the number of
-    sessions replayed (work accounting).
-    """
-    if start > 0:
-        boundary = arrivals[start - 1]
-        head = slice(0, start)
-        live = ~dropped[head] & (arrivals[head] + services[head] > boundary)
-        busy = (arrivals[head][live] + services[head][live]).tolist()
-        heapq.heapify(busy)
-    else:
-        busy = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    m = int(arrivals.size)
-    for i, (arrival, service) in enumerate(
-            zip(arrivals[start:].tolist(), services[start:].tolist()),
-            start=start):
-        while busy and busy[0] <= arrival:
-            heappop(busy)
-        if len(busy) >= n_channels:
-            dropped[i] = True
-            continue
-        dropped[i] = False
-        heappush(busy, arrival + service)
-    return m - start

@@ -16,6 +16,7 @@ engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
@@ -82,12 +83,24 @@ def _int_field(payload: dict, name: str, default, *,
     return int(value)
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ``json.loads`` accepts ``NaN`` and
+    ``Infinity``, which no field can use."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(name, f"must be finite, got {value!r}")
+    return number
+
+
 def _float_field(payload: dict, name: str, default, *,
                  positive: bool = False) -> float:
     value = payload.get(name, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(name, f"expected a number, got {value!r}")
-    value = float(value)
+    value = _finite(name, value)
     if positive and value <= 0:
         raise ValidationError(name, f"must be positive, got {value}")
     return value
@@ -141,10 +154,11 @@ def _readings_field(payload: dict) -> Tuple[float, ...]:
                                                      (int, float)):
             raise ValidationError(
                 "reading_times", f"expected numbers, got {value!r}")
+        value = _finite("reading_times", value)
         if value < 0:
             raise ValidationError(
                 "reading_times", f"must be non-negative, got {value}")
-        out.append(float(value))
+        out.append(value)
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ calls.  Determinism is the contract:
 - scenario metrics come from the same :func:`~repro.ablation.objective.
   evaluate_setups` path ``repro tune`` uses, and the capacity section
   reuses its seed recipe (``CapacityConfig(seed=eval_seed)`` +
-  ``SeedSequence(eval_seed, spawn_key=(1,))``), so the response's
+  :func:`~repro.ablation.objective.capacity_seed`), so the response's
   ``drop_probability`` is byte-identical to the evaluator's
   population objective while a *single* M/G/N run also yields the
   service-time quantiles (``tests/serve/test_service_golden.py``).
@@ -26,10 +26,9 @@ import time
 from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.ablation.engine import spec_seed, warm_process
-from repro.ablation.objective import evaluate_setups, variant_hold_pool
+from repro.ablation.objective import (capacity_seed, evaluate_setups,
+                                      variant_hold_pool)
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime.cache import ResultCache
 from repro.runtime.observability import KERNEL_STATS
@@ -164,7 +163,7 @@ class WhatIfService:
         """One M/G/N run: drop probability *and* service quantiles.
 
         Seeded exactly like the evaluator's ``drop_probability`` metric
-        — same config seed, same ``spawn_key=(1,)`` capacity stream —
+        — same config seed, same :func:`capacity_seed` —
         and executed through :func:`~repro.stream.sweep.sweep_point`,
         whose sessions/dropped are golden-gated byte-identical to
         ``CapacitySimulator.run``.
@@ -175,9 +174,7 @@ class WhatIfService:
                                 mean_interval=request.mean_interval,
                                 horizon=request.horizon,
                                 seed=eval_seed)
-        simulator = CapacitySimulator(pool, config)
-        capacity_seed = int(np.random.SeedSequence(
-            eval_seed, spawn_key=(1,)).generate_state(1)[0])
-        point = sweep_point(simulator, request.n_users, capacity_seed,
+        point = sweep_point(CapacitySimulator(pool, config),
+                            request.n_users, capacity_seed(eval_seed),
                             stream=False)
         return point.to_dict()

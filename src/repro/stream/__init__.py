@@ -14,29 +14,11 @@ n_channels) resident state:
 - :mod:`repro.stream.shard` — spill-to-disk npz shards with a JSON
   manifest for checkpoint/resume;
 - :mod:`repro.stream.sweep` — the ``repro stream-sweep`` driver.
-
-The toggle mirrors the fleet engine's, with opposite polarity: set
-``REPRO_STREAM=1`` (read at call time; forked workers inherit it) to
-route the fig11 and faults sweeps through the streaming paths.  The
-default stays in-memory, and the golden tests prove the two produce
-byte-identical reports.
 """
 
 from __future__ import annotations
-
-import os
-
-#: Set to any non-empty value to route sweeps through the streaming
-#: pipelines (the in-memory paths remain the default and the golden
-#: reference).
-STREAM_ENV = "REPRO_STREAM"
 
 #: Arrivals per streamed block: ~0.5 MB per float64 array, large enough
 #: to amortise per-block NumPy and queue overhead, small enough that a
 #: handful of in-flight blocks stay far under any sweep's array sizes.
 DEFAULT_BLOCK_ARRIVALS = 65536
-
-
-def stream_enabled() -> bool:
-    """Whether streaming sweeps are active (checked per call)."""
-    return bool(os.environ.get(STREAM_ENV))

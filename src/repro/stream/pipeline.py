@@ -32,8 +32,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.capacity.simulator import (CapacityConfig, CapacityResult,
-                                      CapacitySimulator)
+from repro.capacity.simulator import CapacityResult, CapacitySimulator
 from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import KERNEL_STATS
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
@@ -128,15 +127,13 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
                         queue_depth: int = DEFAULT_QUEUE_DEPTH,
                         aggregate: Optional[ServiceAggregate] = None,
                         store: Optional[ShardStore] = None,
-                        checkpoint_every: int = 8,
-                        threaded: bool = True) -> CapacityResult:
+                        checkpoint_every: int = 8) -> CapacityResult:
     """Run one capacity simulation in bounded memory.
 
     Returns the same :class:`CapacityResult` as ``simulator.run`` —
     bit-identical dropped/sessions counts — while folding the service
     stream into ``aggregate`` (if given) and checkpointing into
-    ``store`` (if given).  ``threaded=False`` drops the producer thread
-    and draws blocks inline, for deterministic single-thread debugging.
+    ``store`` (if given).
     """
     require_positive("n_users", n_users)
     if checkpoint_every < 1:
@@ -183,13 +180,8 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
             if aggregate is not None:
                 aggregate.restore(meta["aggregate"])
 
-    if threaded:
-        blocks = _iter_blocks(source, queue_depth)
-    else:
-        blocks = ((arrivals, services, source.state())
-                  for arrivals, services in source.blocks())
-
-    for arrivals, services, source_state in blocks:
+    for arrivals, services, source_state in _iter_blocks(source,
+                                                         queue_depth):
         mask, carry = resolve_drops_block(arrivals, services,
                                           config.n_channels, carry)
         dropped += int(mask.sum())
@@ -217,30 +209,3 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
         KERNEL_STATS.record_stream(spills=1, shard_bytes=nbytes)
     return CapacityResult(n_users=n_users, sessions=int(sessions),
                           dropped=int(dropped))
-
-
-class StreamingCapacitySimulator(CapacitySimulator):
-    """Drop-in ``CapacitySimulator`` whose ``run`` streams.
-
-    Keeps the parent's constructor signature — the process-pool fleet
-    workers reconstruct simulators as ``type(simulator)(shared.array,
-    config)`` — and the parent's sweep helpers, so every caller of
-    ``CapacitySimulator`` (fig11, capacity_at_drop_target, parallel
-    sweeps) can swap the class and nothing else.
-    """
-
-    def __init__(self, service_times, config=None, *,
-                 block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
-                 queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 threaded: bool = True):
-        super().__init__(service_times, config)
-        self.block_arrivals = int(block_arrivals)
-        self.queue_depth = int(queue_depth)
-        self.threaded = bool(threaded)
-
-    def run(self, n_users: int, seed: Optional[int] = None
-            ) -> CapacityResult:
-        return stream_capacity_run(self, n_users, seed,
-                                   block_arrivals=self.block_arrivals,
-                                   queue_depth=self.queue_depth,
-                                   threaded=self.threaded)

@@ -45,7 +45,7 @@ def test_resolver_matches_heap_reference(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_resolver_matches_with_tiny_blocks_and_budget(seed):
     """Small blocks exercise the carry/boundary bookkeeping; a sweep
-    budget of 1-2 forces the scalar-tail fallback mid-stream."""
+    budget of 1-2 forces the scalar block fallback mid-stream."""
     rng = np.random.default_rng(100 + seed)
     for _ in range(10):
         arrivals, services, n_channels = _random_case(rng)
@@ -57,62 +57,102 @@ def test_resolver_matches_with_tiny_blocks_and_budget(seed):
         np.testing.assert_array_equal(got, expected)
 
 
-def test_scalar_tail_fallback_fires_and_matches_vectorised():
-    """Regression for the budget path: when a block exhausts its sweep
-    budget, ``_scalar_tail`` takes over mid-stream and the combined
-    result must be identical to the unbudgeted vectorised resolver.
+def _spy_on_block_paths(monkeypatch, arrivals):
+    """Record ``(path, first_arrival_index)`` for every block the chained
+    resolver sends through ``_block_fixpoint`` or ``_scalar_block``."""
+    import repro.fleet.capacity as fleet_capacity
 
-    The stream is built so the fallback fires with ``start > 0``: an
+    calls = []
+
+    def spy(name):
+        original = getattr(fleet_capacity, name)
+
+        def wrapped(blk_arrivals, *args):
+            calls.append((name, int(np.searchsorted(arrivals,
+                                                    blk_arrivals[0]))))
+            return original(blk_arrivals, *args)
+        monkeypatch.setattr(fleet_capacity, name, wrapped)
+
+    spy("_block_fixpoint")
+    spy("_scalar_block")
+    return calls
+
+
+def _idle_then_burst(rng, n_idle=130, n_burst=300):
+    idle_arrivals = np.cumsum(rng.exponential(50.0, size=n_idle))
+    idle_services = rng.uniform(0.5, 2.0, size=n_idle)
+    burst_arrivals = idle_arrivals[-1] + np.cumsum(
+        rng.exponential(0.05, size=n_burst))
+    burst_services = rng.uniform(10.0, 40.0, size=n_burst)
+    return (np.concatenate([idle_arrivals, burst_arrivals]),
+            np.concatenate([idle_services, burst_services]))
+
+
+def test_scalar_block_fallback_fires_and_matches_vectorised(monkeypatch):
+    """Regression for the budget path: when a block exhausts its sweep
+    budget, ``_scalar_block`` replays it and the chained result must be
+    identical to the unbudgeted vectorised resolver.
+
+    The stream is built so the fallback fires past the first block: an
     idle prefix (drop-free blocks converge in one sweep even with
     ``max_sweeps=1``) followed by a saturated tail whose first drop
     candidate blows the budget."""
-    import repro.fleet.capacity as fleet_capacity
-
-    rng = np.random.default_rng(17)
-    idle_arrivals = np.cumsum(rng.exponential(50.0, size=130))
-    idle_services = rng.uniform(0.5, 2.0, size=130)
-    burst_arrivals = idle_arrivals[-1] + np.cumsum(
-        rng.exponential(0.05, size=300))
-    burst_services = rng.uniform(10.0, 40.0, size=300)
-    arrivals = np.concatenate([idle_arrivals, burst_arrivals])
-    services = np.concatenate([idle_services, burst_services])
+    arrivals, services = _idle_then_burst(np.random.default_rng(17))
     n_channels = 4
 
     expected = heap_drops(arrivals, services, n_channels)
     unbudgeted = resolve_drops(arrivals, services, n_channels)
     np.testing.assert_array_equal(unbudgeted, expected)
 
-    starts = []
-    original = fleet_capacity._scalar_tail
-
-    def spy(arrivals, services, n_channels, dropped, start):
-        starts.append(start)
-        return original(arrivals, services, n_channels, dropped, start)
-
-    fleet_capacity._scalar_tail = spy
-    try:
-        budgeted = resolve_drops(arrivals, services, n_channels,
-                                 block_arrivals=64, max_sweeps=1)
-    finally:
-        fleet_capacity._scalar_tail = original
-
-    assert starts, "sweep budget of 1 must trigger the scalar tail"
+    calls = _spy_on_block_paths(monkeypatch, arrivals)
+    budgeted = resolve_drops(arrivals, services, n_channels,
+                             block_arrivals=64, max_sweeps=1)
+    starts = [start for name, start in calls if name == "_scalar_block"]
+    assert starts, "sweep budget of 1 must trigger the scalar fallback"
     assert starts[0] > 0, "fallback should start past converged blocks"
     np.testing.assert_array_equal(budgeted, expected)
 
 
-def test_scalar_tail_from_first_block():
+def test_scalar_block_fallback_from_first_block(monkeypatch):
     """Saturation from the very first arrival exercises the fallback's
-    empty-heap seeding path (``start == 0``)."""
+    empty-frontier seeding path (first block)."""
     rng = np.random.default_rng(23)
     arrivals = np.cumsum(rng.exponential(0.05, size=400))
     services = rng.uniform(10.0, 40.0, size=400)
     expected = heap_drops(arrivals, services, 3)
+    calls = _spy_on_block_paths(monkeypatch, arrivals)
     budgeted = resolve_drops(arrivals, services, 3,
                              block_arrivals=64, max_sweeps=1)
+    assert ("_scalar_block", 0) in calls
     np.testing.assert_array_equal(budgeted, expected)
     np.testing.assert_array_equal(resolve_drops(arrivals, services, 3),
                                   expected)
+
+
+def test_block_after_budget_fallback_returns_to_fixpoint(monkeypatch):
+    """A budget-exhausted block replays only itself: the next block runs
+    the vectorised ``_block_fixpoint`` again, and once the burst has
+    drained it converges there without another scalar replay."""
+    rng = np.random.default_rng(29)
+    arrivals, services = _idle_then_burst(rng)
+    tail_arrivals = arrivals[-1] + 100.0 + np.cumsum(
+        rng.exponential(50.0, size=130))
+    arrivals = np.concatenate([arrivals, tail_arrivals])
+    services = np.concatenate([services, rng.uniform(0.5, 2.0, size=130)])
+    n_channels = 4
+
+    calls = _spy_on_block_paths(monkeypatch, arrivals)
+    budgeted = resolve_drops(arrivals, services, n_channels,
+                             block_arrivals=64, max_sweeps=1)
+    np.testing.assert_array_equal(
+        budgeted, heap_drops(arrivals, services, n_channels))
+    first_scalar = next(i for i, (name, _) in enumerate(calls)
+                        if name == "_scalar_block")
+    after = calls[first_scalar + 1:]
+    assert after and after[0][0] == "_block_fixpoint"
+    assert after[0][1] > calls[first_scalar][1]
+    assert calls[-1][0] == "_block_fixpoint", \
+        "the drained tail must converge on the vectorised path"
 
 
 @settings(max_examples=60, deadline=None)

@@ -100,6 +100,22 @@ def test_predict_validation_error_is_400(server):
     assert body["error"]["field"] == "n_users"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", float("nan")),
+    ("horizon", float("inf")),
+    ("mean_interval", float("nan")),
+    ("reading_times", [float("nan")]),
+], ids=["horizon-nan", "horizon-inf", "mean_interval-nan",
+        "reading_times-nan"])
+def test_non_finite_number_is_400(server, field, value):
+    """``json.loads`` accepts NaN and Infinity; they must be rejected at
+    the schema, not fail the whole micro-batch round with a 500."""
+    status, body, _ = _request(server.url + "/predict", "POST",
+                               {"n_users": 100, field: value})
+    assert status == 400
+    assert body["error"]["field"] == field
+
+
 def test_malformed_json_body_is_400(server):
     request = urllib.request.Request(
         server.url + "/predict", data=b"{nope", method="POST")

@@ -112,6 +112,14 @@ class TestSweepRequest:
         with pytest.raises(ValidationError):
             SweepRequest.from_payload({"users": [10, 0]})
 
+    def test_non_finite_numbers_rejected(self):
+        for field in ("horizon", "mean_interval", "pool_sigma"):
+            for value in (float("nan"), float("inf"), 10 ** 400):
+                with pytest.raises(ValidationError) as caught:
+                    SweepRequest.from_payload({"users": [5],
+                                               field: value})
+                assert caught.value.field == field
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError) as caught:
             SweepRequest.from_payload({"users": [5], "bogus": 1})

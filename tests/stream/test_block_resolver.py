@@ -3,7 +3,7 @@
 :func:`repro.fleet.capacity.resolve_drops_block` threads a
 :class:`DropCarry` between arbitrary consecutive chunks of one arrival
 stream; the concatenated masks must equal both the scalar heap replay
-and the whole-array :func:`resolve_drops`, and the carried frontier
+and the in-memory chain :func:`resolve_drops`, and the carried frontier
 must respect its invariants (bounded by ``n_channels``, strictly after
 the boundary)."""
 
@@ -111,7 +111,7 @@ def test_carry_nbytes_bounded_by_channels():
 def test_budget_fallback_matches_reference():
     """A block that exhausts its sweep budget is replayed by the scalar
     heap seeded from the carried frontier; the chained masks must still
-    match the whole-stream reference exactly."""
+    match the heap reference over the whole stream exactly."""
     rng = np.random.default_rng(17)
     arrivals = np.cumsum(rng.exponential(0.05, size=300))
     services = rng.uniform(10.0, 40.0, size=300)

@@ -1,12 +1,10 @@
-"""Golden equivalence: streamed sweeps must be byte-identical to the
-in-memory reference paths.
+"""Golden equivalence: the streamed stream-sweep must be byte-identical
+to the materialised path.
 
-Same discipline as ``tests/experiments/test_golden_equivalence.py``:
-each workload runs in two subprocesses — one with ``REPRO_STREAM=1``,
-one without — and the *entire* printed output must match.  The
-streaming toggle has opposite polarity to the slow-path vars (set =
-take the new path), so the helper here flips the variant run on rather
-than off.
+Both execution paths of :func:`repro.stream.sweep.run_stream_sweep`
+feed the same block resolver; the report text and the JSON payload
+must match exactly.  The CLI test runs in subprocesses to cover shard
+resume end to end.
 """
 
 import json
@@ -15,76 +13,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.stream import STREAM_ENV
-
-SRC = str(Path(__file__).resolve().parents[2] / "src")
-
-
-def _run(script: str, streamed: bool, extra_env=None,
-         timeout: float = 600.0) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC
-    env.pop(STREAM_ENV, None)
-    if streamed:
-        env[STREAM_ENV] = "1"
-    if extra_env:
-        env.update(extra_env)
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def _assert_identical(script: str) -> None:
-    in_memory = _run(script, streamed=False)
-    streamed = _run(script, streamed=True)
-    assert streamed == in_memory
-    assert in_memory  # an empty "report" would prove nothing
-
-
-FIG11 = """
-from repro.experiments.fig11_capacity import run
-from repro.units import hours
-print(run(horizon=hours(0.1)).report())
-"""
-
-FAULTS_SWEEP = """
-from repro.experiments.fig_sensitivity import run_profile
-from repro.webpages.corpus import benchmark_pages
-pages = benchmark_pages(mobile=True)[:2] + benchmark_pages(mobile=False)[:1]
-print(run_profile("congested", seed=123, pages=pages).report())
-"""
-
-STREAM_SWEEP_REPORT = """
-import json
 from repro.capacity.simulator import CapacityConfig
 from repro.stream.sweep import lognormal_pool, run_stream_sweep
-pool = lognormal_pool()
-config = CapacityConfig(n_channels=60, horizon=1200.0, seed=5)
-result = run_stream_sweep(pool, [80, 100, 120], config, seed=9,
-                          stream=__import__("repro.stream",
-                                            fromlist=["stream_enabled"]
-                                            ).stream_enabled())
-print(result.report())
-print(json.dumps(result.to_dict(), sort_keys=True))
-"""
 
-
-def test_fig11_report_identical_streamed():
-    """fig11 through StreamingCapacitySimulator vs CapacitySimulator."""
-    _assert_identical(FIG11)
-
-
-def test_faults_sweep_report_identical_streamed():
-    """run_profile folding PageRows vs holding live comparisons."""
-    _assert_identical(FAULTS_SWEEP)
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def test_stream_sweep_report_and_json_identical():
     """The stream-sweep points — including the report JSON — match
     between the block pipeline and the materialised path."""
-    _assert_identical(STREAM_SWEEP_REPORT)
+    pool = lognormal_pool()
+    config = CapacityConfig(n_channels=60, horizon=1200.0, seed=5)
+    streamed, in_memory = (
+        run_stream_sweep(pool, [80, 100, 120], config, seed=9,
+                         stream=stream)
+        for stream in (True, False))
+    assert streamed.report() == in_memory.report()
+    assert json.dumps(streamed.to_dict(), sort_keys=True) \
+        == json.dumps(in_memory.to_dict(), sort_keys=True)
+    assert sum(p.dropped for p in in_memory.points) > 0
 
 
 def test_cli_stream_sweep_resumes_and_reports_identically(tmp_path):
