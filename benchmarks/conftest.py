@@ -7,37 +7,41 @@ same rows/series the paper plots — is echoed so ``pytest benchmarks/
 
 Alongside every report the harness prints the kernel runtime metrics
 accumulated during the benchmark — events processed, cancellations,
-peak queue depth, and the sim-time/real-time ratio — collected from
-:data:`repro.runtime.observability.KERNEL_STATS`.
+peak queue depth, and the sim-time/real-time ratio — read from a
+:func:`repro.runtime.observability.collecting` window opened around
+the benchmark.  The window's counters fill the benchmark's
+``extra_info``; a key the benchmark set itself (``test_serve.py``'s
+``work_units``, say) wins over the kernel's.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.observability import KERNEL_STATS
+from repro.runtime.observability import collecting
 
 
 @pytest.fixture(autouse=True)
-def _reset_kernel_stats(benchmark):
-    """Give each benchmark its own kernel-stats attribution window and
-    publish the aggregate into the benchmark's ``extra_info`` so the
+def kernel_window(benchmark):
+    """Give each benchmark its own kernel-stats window and publish its
+    counters into the benchmark's ``extra_info`` so the
     ``BENCH_<n>.json`` trajectory artifacts (see
     :mod:`repro.runtime.profiling`) carry events/sec and sim/real per
-    benchmark."""
-    KERNEL_STATS.reset()
-    yield
-    benchmark.extra_info.update(KERNEL_STATS.snapshot().to_dict())
+    benchmark.  Keys the benchmark already set are left alone."""
+    with collecting() as window:
+        yield window
+    for key, value in window.snapshot().to_dict().items():
+        benchmark.extra_info.setdefault(key, value)
 
 
 @pytest.fixture
-def record_report(request):
+def record_report(request, kernel_window):
     """Print an experiment's report (plus kernel metrics) under the
     benchmark's name."""
 
     def _record(result) -> None:
         text = result.report()
-        stats = KERNEL_STATS.snapshot()
+        stats = kernel_window.snapshot()
         lines = [f"\n[{request.node.name}]", text]
         if stats.events_processed:
             lines.append(

@@ -13,7 +13,6 @@ the trade-off buys.
 import numpy as np
 
 from repro.capacity.simulator import CapacityConfig
-from repro.runtime.observability import KERNEL_STATS
 from repro.stream.sweep import (default_user_counts, lognormal_pool,
                                 run_stream_sweep)
 
@@ -44,13 +43,14 @@ def test_stream_sweep_10x_in_memory(benchmark, record_report):
     record_report(result)
 
 
-def test_stream_sweep_10x_streamed(benchmark, record_report):
+def test_stream_sweep_10x_streamed(benchmark, record_report,
+                                  kernel_window):
     pool, config, counts = _setup()
     result = benchmark.pedantic(_sweep,
                                 args=(pool, config, counts, True),
                                 rounds=3, iterations=1)
     assert sum(point.dropped for point in result.points) > 0
-    snapshot = KERNEL_STATS.snapshot()
+    snapshot = kernel_window.snapshot()
     assert snapshot.stream_blocks > 0
     assert snapshot.stream_peak_carried_bytes > 0
     # apples-to-apples guard: the streamed points match the in-memory

@@ -444,7 +444,7 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
     states = np.where(switch, STATE_IDLE, tail_state_grid(end_full, b1, b2))
     energies = (loading + read_energy) + promotion_energy_grid(states, rrc)
     delays = promotion_latency_grid(states, rrc)
-    KERNEL_STATS.record_work(total)
+    KERNEL_STATS.add(work_units=total)
 
     drops: Optional[List[float]] = None
     if scenario.population is not None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.faults.profiles import ChannelProfile, get_profile
 from repro.faults.recovery import RecoveryPolicy
-from repro.runtime.observability import KERNEL_STATS, SimRunStats
+from repro.runtime.observability import KERNEL_STATS
 
 
 @dataclass
@@ -174,18 +174,18 @@ class FaultInjector:
         lost = bool(self._loss_rng.random() < loss_prob)
         if lost:
             self.stats.transfers_lost += 1
-            self._record(faults_injected=1)
+            KERNEL_STATS.add(faults_injected=1)
         return lost
 
     def note_timeout(self) -> None:
         """The link abandoned an attempt at the recovery timeout."""
         self.stats.transfer_timeouts += 1
-        self._record(faults_injected=1)
+        KERNEL_STATS.add(faults_injected=1)
 
     def note_retry(self) -> None:
         """The link is retrying a lost/timed-out attempt."""
         self.stats.transfer_retries += 1
-        self._record(transfer_retries=1)
+        KERNEL_STATS.add(transfer_retries=1)
 
     def note_transfer_failed(self) -> None:
         """The link gave a transfer up after exhausting its retries."""
@@ -202,7 +202,7 @@ class FaultInjector:
         if self._promo_rng.random() >= profile.promo_spike_prob:
             return 0.0
         self.stats.promotion_spikes += 1
-        self._record(faults_injected=1)
+        KERNEL_STATS.add(faults_injected=1)
         return float(self._promo_rng.exponential(profile.promo_spike_mean))
 
     # ------------------------------------------------------------------
@@ -215,7 +215,7 @@ class FaultInjector:
         dropped = bool(self._ril_rng.random() < self.profile.ril_drop_prob)
         if dropped:
             self.stats.ril_drops += 1
-            self._record(faults_injected=1)
+            KERNEL_STATS.add(faults_injected=1)
         return dropped
 
     def ril_delay(self) -> float:
@@ -226,7 +226,7 @@ class FaultInjector:
         if self._ril_rng.random() >= profile.ril_delay_prob:
             return 0.0
         self.stats.ril_delays += 1
-        self._record(faults_injected=1)
+        KERNEL_STATS.add(faults_injected=1)
         return float(self._ril_rng.exponential(profile.ril_delay_mean))
 
     def dormancy_fails(self) -> bool:
@@ -237,12 +237,5 @@ class FaultInjector:
                       < self.profile.dormancy_failure_prob)
         if failed:
             self.stats.dormancy_failures += 1
-            self._record(faults_injected=1)
+            KERNEL_STATS.add(faults_injected=1)
         return failed
-
-    # ------------------------------------------------------------------
-    def _record(self, faults_injected: int = 0,
-                transfer_retries: int = 0) -> None:
-        KERNEL_STATS.accumulate(SimRunStats(
-            faults_injected=faults_injected,
-            transfer_retries=transfer_retries))

@@ -273,7 +273,7 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
     survivors = departures[~blk_dropped]
     next_busy = np.concatenate(
         [busy[busy > boundary], survivors[survivors > boundary]])
-    KERNEL_STATS.record_work(work)
+    KERNEL_STATS.add(work_units=work)
     return blk_dropped, DropCarry(busy=next_busy, boundary=boundary)
 
 

@@ -37,7 +37,7 @@ def switch_decisions(predicted: np.ndarray, mode: str,
     switch = predicted > delay_threshold
     if mode == "power":
         switch = switch | (predicted > power_threshold)
-    KERNEL_STATS.record_work(predicted.size)
+    KERNEL_STATS.add(work_units=predicted.size)
     return switch
 
 
@@ -57,5 +57,5 @@ def threshold_fractions(times: np.ndarray,
                              np.asarray(thresholds, dtype=float),
                              side="left")
     size = times.size
-    KERNEL_STATS.record_work(size + len(thresholds))
+    KERNEL_STATS.add(work_units=size + len(thresholds))
     return [100.0 * (int(count) / size) for count in counts]

@@ -113,8 +113,8 @@ class GradientBoostedRegressor:
             self.train_losses_.append(self.loss.loss(y, prediction))
         # Model fitting never enters the event loop; report its work so
         # benchmarks dominated by training still have a denominator.
-        KERNEL_STATS.record_work(
-            sum(tree.n_nodes for tree in self.trees_) * n)
+        KERNEL_STATS.add(
+            work_units=sum(tree.n_nodes for tree in self.trees_) * n)
         return self
 
     # ------------------------------------------------------------------
@@ -133,7 +133,7 @@ class GradientBoostedRegressor:
             out += self.learning_rate * tree.predict(x)
         # One lock round-trip per batch; predict_one stays uncounted on
         # purpose — it is the per-element on-phone path Table 7 times.
-        KERNEL_STATS.record_work(x.shape[0] * len(self.trees_))
+        KERNEL_STATS.add(work_units=x.shape[0] * len(self.trees_))
         return out
 
     def predict_one(self, row) -> float:

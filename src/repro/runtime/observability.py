@@ -1,12 +1,15 @@
-"""Kernel observability: per-run counters and a process-wide collector.
+"""Kernel observability: one counter list and a process-wide collector.
 
-The simulation kernel (:mod:`repro.sim.kernel`) reports a
-:class:`SimRunStats` record to :data:`KERNEL_STATS` every time
-``Simulator.run`` returns.  Harnesses that want to attribute kernel work
-to a unit of their own — one experiment in the parallel runner, one
-benchmark round — bracket that unit with :meth:`KernelStatsCollector.
-reset` / :meth:`KernelStatsCollector.snapshot` (or the
-:func:`collecting` context manager) and read the aggregate.
+The field list of :class:`SimRunStats` is the only place that names a
+counter; merging, dict export, the collector and every report derive
+from it.  Instrumented code counts with ``KERNEL_STATS.add(name=n)`` —
+``Simulator.run`` on exit, the GBRT fit, the stream pipeline, the
+scheduler and the serving layer — one call per batch of work, never per
+element.  Harnesses that want to attribute that work to a unit of their
+own — one experiment in the parallel runner, one benchmark — open a
+:func:`collecting` window around it: the window sees every increment
+the process makes while it is open, and windows nest and overlap
+without disturbing each other or the process total.
 
 This module deliberately imports nothing from the rest of the library so
 the kernel can depend on it without creating an import cycle.
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterator, List, Mapping
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,6 @@ class SimRunStats:
     work_units: int = 0
     #: Blocks processed by the streaming pipeline (repro.stream).
     stream_blocks: int = 0
-    #: Aggregator ``merge()`` calls performed by streaming drivers.
-    stream_merges: int = 0
     #: Shards spilled to disk (checkpoints and finals).
     stream_spills: int = 0
     #: Bytes written to shard files.
@@ -84,266 +85,96 @@ class SimRunStats:
         return self.sim_time / self.wall_time
 
     def merged(self, other: "SimRunStats") -> "SimRunStats":
-        """Combine two records: sums for flows, max for the peak."""
-        return SimRunStats(
-            events_processed=self.events_processed + other.events_processed,
-            cancellations=self.cancellations + other.cancellations,
-            peak_queue_depth=max(self.peak_queue_depth,
-                                 other.peak_queue_depth),
-            sim_time=self.sim_time + other.sim_time,
-            wall_time=self.wall_time + other.wall_time,
-            faults_injected=self.faults_injected + other.faults_injected,
-            transfer_retries=self.transfer_retries
-            + other.transfer_retries,
-            work_units=self.work_units + other.work_units,
-            stream_blocks=self.stream_blocks + other.stream_blocks,
-            stream_merges=self.stream_merges + other.stream_merges,
-            stream_spills=self.stream_spills + other.stream_spills,
-            stream_shard_bytes=self.stream_shard_bytes
-            + other.stream_shard_bytes,
-            stream_peak_carried_bytes=max(
-                self.stream_peak_carried_bytes,
-                other.stream_peak_carried_bytes),
-            sched_units=self.sched_units + other.sched_units,
-            sched_replay_blocks=self.sched_replay_blocks
-            + other.sched_replay_blocks,
-            sched_steals=self.sched_steals + other.sched_steals,
-            serve_requests=self.serve_requests + other.serve_requests,
-            serve_batches=self.serve_batches + other.serve_batches,
-            serve_coalesced=self.serve_coalesced
-            + other.serve_coalesced)
+        """Combine two records: sums for flows, max for the peaks."""
+        total = KernelStatsCollector()
+        total.add(**vars(self))
+        total.add(**vars(other))
+        return total.snapshot()
 
     def to_dict(self) -> Dict[str, float]:
-        """Flat dict for JSON/CSV report rows."""
-        return {
-            "events_processed": self.events_processed,
-            "cancellations": self.cancellations,
-            "peak_queue_depth": self.peak_queue_depth,
-            "sim_time": self.sim_time,
-            "wall_time": self.wall_time,
-            "sim_time_ratio": self.sim_time_ratio,
-            "faults_injected": self.faults_injected,
-            "transfer_retries": self.transfer_retries,
-            "work_units": self.work_units,
-            "stream_blocks": self.stream_blocks,
-            "stream_merges": self.stream_merges,
-            "stream_spills": self.stream_spills,
-            "stream_shard_bytes": self.stream_shard_bytes,
-            "stream_peak_carried_bytes": self.stream_peak_carried_bytes,
-            "sched_units": self.sched_units,
-            "sched_replay_blocks": self.sched_replay_blocks,
-            "sched_steals": self.sched_steals,
-            "serve_requests": self.serve_requests,
-            "serve_batches": self.serve_batches,
-            "serve_coalesced": self.serve_coalesced,
-        }
+        """Flat dict for JSON/CSV report rows (plus ``sim_time_ratio``)."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["sim_time_ratio"] = self.sim_time_ratio
+        return row
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "SimRunStats":
+        """Inverse of :meth:`to_dict`; other keys are ignored and
+        missing counters read as zero."""
+        return cls(**{name: kind(payload.get(name, 0))
+                      for name, kind in _KINDS.items()})
+
+
+#: Counters merged by maximum rather than by sum.
+PEAK_COUNTERS = frozenset({"peak_queue_depth", "stream_peak_carried_bytes"})
+
+#: Counter name -> its Python type, so NumPy scalars never reach a report.
+_KINDS = {f.name: type(f.default) for f in fields(SimRunStats)}
+
+
+#: One lock for the process total and every open window: ``add`` folds
+#: into all of them in one round trip.
+_LOCK = threading.Lock()
 
 
 class KernelStatsCollector:
-    """Aggregates :class:`SimRunStats` across every simulator in-process.
+    """A running total of :class:`SimRunStats` counters.
 
-    Thread-safe: benchmarks and the inline (``--parallel 1``) runner may
-    drive simulators from worker threads.  In the process-pool runner
-    each worker process has its own collector, which is exactly the
-    per-task attribution we want.
+    Thread-safe: the serving batcher and the scheduler count from their
+    own threads.  :data:`KERNEL_STATS` is the process total; the
+    collectors :func:`collecting` yields are windows fed by it.  In the
+    process-pool runner each worker process has its own total, which
+    the parent folds back in with :meth:`add`.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events_processed = 0
-        self._cancellations = 0
-        self._peak_queue_depth = 0
-        self._sim_time = 0.0
-        self._wall_time = 0.0
-        self._faults_injected = 0
-        self._transfer_retries = 0
-        self._work_units = 0
-        self._stream_blocks = 0
-        self._stream_merges = 0
-        self._stream_spills = 0
-        self._stream_shard_bytes = 0
-        self._stream_peak_carried_bytes = 0
-        self._sched_units = 0
-        self._sched_replay_blocks = 0
-        self._sched_steals = 0
-        self._serve_requests = 0
-        self._serve_batches = 0
-        self._serve_coalesced = 0
-        self._runs = 0
+        self._totals = {name: kind() for name, kind in _KINDS.items()}
+        #: This collector plus the windows currently open on it.
+        self._targets: List[KernelStatsCollector] = [self]
 
-    def record_run(self, events_processed: int, cancellations: int,
-                   peak_queue_depth: int, sim_time: float,
-                   wall_time: float) -> None:
-        """Fold one run's counters into the aggregate.
+    def add(self, **counts: float) -> None:
+        """Fold counters in by name; an unknown name raises ``KeyError``.
 
-        This is the kernel's hot exit path — many experiments drive
-        thousands of short ``Simulator.run`` calls — so it takes plain
-        numbers and touches plain counters; a :class:`SimRunStats`
-        record is only materialised when someone asks for a
-        :meth:`snapshot`.
+        One lock round trip per call, so the hot paths call it once per
+        batch of work (a whole ``fit``, one block, one ``run``).
         """
-        with self._lock:
-            self._events_processed += events_processed
-            self._cancellations += cancellations
-            if peak_queue_depth > self._peak_queue_depth:
-                self._peak_queue_depth = peak_queue_depth
-            self._sim_time += sim_time
-            self._wall_time += wall_time
-            self._runs += 1
-
-    def record_work(self, units: int) -> None:
-        """Count domain work performed outside the event loop.
-
-        Cheap enough for hot paths: one lock round-trip per *batch* of
-        work (a whole ``fit``, a whole vectorised sweep), never per
-        element.
-        """
-        with self._lock:
-            self._work_units += int(units)
-
-    def record_stream(self, blocks: int = 0, merges: int = 0,
-                      spills: int = 0, shard_bytes: int = 0,
-                      carried_bytes: int = 0) -> None:
-        """Fold streaming-pipeline counters in (one call per block or
-        spill, never per element).  ``carried_bytes`` updates the peak.
-        """
-        with self._lock:
-            self._stream_blocks += int(blocks)
-            self._stream_merges += int(merges)
-            self._stream_spills += int(spills)
-            self._stream_shard_bytes += int(shard_bytes)
-            if carried_bytes > self._stream_peak_carried_bytes:
-                self._stream_peak_carried_bytes = int(carried_bytes)
-
-    def record_sched(self, units: int = 0, replay_blocks: int = 0,
-                     steals: int = 0) -> None:
-        """Fold distributed-scheduler counters in (one call per work
-        unit, stitch pass, or steal — never per block)."""
-        with self._lock:
-            self._sched_units += int(units)
-            self._sched_replay_blocks += int(replay_blocks)
-            self._sched_steals += int(steals)
-
-    def record_serve(self, requests: int = 0, batches: int = 0,
-                     coalesced: int = 0) -> None:
-        """Fold serving-layer counters in (one call per request or
-        per executed micro-batch — never inside the fleet kernels)."""
-        with self._lock:
-            self._serve_requests += int(requests)
-            self._serve_batches += int(batches)
-            self._serve_coalesced += int(coalesced)
-
-    def record(self, stats: SimRunStats) -> None:
-        """Fold one run's counters into the aggregate (record form)."""
-        with self._lock:
-            self._fold(stats)
-            self._runs += 1
-
-    def accumulate(self, stats: SimRunStats) -> None:
-        """Fold counters in without counting a run.
-
-        Used by out-of-kernel instrumentation — the fault injector
-        reports impairments as they happen, which must not inflate
-        :attr:`runs_recorded`.
-        """
-        with self._lock:
-            self._fold(stats)
-
-    def _fold(self, stats: SimRunStats) -> None:
-        # Caller holds the lock.
-        self._events_processed += stats.events_processed
-        self._cancellations += stats.cancellations
-        if stats.peak_queue_depth > self._peak_queue_depth:
-            self._peak_queue_depth = stats.peak_queue_depth
-        self._sim_time += stats.sim_time
-        self._wall_time += stats.wall_time
-        self._faults_injected += stats.faults_injected
-        self._transfer_retries += stats.transfer_retries
-        self._work_units += stats.work_units
-        self._stream_blocks += stats.stream_blocks
-        self._stream_merges += stats.stream_merges
-        self._stream_spills += stats.stream_spills
-        self._stream_shard_bytes += stats.stream_shard_bytes
-        if stats.stream_peak_carried_bytes \
-                > self._stream_peak_carried_bytes:
-            self._stream_peak_carried_bytes = \
-                stats.stream_peak_carried_bytes
-        self._sched_units += stats.sched_units
-        self._sched_replay_blocks += stats.sched_replay_blocks
-        self._sched_steals += stats.sched_steals
-        self._serve_requests += stats.serve_requests
-        self._serve_batches += stats.serve_batches
-        self._serve_coalesced += stats.serve_coalesced
-
-    def reset(self) -> None:
-        """Zero the aggregate (start of a new attribution window)."""
-        with self._lock:
-            self._events_processed = 0
-            self._cancellations = 0
-            self._peak_queue_depth = 0
-            self._sim_time = 0.0
-            self._wall_time = 0.0
-            self._faults_injected = 0
-            self._transfer_retries = 0
-            self._work_units = 0
-            self._stream_blocks = 0
-            self._stream_merges = 0
-            self._stream_spills = 0
-            self._stream_shard_bytes = 0
-            self._stream_peak_carried_bytes = 0
-            self._sched_units = 0
-            self._sched_replay_blocks = 0
-            self._sched_steals = 0
-            self._serve_requests = 0
-            self._serve_batches = 0
-            self._serve_coalesced = 0
-            self._runs = 0
+        values = [(name, _KINDS[name](value))
+                  for name, value in counts.items()]
+        with _LOCK:
+            for target in self._targets:
+                totals = target._totals
+                for name, value in values:
+                    if name not in PEAK_COUNTERS:
+                        totals[name] += value
+                    elif value > totals[name]:
+                        totals[name] = value
 
     def snapshot(self) -> SimRunStats:
-        """The aggregate since the last :meth:`reset`."""
-        with self._lock:
-            return SimRunStats(
-                events_processed=self._events_processed,
-                cancellations=self._cancellations,
-                peak_queue_depth=self._peak_queue_depth,
-                sim_time=self._sim_time,
-                wall_time=self._wall_time,
-                faults_injected=self._faults_injected,
-                transfer_retries=self._transfer_retries,
-                work_units=self._work_units,
-                stream_blocks=self._stream_blocks,
-                stream_merges=self._stream_merges,
-                stream_spills=self._stream_spills,
-                stream_shard_bytes=self._stream_shard_bytes,
-                stream_peak_carried_bytes=self
-                ._stream_peak_carried_bytes,
-                sched_units=self._sched_units,
-                sched_replay_blocks=self._sched_replay_blocks,
-                sched_steals=self._sched_steals,
-                serve_requests=self._serve_requests,
-                serve_batches=self._serve_batches,
-                serve_coalesced=self._serve_coalesced)
-
-    @property
-    def runs_recorded(self) -> int:
-        """Number of ``Simulator.run`` calls folded in so far."""
-        with self._lock:
-            return self._runs
+        """The counters folded in so far."""
+        with _LOCK:
+            return SimRunStats(**self._totals)
 
 
-#: Process-wide collector the kernel reports into.
+#: Process-wide collector every instrumented call site reports into.
 KERNEL_STATS = KernelStatsCollector()
 
 
 @contextmanager
 def collecting() -> Iterator[KernelStatsCollector]:
-    """Reset :data:`KERNEL_STATS`, yield it, leave the aggregate readable.
+    """Open a window on :data:`KERNEL_STATS` for the ``with`` block.
 
-    The pattern used around one experiment::
+    The window starts at zero and sees every increment the process
+    makes until the block exits; it stays readable afterwards::
 
         with collecting() as stats:
             result = experiment.run()
         kernel_metrics = stats.snapshot()
     """
-    KERNEL_STATS.reset()
-    yield KERNEL_STATS
+    window = KernelStatsCollector()
+    with _LOCK:
+        KERNEL_STATS._targets.append(window)
+    try:
+        yield window
+    finally:
+        with _LOCK:
+            KERNEL_STATS._targets.remove(window)

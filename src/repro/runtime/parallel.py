@@ -28,7 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.cache import ResultCache, cache_key, code_version_hash
-from repro.runtime.observability import SimRunStats, collecting
+from repro.runtime.observability import (KERNEL_STATS, SimRunStats,
+                                         collecting)
 from repro.runtime.seeding import DEFAULT_ROOT_SEED, task_seed
 
 KIND_EXPERIMENT = "experiment"
@@ -114,22 +115,7 @@ class TaskResult:
             seed=payload["seed"],
             report=payload["report"],
             wall_time=payload["wall_time"],
-            kernel=SimRunStats(
-                events_processed=int(payload.get("events_processed", 0)),
-                cancellations=int(payload.get("cancellations", 0)),
-                peak_queue_depth=int(payload.get("peak_queue_depth", 0)),
-                sim_time=float(payload.get("sim_time", 0.0)),
-                wall_time=float(payload.get("wall_time", 0.0)),
-                faults_injected=int(payload.get("faults_injected", 0)),
-                transfer_retries=int(payload.get("transfer_retries", 0)),
-                work_units=int(payload.get("work_units", 0)),
-                stream_blocks=int(payload.get("stream_blocks", 0)),
-                stream_merges=int(payload.get("stream_merges", 0)),
-                stream_spills=int(payload.get("stream_spills", 0)),
-                stream_shard_bytes=int(
-                    payload.get("stream_shard_bytes", 0)),
-                stream_peak_carried_bytes=int(
-                    payload.get("stream_peak_carried_bytes", 0))),
+            kernel=SimRunStats.from_dict(payload),
             cached=cached)
 
 
@@ -445,7 +431,6 @@ def parallel_stream_points(simulator, user_counts: Sequence[int],
     every other worker sat idle.  Results are restored to caller order
     before returning, so the reordering is invisible in the output.
     """
-    from repro.runtime.observability import KERNEL_STATS
     from repro.runtime.shm import SharedArray
 
     counts = list(user_counts)
@@ -467,7 +452,7 @@ def parallel_stream_points(simulator, user_counts: Sequence[int],
         shared.close()
         shared.unlink()
     for _, stats in outcomes:
-        KERNEL_STATS.accumulate(stats)
+        KERNEL_STATS.add(**vars(stats))
     return [point for point, _ in outcomes]
 
 

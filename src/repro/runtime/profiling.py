@@ -153,52 +153,17 @@ def _distil(raw: Dict[str, Any]) -> Dict[str, Any]:
     for bench in sorted(raw.get("benchmarks", []),
                         key=lambda b: b["name"]):
         wall = float(bench["stats"]["mean"])
-        extra = bench.get("extra_info", {}) or {}
-        events = int(extra.get("events_processed", 0))
-        work = int(extra.get("work_units", 0))
-        row = {
-            "name": bench["name"],
-            "wall_time": round(wall, 4),
-            "events_processed": events,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-            # Non-kernel work (GBRT fitting/prediction, trace synthesis,
-            # fleet array sweeps): benchmarks that never enter the event
-            # loop still get a throughput denominator for the gate.
-            "work_units": work,
-            "work_per_sec": round(work / wall) if wall > 0 else 0,
-            "sim_time": round(float(extra.get("sim_time", 0.0)), 2),
-            "sim_time_ratio": round(float(extra.get("sim_time_ratio",
-                                                    0.0)), 1),
-            # Ablation-matrix rows: fraction of cells served from the
-            # content-addressed result cache (1.0 on a warm rerun).
-            "cache_hit_rate": round(float(extra.get("cache_hit_rate",
-                                                    0.0)), 3),
-            # Ablation-search rows: fraction of page-load lookups the
-            # projection memo/disk cache absorbed, and the count of
-            # discrete-event loads actually simulated.
-            "load_cache_hit_rate": round(float(extra.get(
-                "load_cache_hit_rate", 0.0)), 3),
-            "page_loads": int(extra.get("page_loads", 0)),
-            # Distributed-scheduler rows: work-unit/replay/steal
-            # counters plus the 8-worker speedup modelled from the
-            # measured task durations (see benchmarks/test_sched.py).
-            "sched_units": int(extra.get("sched_units", 0)),
-            "sched_replay_blocks": int(extra.get("sched_replay_blocks",
-                                                 0)),
-            "sched_steals": int(extra.get("sched_steals", 0)),
-            "sched_speedup_8w": round(float(extra.get(
-                "sched_speedup_8w", 0.0)), 2),
-            # Serving rows (benchmarks/test_serve.py): warm p99 under 8
-            # closed-loop clients with and without micro-batching, plus
-            # the batched throughput — the BENCH_8 latency gate.
-            "serve_clients": int(extra.get("serve_clients", 0)),
-            "serve_unbatched_p99_ms": round(float(extra.get(
-                "serve_unbatched_p99_ms", 0.0)), 2),
-            "serve_batched_p99_ms": round(float(extra.get(
-                "serve_batched_p99_ms", 0.0)), 2),
-            "serve_batched_rps": round(float(extra.get(
-                "serve_batched_rps", 0.0)), 1),
-        }
+        # Every numeric extra_info key rides along: the kernel counters
+        # the benchmark conftest publishes plus whatever the benchmark
+        # set itself (cache hit rates, page loads, sched/serve gates).
+        row = {key: round(value, 4) if isinstance(value, float) else value
+               for key, value in (bench.get("extra_info") or {}).items()
+               if isinstance(value, (int, float))}
+        events = row.get("events_processed", 0)
+        work = row.get("work_units", 0)
+        row.update(name=bench["name"], wall_time=round(wall, 4),
+                   events_per_sec=round(events / wall) if wall > 0 else 0,
+                   work_per_sec=round(work / wall) if wall > 0 else 0)
         benchmarks.append(row)
     return {
         "schema": BENCH_SCHEMA,

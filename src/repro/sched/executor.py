@@ -274,7 +274,7 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
                 return False
             if stale:
                 stats["steals"] += 1
-                KERNEL_STATS.record_sched(steals=1)
+                KERNEL_STATS.add(sched_steals=1)
             started = time.perf_counter()
             try:
                 with lease.Heartbeat(claim,

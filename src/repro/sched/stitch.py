@@ -91,7 +91,7 @@ def stitch_point(pool: np.ndarray, plan: PointPlan,
             carry = final
         # matched on the last block, or never: the replayed carry and
         # counts already are the true serial ones.
-    KERNEL_STATS.record_sched(replay_blocks=replayed)
+    KERNEL_STATS.add(sched_replay_blocks=replayed)
     aggregate = stitch_service_aggregates(
         [meta["aggregate"] for _arrays, meta in unit_results])
     return StreamPoint.from_parts(plan.n_users, plan.seed,

@@ -84,8 +84,9 @@ def run_unit(pool: np.ndarray, plan: PointPlan, unit: UnitDescriptor, *,
         dropped_blocks.append(int(mask.sum()))
         digests.append(frontier_digest(carry))
         aggregate.add_block(services)
-        KERNEL_STATS.record_stream(blocks=1, carried_bytes=carry.nbytes)
-    KERNEL_STATS.record_sched(units=1)
+        KERNEL_STATS.add(stream_blocks=1,
+                         stream_peak_carried_bytes=carry.nbytes)
+    KERNEL_STATS.add(sched_units=1)
     arrays = {"final_busy": np.asarray(carry.busy, dtype=np.float64)}
     meta = {
         "index": int(unit.index),

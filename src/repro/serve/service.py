@@ -103,7 +103,7 @@ class WhatIfService:
                                  error=True)
             raise
         self.metrics.observe("predict", time.perf_counter() - started)
-        KERNEL_STATS.record_serve(requests=1)
+        KERNEL_STATS.add(serve_requests=1)
         return response
 
     def predict_payload(self, payload) -> dict:
@@ -113,7 +113,7 @@ class WhatIfService:
     # -- batch execution -------------------------------------------------
 
     def _record_round(self, n_items: int, n_coalesced: int) -> None:
-        KERNEL_STATS.record_serve(batches=1, coalesced=n_coalesced)
+        KERNEL_STATS.add(serve_batches=1, serve_coalesced=n_coalesced)
 
     def _compute_batch(self, requests: List[PredictRequest]
                        ) -> List[dict]:

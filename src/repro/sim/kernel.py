@@ -169,7 +169,7 @@ class Simulator:
             self._running = False
             wall_time = _time.perf_counter() - wall_start
             self._wall_time += wall_time
-            KERNEL_STATS.record_run(
+            KERNEL_STATS.add(
                 events_processed=self._events_processed - events_before,
                 cancellations=self._cancellations - cancellations_before,
                 peak_queue_depth=self._run_peak_depth,

@@ -188,13 +188,13 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
         if aggregate is not None:
             aggregate.add_block(services)
         block_index += 1
-        KERNEL_STATS.record_stream(
-            blocks=1,
-            carried_bytes=_carried_nbytes(carry, aggregate))
+        KERNEL_STATS.add(
+            stream_blocks=1,
+            stream_peak_carried_bytes=_carried_nbytes(carry, aggregate))
         if store is not None and block_index % checkpoint_every == 0:
             nbytes = _write_checkpoint(store, carry, source_state,
                                        dropped, block_index, aggregate)
-            KERNEL_STATS.record_stream(spills=1, shard_bytes=nbytes)
+            KERNEL_STATS.add(stream_spills=1, stream_shard_bytes=nbytes)
 
     sessions = source.n_sessions
     if store is not None:
@@ -206,6 +206,6 @@ def stream_capacity_run(simulator: CapacitySimulator, n_users: int,
         }
         nbytes = store.put(_FINAL_KEY, {}, meta)
         store.discard(_CHECKPOINT_KEY)
-        KERNEL_STATS.record_stream(spills=1, shard_bytes=nbytes)
+        KERNEL_STATS.add(stream_spills=1, stream_shard_bytes=nbytes)
     return CapacityResult(n_users=n_users, sessions=int(sessions),
                           dropped=int(dropped))

@@ -335,5 +335,5 @@ def generate_trace(config: Optional[TraceConfig] = None) -> TraceDataset:
             views_left -= length
     # Trace synthesis runs entirely outside the event loop; count the
     # records so trace-bound benchmarks report non-zero work.
-    KERNEL_STATS.record_work(len(records))
+    KERNEL_STATS.add(work_units=len(records))
     return TraceDataset(records)

@@ -79,7 +79,6 @@ def test_impairments_feed_kernel_stats():
     snapshot = collector.snapshot()
     assert snapshot.faults_injected == 2
     assert snapshot.transfer_retries == 1
-    assert collector.runs_recorded == 0  # accumulate, not record
     assert injector.stats.ril_drops == 1
     assert injector.stats.dormancy_failures == 1
 

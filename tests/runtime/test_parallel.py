@@ -11,7 +11,9 @@ import pytest
 
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime.cache import ResultCache
+from repro.runtime.observability import SimRunStats, collecting
 from repro.runtime.parallel import (
+    TaskResult,
     parallel_stream_points,
     parallel_sweep,
     run_ablations,
@@ -97,6 +99,21 @@ def test_report_includes_runtime_metrics(tmp_path):
     assert lines[0].startswith("task_id,")
 
 
+def test_task_result_round_trip_keeps_every_counter():
+    kernel = SimRunStats(events_processed=12, sim_time=3.0,
+                         wall_time=0.25, sched_units=3, sched_steals=1,
+                         serve_batches=2, serve_coalesced=5)
+    result = TaskResult(task_id="fig01", kind="experiment", title="t",
+                        seed=1, report="r", wall_time=0.25, kernel=kernel)
+    row = result.to_dict()
+    again = TaskResult.from_dict(row, cached=True)
+    assert again.kernel == kernel
+    assert again.to_dict() == dict(row, cached=True)
+    assert again.to_dict()["sched_units"] == 3
+    assert again.to_dict()["sched_steals"] == 1
+    assert again.to_dict()["serve_batches"] == 2
+
+
 def test_render_summary_mentions_cache_state():
     suite = run_experiments(("fig01",), processes=1)
     summary = suite.render_summary()
@@ -139,14 +156,20 @@ def test_parallel_stream_points_restores_caller_order():
     # at submission has to be undone on the way out.
     counts = [40, 200, 120, 400]
     seeds = simulator.sweep_seeds(len(counts), seed=7)
-    serial = [sweep_point(simulator, n, s, stream=True,
-                          block_arrivals=512)
-              for n, s in zip(counts, seeds)]
-    fanned = parallel_stream_points(simulator, counts, seeds,
-                                    processes=2, stream=True,
-                                    block_arrivals=512)
+    with collecting() as serial_stats:
+        serial = [sweep_point(simulator, n, s, stream=True,
+                              block_arrivals=512)
+                  for n, s in zip(counts, seeds)]
+    with collecting() as fanned_stats:
+        fanned = parallel_stream_points(simulator, counts, seeds,
+                                        processes=2, stream=True,
+                                        block_arrivals=512)
     assert [p.n_users for p in fanned] == counts
     assert fanned == serial
+    # The workers' counters fold back into this process's windows.
+    blocks = serial_stats.snapshot().stream_blocks
+    assert blocks > 0
+    assert fanned_stats.snapshot().stream_blocks == blocks
 
 
 def test_parallel_sweep_crn_mode():
