@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench bench-baseline bench-compare \
-	bench-ablate bench-ablate-search bench-sched bench-serve serve \
+.PHONY: install test bench bench-baseline bench-compare bench-e2e \
+	bench-chain bench-ablate bench-ablate-search bench-sched bench-serve serve \
 	stream-sweep stream-bench experiments \
 	experiments-parallel ablations ablate tune-smoke faults-sweep ci \
 	examples clean
@@ -26,6 +26,15 @@ bench-baseline:
 
 bench-compare:
 	python -m repro.runtime.profiling bench --out auto --compare BENCH_0.json
+
+# The seeded end-to-end benchmark (bench/): all four workloads, results
+# and the machine fingerprint in bench-e2e.json.
+bench-e2e:
+	python -m bench.run --seed 2013 --out bench-e2e.json
+
+# The paper chain alone, traced: prints the per-layer self-time table.
+bench-chain:
+	python3 bench/run.py --workload chain --seed 2013 --trace 1
 
 # Ablation-matrix engine rows: cold wall time + warm cache-hit rate
 # (BENCH_5).

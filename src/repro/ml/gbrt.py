@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.ml.losses import Loss, SquaredLoss
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, check_finite, presort
 from repro.runtime.observability import KERNEL_STATS
 
 
@@ -59,6 +59,7 @@ class GradientBoostedRegressor:
             raise ValueError("x must be (n, d) and y (n,)")
         if x.shape[0] < 2:
             raise ValueError("need at least two training samples")
+        check_finite(x=x, y=y)
         rng = np.random.default_rng(self.random_state)
         n = x.shape[0]
         self.n_features_ = x.shape[1]
@@ -70,10 +71,9 @@ class GradientBoostedRegressor:
 
         full_sample = self.subsample >= 1.0
         # The feature matrix never changes between rounds when every
-        # round trains on the full sample, so the stable argsort the
-        # split search needs is paid once here, not once per round.
-        presorted = (np.argsort(x, axis=0, kind="stable")
-                     if full_sample else None)
+        # round trains on the full sample, so the sort and sorted values
+        # the split search needs are paid once here, not once per round.
+        presorted = presort(x) if full_sample else None
 
         for _ in range(self.n_estimators):
             if full_sample:
@@ -122,12 +122,19 @@ class GradientBoostedRegressor:
         if self.init_ is None:
             raise RuntimeError("model is not fitted")
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised prediction."""
+    def _rows(self, x) -> np.ndarray:
+        """``x`` as a float (m, n_features_) matrix; 1-D is one row."""
         self._check_fitted()
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        x = x.reshape(1, -1) if x.ndim == 1 else x
+        if x.ndim != 2 or x.shape[1] != self.n_features_:
+            raise ValueError(f"expected rows of {self.n_features_} "
+                             f"features, got shape {x.shape}")
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Vectorised prediction."""
+        x = self._rows(x)
         out = np.full(x.shape[0], self.init_, dtype=float)
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(x)
@@ -145,6 +152,9 @@ class GradientBoostedRegressor:
             # plain-list indexing returns Python floats without the
             # numpy scalar boxing that dominates the traversal cost.
             row = row.tolist()
+        if len(row) != self.n_features_:
+            raise ValueError(f"expected {self.n_features_} features, "
+                             f"got {len(row)}")
         value = self.init_
         rate = self.learning_rate
         for tree in self.trees_:
@@ -153,14 +163,14 @@ class GradientBoostedRegressor:
 
     def staged_predict(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """Predictions after each boosting round (for tuning M)."""
-        self._check_fitted()
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        out = np.full(x.shape[0], self.init_, dtype=float)
-        for tree in self.trees_:
-            out = out + self.learning_rate * tree.predict(x)
-            yield out
+        x = self._rows(x)
+
+        def stages() -> Iterator[np.ndarray]:
+            out = np.full(x.shape[0], self.init_, dtype=float)
+            for tree in self.trees_:
+                out = out + self.learning_rate * tree.predict(x)
+                yield out
+        return stages()
 
     # ------------------------------------------------------------------
     # Serialisation (offline training → on-phone deployment, Sec. 4.3.3)

@@ -58,16 +58,6 @@ class TreeNode:
             return 1
         return 1 + self.left.count_nodes() + self.right.count_nodes()
 
-    def count_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.count_leaves() + self.right.count_leaves()
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 @dataclass(frozen=True)
 class _Split:
@@ -80,85 +70,99 @@ class _Split:
     right_index: np.ndarray
     left_value: float
     right_value: float
-    #: Per-feature stable sort orders of each child's rows, propagated
-    #: by the split search so children never re-sort.
-    left_order: Optional[np.ndarray] = None
-    right_order: Optional[np.ndarray] = None
+
+
+def check_finite(**arrays: np.ndarray) -> None:
+    """Reject NaN or inf in any of the named training arrays."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
+def presort(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The root's ``(order, sorted_values)``, both (d, n), C-contiguous:
+    each feature's stable sort order of the rows of ``x`` (n, d) and
+    that feature's values in that order."""
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+    return order, x[order, np.arange(x.shape[1])[:, None]]
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, index: np.ndarray,
-                min_samples_leaf: int,
-                order: np.ndarray) -> Optional[_Split]:
+                min_samples_leaf: int, order: np.ndarray,
+                sorted_values: np.ndarray) -> Optional[_Split]:
     """Exact best SSE-reducing split of the samples in ``index``.
 
-    One pass over the whole feature matrix instead of a per-feature
-    Python loop.  ``order`` (d, n) holds this node's rows stably sorted
-    per feature; the root's comes from one ``np.argsort(x, axis=0,
-    kind="stable")`` per fit (reusable across boosting rounds when the
-    training matrix doesn't change) and children inherit theirs by
-    filtering the parent's — a stable sort of a subset is the subset of
-    the stable sort, so every node sees exactly the sorted values,
-    prefix sums, floats, and tie-breaks the original per-node loop
-    computed.  ``tests/oracles/tree.py`` keeps that loop.
+    ``order`` (d, n) holds this node's rows stably sorted per feature
+    and ``sorted_values`` their values: the root's from one
+    :func:`presort` per fit, each child's filtered from its parent's by
+    :func:`_children` -- a stable sort of a subset is the subset of the
+    stable sort, so every node sees exactly the sorted values, prefix
+    sums, floats and tie-breaks of the per-feature loop that
+    ``tests/oracles/tree.py`` keeps.
     """
     n_features, n = order.shape
     if n < 2 * min_samples_leaf:
         return None
-    y_node = y[index]
-    total_sum = y_node.sum()
-
-    feature_rows = np.arange(n_features)[:, None]
-    sorted_values = x[order, feature_rows]            # (d, n)
-    prefix_sum = np.cumsum(y[order], axis=1)          # (d, n)
-
-    # Candidate split after position p puts p+1 samples on the left, so
-    # both-children-big-enough restricts p to the band [msl-1, n-msl);
-    # the reference loop computed every position and masked, this slices
-    # the band up front (identical arithmetic, evaluated in the same
-    # left-to-right order, just in-place on the band).
+    # Candidates: positions p in the band [msl-1, n-msl) (both children
+    # big enough) whose value differs from the next.  Flat indices into
+    # a (d, n) mask are the prefix sums' too, and come out in row-major
+    # (feature, position) order, so the first maximum is the lowest
+    # feature holding the best gain at its first best position: the
+    # loop's strict-improvement rule, ties and NaN included.
     lo = min_samples_leaf - 1
     hi = n - min_samples_leaf                         # exclusive; >= lo+1
-    left_sizes = np.arange(lo + 1, hi + 1)
-    right_sizes = n - left_sizes
-    left_sums = prefix_sum[:, lo:hi]
+    distinct = np.zeros((n_features, n), dtype=bool)
+    np.less(sorted_values[:, lo:hi], sorted_values[:, lo + 1:hi + 1],
+            out=distinct[:, lo:hi])
+    candidates = np.flatnonzero(distinct)
+    if candidates.size == 0:
+        return None
+    total_sum = y.take(index).sum()
+    # Sequential per-feature sums (the loop's floats), in place in the
+    # gathered buffer: a second (d, n) temporary slows big nodes.
+    prefix_sum = y.take(order)
+    np.cumsum(prefix_sum, axis=1, out=prefix_sum)
+    left_sums = prefix_sum.take(candidates)
+    left_sizes = candidates % n + 1
+    # The loop's arithmetic, elementwise in the same order.
     gains = left_sums ** 2
     gains /= left_sizes
     right_part = total_sum - left_sums
     right_part **= 2
-    right_part /= right_sizes
+    right_part /= n - left_sizes
     gains += right_part
     gains -= total_sum ** 2 / n
-    # Thresholds must fall between distinct values.
-    distinct = sorted_values[:, lo:hi] < sorted_values[:, lo + 1:hi + 1]
-    gains[~distinct] = -np.inf
-    positions = np.argmax(gains, axis=1)              # per-feature best
-    per_feature_gain = gains[np.arange(n_features), positions]
-    # The sequential loop kept the first feature to beat the running
-    # best by a strict margin, i.e. the lowest-indexed maximum — which
-    # is exactly np.argmax's first-occurrence rule.
-    feature = int(np.argmax(per_feature_gain))
-    gain = float(per_feature_gain[feature])
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
     if gain <= 1e-12:  # require strictly positive gain
         return None
-    pos = lo + int(positions[feature])
+    feature, pos = divmod(int(candidates[best]), n)
     threshold = float((sorted_values[feature, pos]
                        + sorted_values[feature, pos + 1]) / 2)
-    values = x[index, feature]
-    left_mask = values <= threshold
+    left_mask = x[index, feature] <= threshold
     left_index = index[left_mask]
     right_index = index[~left_mask]
-
-    member = np.zeros(x.shape[0], dtype=bool)
-    member[left_index] = True
-    in_left = member[order]                           # (d, n)
-    left_order = order[in_left].reshape(n_features, left_index.size)
-    right_order = order[~in_left].reshape(n_features, right_index.size)
     return _Split(
         gain=gain, feature=feature, threshold=threshold,
         left_index=left_index, right_index=right_index,
         left_value=float(y[left_index].mean()),
-        right_value=float(y[right_index].mean()),
-        left_order=left_order, right_order=right_order)
+        right_value=float(y[right_index].mean()))
+
+
+def _children(split: _Split, order: np.ndarray, sorted_values: np.ndarray,
+              n_rows: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Each child's ``(order, sorted_values)``: the node's, filtered by
+    one boolean mask, so children never re-sort or re-gather."""
+    member = np.zeros(n_rows, dtype=bool)
+    member[split.left_index] = True
+    in_left = member.take(order).ravel()              # (d, n), flat
+    in_right = ~in_left
+    left_shape = (order.shape[0], split.left_index.size)
+    right_shape = (order.shape[0], split.right_index.size)
+    return ((order.compress(in_left).reshape(left_shape),
+             sorted_values.compress(in_left).reshape(left_shape)),
+            (order.compress(in_right).reshape(right_shape),
+             sorted_values.compress(in_right).reshape(right_shape)))
 
 
 class RegressionTree:
@@ -177,13 +181,14 @@ class RegressionTree:
 
     # ------------------------------------------------------------------
     def fit(self, x: np.ndarray, y: np.ndarray,
-            presorted: Optional[np.ndarray] = None) -> "RegressionTree":
+            presorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+            ) -> "RegressionTree":
         """Grow the tree on ``x`` (n, d) against targets ``y`` (n,).
 
-        ``presorted`` is an optional ``np.argsort(x, axis=0,
-        kind="stable")`` computed by the caller; boosting passes it so
-        the sort is paid once per ensemble instead of once per round
-        when the training matrix doesn't change between rounds.
+        ``presorted`` is an optional :func:`presort` of ``x`` computed
+        by the caller; boosting passes it so the sort is paid once per
+        ensemble instead of once per round when the training matrix
+        doesn't change between rounds.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -193,59 +198,69 @@ class RegressionTree:
             raise ValueError("y must be 1-D with one target per row of x")
         if x.shape[0] == 0:
             raise ValueError("cannot fit a tree on zero samples")
+        check_finite(x=x, y=y)
 
         index = np.arange(x.shape[0])
         self.root = TreeNode(value=float(y.mean()), n_samples=index.size)
         self.split_gains = []
 
-        sort_idx = (presorted if presorted is not None
-                    else np.argsort(x, axis=0, kind="stable"))
-        root_order = sort_idx.T
-
-        # Best-first growth: a max-heap of (−gain, tiebreak, node, split).
+        # Best-first growth: a max-heap of (−gain, tiebreak, node, split,
+        # the node's (order, sorted_values)).
         counter = itertools.count()
         heap: list = []
 
-        def push(node: TreeNode, node_index: np.ndarray,
-                 order: np.ndarray) -> None:
+        def push(node: TreeNode, node_index: np.ndarray, sort) -> None:
             split = _best_split(x, y, node_index, self.min_samples_leaf,
-                                order)
+                                *sort)
             if split is not None:
                 heapq.heappush(heap, (-split.gain, next(counter), node,
-                                      split))
+                                      split, sort))
 
-        push(self.root, index, root_order)
+        push(self.root, index, presorted or presort(x))
         leaves = 1
         while heap and leaves < self.max_leaves:
-            neg_gain, _, node, split = heapq.heappop(heap)
+            neg_gain, _, node, split, sort = heapq.heappop(heap)
             node.feature = split.feature
             node.threshold = split.threshold
-            node.left = TreeNode(value=split.left_value,
-                                 n_samples=split.left_index.size)
-            node.right = TreeNode(value=split.right_value,
-                                  n_samples=split.right_index.size)
+            node.left = TreeNode(split.left_value, split.left_index.size)
+            node.right = TreeNode(split.right_value, split.right_index.size)
             self.split_gains.append((split.feature, -neg_gain))
             leaves += 1
-            push(node.left, split.left_index, split.left_order)
-            push(node.right, split.right_index, split.right_order)
+            # The final pair's splits would never be popped.
+            if leaves < self.max_leaves:
+                left, right = _children(split, *sort, x.shape[0])
+                push(node.left, split.left_index, left)
+                push(node.right, split.right_index, right)
         return self
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised prediction for rows of ``x``.
+        """Vectorised prediction for rows of ``x``; same values as a
+        per-row traversal."""
+        return self._partition(x, float, lambda k, leaf: leaf.value)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Region index (leaf id in left-to-right order) for each row."""
+        return self._partition(x, int, lambda k, leaf: k)
+
+    def _partition(self, x: np.ndarray, dtype, leaf_value) -> np.ndarray:
+        """``leaf_value(k, leaf)`` of the ``k``-th leaf from the left
+        for every row of ``x`` that lands in it.
 
         Iterative frontier partition: each internal node splits its
-        index set with one vectorised comparison, leaves write their
-        value into the output slice.  Same values as a per-row
-        traversal, O(n) numpy work per tree level.
+        index set with one vectorised comparison, O(n) numpy work per
+        tree level.  Popping the stack after always descending left
+        first reaches the leaves in :meth:`leaves` order, including
+        leaves no row of ``x`` lands in.
         """
         if self.root is None:
             raise RuntimeError("tree is not fitted")
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
-        out = np.empty(x.shape[0], dtype=float)
+        out = np.empty(x.shape[0], dtype=dtype)
         stack = [(self.root, np.arange(x.shape[0]))]
+        k = 0
         while stack:
             node, index = stack.pop()
             while not node.is_leaf:
@@ -253,7 +268,8 @@ class RegressionTree:
                 stack.append((node.right, index[~mask]))
                 node = node.left
                 index = index[mask]
-            out[index] = node.value
+            out[index] = leaf_value(k, node)
+            k += 1
         return out
 
     def predict_one(self, row) -> float:
@@ -270,9 +286,7 @@ class RegressionTree:
     # ------------------------------------------------------------------
     @property
     def n_leaves(self) -> int:
-        if self.root is None:
-            return 0
-        return self.root.count_leaves()
+        return len(self.leaves())
 
     @property
     def n_nodes(self) -> int:
@@ -337,32 +351,4 @@ class RegressionTree:
             walk(node.right)
 
         walk(self.root)
-        return out
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Region index (leaf id in left-to-right order) for each row.
-
-        Iterative frontier partition, like :meth:`predict`.  Popping the
-        stack after always descending left first visits leaves in
-        left-to-right order, so numbering them as they are reached
-        reproduces the recursive numbering (including leaves no row of
-        ``x`` lands in).
-        """
-        if self.root is None:
-            raise RuntimeError("tree is not fitted")
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        out = np.empty(x.shape[0], dtype=int)
-        next_leaf = 0
-        stack = [(self.root, np.arange(x.shape[0]))]
-        while stack:
-            node, index = stack.pop()
-            while not node.is_leaf:
-                mask = x[index, node.feature] <= node.threshold
-                stack.append((node.right, index[~mask]))
-                node = node.left
-                index = index[mask]
-            out[index] = next_leaf
-            next_leaf += 1
         return out

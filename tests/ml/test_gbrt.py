@@ -133,3 +133,38 @@ def test_validation():
         model.predict(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         model.fit(np.zeros((1, 2)), np.zeros(1))
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    x, y = make_data(n=120)
+    return GradientBoostedRegressor(n_estimators=5, random_state=1).fit(x, y)
+
+
+@pytest.mark.parametrize("width", [1, 5, 12])
+def test_prediction_rejects_wrong_feature_count(fitted, width):
+    x = np.zeros((3, width))
+    for predict in (fitted.predict, fitted.staged_predict):
+        with pytest.raises(ValueError, match="expected rows of 6 features"):
+            predict(x)
+
+
+def test_predict_one_rejects_short_row(fitted):
+    with pytest.raises(ValueError, match="expected 6 features, got 5"):
+        fitted.predict_one(np.zeros(5))
+    with pytest.raises(ValueError, match="expected 6 features, got 2"):
+        fitted.predict_one([0.0, 1.0])
+
+
+def test_fit_rejects_nan_target():
+    x, y = make_data(n=50)
+    y[7] = np.nan
+    with pytest.raises(ValueError, match="y must be finite"):
+        GradientBoostedRegressor(n_estimators=2).fit(x, y)
+
+
+def test_fit_rejects_infinite_feature():
+    x, y = make_data(n=50)
+    x[3, 1] = -np.inf
+    with pytest.raises(ValueError, match="x must be finite"):
+        GradientBoostedRegressor(n_estimators=2).fit(x, y)

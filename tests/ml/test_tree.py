@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro.ml.tree as tree_module
-from repro.ml.tree import RegressionTree, _best_split
+from repro.ml.tree import RegressionTree, _best_split, _children
 from tests.oracles import tree as oracle
 
 
@@ -116,6 +116,40 @@ def test_input_validation():
         tree.fit(np.zeros((0, 2)), np.zeros(0))
 
 
+def test_fit_rejects_non_finite_x():
+    x = np.zeros((4, 2))
+    x[1, 0] = np.inf
+    with pytest.raises(ValueError, match="x must be finite"):
+        RegressionTree().fit(x, np.arange(4.0))
+
+
+def test_fit_rejects_non_finite_y():
+    y = np.arange(4.0)
+    y[2] = np.nan
+    with pytest.raises(ValueError, match="y must be finite"):
+        RegressionTree().fit(np.arange(8.0).reshape(4, 2), y)
+
+
+@pytest.mark.parametrize("max_leaves", [2, 3, 4, 8])
+def test_final_pair_of_children_is_never_searched(max_leaves):
+    """Growth stops at ``max_leaves`` right after the last split, so the
+    two leaves it creates are never searched: at most 2J - 3 searches."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(size=(120, 3))
+    y = rng.normal(size=120)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _best_split(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_best_split", spy)
+        tree = RegressionTree(max_leaves=max_leaves).fit(x, y)
+    assert tree.n_leaves == max_leaves
+    assert len(calls) <= 2 * max_leaves - 3
+
+
 @settings(max_examples=30, deadline=None)
 @given(hnp.arrays(np.float64, (30, 3),
                   elements=st.floats(min_value=-100, max_value=100)),
@@ -148,10 +182,21 @@ def test_property_training_sse_never_worse_than_stump(seed):
 # Differential: the split search vs the per-feature oracle.
 # ----------------------------------------------------------------------
 
+def _node_sort(x, index):
+    """A fresh stable per-feature sort of the rows in ``index``: the
+    node's ``(order, sorted_values)``, both (d, n)."""
+    order = index[np.argsort(x[index], axis=0, kind="stable")].T
+    return order, x[order, np.arange(x.shape[1])[:, None]]
+
+
+def _problem(x, y, index, min_samples_leaf):
+    return (x, y, index) + _node_sort(x, index) + (min_samples_leaf,)
+
+
 @st.composite
 def _split_problems(draw):
     """Small matrices on an integer grid (many ties), a random node
-    subset, and its per-feature stable sort order."""
+    subset, and its per-feature stable sort order and sorted values."""
     n = draw(st.integers(min_value=1, max_value=40))
     d = draw(st.integers(min_value=1, max_value=4))
     x = draw(hnp.arrays(np.float64, (n, d),
@@ -160,16 +205,23 @@ def _split_problems(draw):
                         elements=st.floats(min_value=-50, max_value=50)))
     keep = draw(hnp.arrays(np.bool_, (n,)))
     index = np.flatnonzero(keep) if keep.any() else np.arange(n)
-    order = index[np.argsort(x[index], axis=0, kind="stable")].T
     min_samples_leaf = draw(st.integers(min_value=1, max_value=5))
-    return x, y, index, order, min_samples_leaf
+    return _problem(x, y, index, min_samples_leaf)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_split_problems())
+# Two identical columns: every gain ties across features, and the lowest
+# feature must win.
+@example(_problem(np.repeat(np.arange(6.0)[:, None], 2, axis=1),
+                  np.array([0.0, 1.0, 0.0, 7.0, 8.0, 7.0]),
+                  np.arange(6), 1))
+# Distinct values only outside the min_samples_leaf band: no split.
+@example(_problem(np.array([[0.0], [1.0], [1.0], [1.0], [1.0], [2.0]]),
+                  np.arange(6.0), np.arange(6), 2))
 def test_best_split_matches_oracle(problem):
-    x, y, index, order, min_samples_leaf = problem
-    fast = _best_split(x, y, index, min_samples_leaf, order)
+    x, y, index, order, sorted_values, min_samples_leaf = problem
+    fast = _best_split(x, y, index, min_samples_leaf, order, sorted_values)
     slow = oracle.best_split(x, y, index, min_samples_leaf)
     if slow is None:
         assert fast is None
@@ -181,11 +233,30 @@ def test_best_split_matches_oracle(problem):
     np.testing.assert_array_equal(fast.right_index, slow.right_index)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_split_problems())
+def test_children_sort_equals_a_fresh_sort(problem):
+    """Property: the ``(order, sorted_values)`` a split hands each child
+    is exactly a fresh stable argsort and gather of the child's rows."""
+    x, y, index, order, sorted_values, min_samples_leaf = problem
+    split = _best_split(x, y, index, min_samples_leaf, order, sorted_values)
+    if split is None:
+        return
+    children = _children(split, order, sorted_values, x.shape[0])
+    for rows, (child_order, child_values) in zip(
+            (split.left_index, split.right_index), children):
+        fresh_order, fresh_values = _node_sort(x, rows)
+        np.testing.assert_array_equal(child_order, fresh_order)
+        np.testing.assert_array_equal(child_values, fresh_values)
+        assert child_order.flags.c_contiguous
+        assert child_values.flags.c_contiguous
+
+
 @settings(max_examples=50, deadline=None)
 @given(_split_problems(), st.integers(min_value=2, max_value=8))
 def test_grown_tree_matches_oracle_split_search(problem, max_leaves):
     """Whole trees, node for node, grown with either split search."""
-    x, y, _, _, min_samples_leaf = problem
+    x, y, *_, min_samples_leaf = problem
     fast = RegressionTree(max_leaves, min_samples_leaf).fit(x, y)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "_best_split", oracle.split_search)

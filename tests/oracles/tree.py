@@ -59,7 +59,9 @@ def best_split(x: np.ndarray, y: np.ndarray, index: np.ndarray,
     return best
 
 
-def split_search(x, y, index, min_samples_leaf, order=None):
+def split_search(x, y, index, min_samples_leaf, order=None,
+                 sorted_values=None):
     """:func:`best_split` with ``_best_split``'s signature, to patch
-    over ``repro.ml.tree._best_split``; the sort order is ignored."""
+    over ``repro.ml.tree._best_split``; the node's sort order and sorted
+    values are ignored."""
     return best_split(x, y, index, min_samples_leaf)

@@ -43,6 +43,17 @@ def test_predict_one_matches_batch(trained_predictor, small_trace):
         float(trained_predictor.predict(row.reshape(1, -1))[0]))
 
 
+def test_predict_rejects_wrong_feature_count(trained_predictor,
+                                             small_trace):
+    x, _ = small_trace.to_arrays()
+    with pytest.raises(ValueError, match="features, got shape"):
+        trained_predictor.predict(np.hstack([x, x]))
+    with pytest.raises(ValueError, match="features, got shape"):
+        trained_predictor.predict(x[:, :1])
+    with pytest.raises(ValueError, match="features, got"):
+        trained_predictor.predict_one(x[0, :-1])
+
+
 def test_untrained_predictor_rejects_use(small_trace):
     predictor = ReadingTimePredictor()
     x, _ = small_trace.to_arrays()
