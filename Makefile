@@ -1,10 +1,8 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench bench-baseline bench-compare bench-e2e \
-	bench-chain bench-ablate bench-ablate-search bench-sched bench-serve serve \
-	stream-sweep stream-bench experiments \
-	experiments-parallel ablations ablate tune-smoke faults-sweep ci \
-	examples clean
+.PHONY: install test bench-e2e bench-chain serve stream-sweep \
+	experiments experiments-parallel ablations ablate tune-smoke \
+	faults-sweep ci examples clean
 
 # Worker count for the parallel experiment runner (override: make N=8 ...).
 N ?= 4
@@ -15,18 +13,6 @@ install:
 test:
 	python -m pytest tests/
 
-bench:
-	python -m pytest benchmarks/ --benchmark-only -s
-
-# Performance trajectory: bench-baseline writes the committed baseline
-# artifact; bench-compare writes the next BENCH_<n>.json and fails on a
-# >25% suite-total regression against the baseline.
-bench-baseline:
-	python -m repro.runtime.profiling bench --out BENCH_0.json
-
-bench-compare:
-	python -m repro.runtime.profiling bench --out auto --compare BENCH_0.json
-
 # The seeded end-to-end benchmark (bench/): all four workloads, results
 # and the machine fingerprint in bench-e2e.json.
 bench-e2e:
@@ -36,30 +22,6 @@ bench-e2e:
 bench-chain:
 	python3 bench/run.py --workload chain --seed 2013 --trace 1
 
-# Ablation-matrix engine rows: cold wall time + warm cache-hit rate
-# (BENCH_5).
-bench-ablate:
-	python -m repro.runtime.profiling bench --select ablation_matrix \
-		--out BENCH_5.json
-
-# Batched tune-engine rows: cold vs warm halving search plus
-# population-objective throughput (BENCH_6).
-bench-ablate-search:
-	python -m repro.runtime.profiling bench --select ablation_search \
-		--out BENCH_6.json
-
-# Distributed work-stealing scheduler: 1-worker task timings plus the
-# modelled 8-worker speedup on the fig11 10x sweep (BENCH_7).
-bench-sched:
-	python -m repro.runtime.profiling bench --select sched_workdir \
-		--out BENCH_7.json
-
-# Serving rows: warm p99 under 8 closed-loop clients, micro-batched vs
-# unbatched, over the in-process HTTP server (BENCH_8).
-bench-serve:
-	python -m repro.runtime.profiling bench --select serve \
-		--out BENCH_8.json
-
 # The what-if capacity-planning service (foreground; ^C drains).
 serve:
 	python -m repro serve --job-dir serve-jobs
@@ -68,10 +30,6 @@ serve:
 # resumable shard spills under stream-shards/.
 stream-sweep:
 	python -m repro stream-sweep --out stream-shards
-
-# In-memory vs streamed wall-clock and peak-RSS comparison (BENCH_3).
-stream-bench:
-	python -m repro.stream.bench --out BENCH_3.json
 
 experiments:
 	python -m repro.experiments.runner
@@ -114,4 +72,4 @@ examples:
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
-	rm -rf .pytest_cache src/repro.egg-info .benchmarks
+	rm -rf .pytest_cache src/repro.egg-info

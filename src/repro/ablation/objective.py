@@ -262,8 +262,9 @@ def load_cache_key(page_name: str, profile: str, page_seed: int,
 #: on the same key must share one discrete-event load, not race two.
 _LOAD_MEMO = SingleFlight()
 
-#: Counters for the BENCH_6 load-cache hit-rate rows.  ``+=`` on a
-#: shared dict tears under threads, so every bump goes through the lock.
+#: Load-cache counters (simulated loads, memo hits, disk hits).  ``+=``
+#: on a shared dict tears under threads, so every bump goes through the
+#: lock.
 _LOAD_STATS_LOCK = threading.Lock()
 _LOAD_STATS = {"loads": 0, "memo_hits": 0, "disk_hits": 0}
 

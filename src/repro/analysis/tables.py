@@ -1,6 +1,6 @@
 """Fixed-width table and ASCII chart rendering.
 
-The benchmark harness prints each reproduced table/figure as text: the
+Every experiment report prints its table or figure as text: the
 tables as aligned columns, the figures as rows of series values (and,
 where a shape matters, a crude ASCII chart).
 """

@@ -18,7 +18,6 @@ Subcommands::
     repro predict --model model.json --trace trace.csv --threshold 9
     repro session --user 35
     repro serve [--port 8323] [--batch-window 0.005] [--job-dir jobs/]
-    repro serve-bench [--url http://...] [--clients 8] [--requests 25]
 
 Also reachable as ``python -m repro``.
 """
@@ -476,56 +475,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Closed-loop load test against a running `repro serve`."""
-    import json
-
-    from repro.serve import PredictRequest, ValidationError
-    from repro.serve.bench import (DEFAULT_PAYLOADS, ServeBenchError,
-                                   bench_report, run_serve_bench)
-
-    if args.clients < 1 or args.requests < 1:
-        print("--clients and --requests must be >= 1", file=sys.stderr)
-        return 2
-    payloads = list(DEFAULT_PAYLOADS)
-    if args.payload is not None:
-        try:
-            loaded = json.loads(args.payload)
-        except json.JSONDecodeError as exc:
-            print(f"malformed --payload JSON: {exc}", file=sys.stderr)
-            return 2
-        payloads = loaded if isinstance(loaded, list) else [loaded]
-    if args.profile is not None:
-        if args.profile not in PROFILES:
-            print(f"unknown profile {args.profile!r} "
-                  f"(choose from {', '.join(sorted(PROFILES))})",
-                  file=sys.stderr)
-            return 2
-        payloads = [dict(payload, profile=args.profile)
-                    for payload in payloads]
-    # Validate the request mix up front: a bench that 400s on every
-    # request measures error latency, not the service.
-    for payload in payloads:
-        try:
-            PredictRequest.from_payload(payload)
-        except ValidationError as exc:
-            print(f"invalid bench payload: {exc}", file=sys.stderr)
-            return 2
-    try:
-        result = run_serve_bench(args.url, clients=args.clients,
-                                 requests_per_client=args.requests,
-                                 payloads=payloads,
-                                 timeout=args.timeout)
-    except ServeBenchError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(bench_report(result))
-    if args.out is not None:
-        write_report(result, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by the suite-running subcommands."""
     parser.add_argument(
@@ -825,29 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip corpus warmup (first requests pay it)")
     serve.set_defaults(func=_cmd_serve)
 
-    serve_bench = subparsers.add_parser(
-        "serve-bench",
-        help="closed-loop load test against a running `repro serve`")
-    serve_bench.add_argument("--url", default="http://127.0.0.1:8323",
-                             help="server base URL "
-                                  "(default: http://127.0.0.1:8323)")
-    serve_bench.add_argument("--clients", type=int, default=8,
-                             help="concurrent closed-loop clients "
-                                  "(default: 8)")
-    serve_bench.add_argument("--requests", type=int, default=25,
-                             help="requests per client (default: 25)")
-    serve_bench.add_argument("--payload", metavar="JSON",
-                             help="predict payload (or JSON list of "
-                                  "payloads) instead of the default mix")
-    serve_bench.add_argument("--profile",
-                             help="override the fault profile in every "
-                                  "bench payload")
-    serve_bench.add_argument("--timeout", type=float, default=60.0,
-                             help="per-request timeout in seconds "
-                                  "(default: 60)")
-    serve_bench.add_argument("--out", metavar="PATH",
-                             help="write the result row as JSON/CSV")
-    serve_bench.set_defaults(func=_cmd_serve_bench)
     return parser
 
 

@@ -1,8 +1,8 @@
 """Run every reproduced table and figure and render the full record.
 
 ``python -m repro.experiments.runner`` prints each experiment's report;
-the same entry points drive the pytest-benchmark harness under
-``benchmarks/``.  ``--parallel N`` delegates to the process-pool runner
+``tests/experiments/`` checks the same entry points against the
+paper's shapes.  ``--parallel N`` delegates to the process-pool runner
 in :mod:`repro.runtime.parallel` (the ``repro experiments`` subcommand
 exposes the full option set: caching, report export, seeding).
 """

@@ -13,16 +13,11 @@ request always yields the same bytes.  Around it:
   resumable ``repro.sched`` work directories behind a bounded queue;
 - :class:`~repro.serve.http.ServeApp` + a stdlib threading HTTP
   server (``repro serve``), with an optional FastAPI skin
-  (:mod:`repro.serve.fastapi_app`) for ASGI deployments;
-- :mod:`~repro.serve.bench` — the closed-loop load harness behind
-  ``repro serve-bench`` and ``BENCH_8.json``.
+  (:mod:`repro.serve.fastapi_app`) for ASGI deployments.
 """
 
 from repro.serve.batcher import (BatcherClosed, DEFAULT_BATCH_WINDOW,
                                  DEFAULT_MAX_BATCH, MicroBatcher)
-from repro.serve.bench import (DEFAULT_PAYLOADS, ServeBenchError,
-                               bench_report, check_health,
-                               run_serve_bench)
 from repro.serve.fastapi_app import create_fastapi_app, fastapi_available
 from repro.serve.http import (ServeApp, ServerThread, create_server)
 from repro.serve.jobs import JobManager, JobQueueFull, UnknownJob
@@ -36,7 +31,6 @@ __all__ = [
     "BatcherClosed",
     "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_PAYLOADS",
     "JobManager",
     "JobQueueFull",
     "LATENCY_QUANTILES",
@@ -44,20 +38,16 @@ __all__ = [
     "PREDICT_LAYER",
     "PredictRequest",
     "ServeApp",
-    "ServeBenchError",
     "ServeMetrics",
     "ServerThread",
     "SweepRequest",
     "UnknownJob",
     "ValidationError",
     "WhatIfService",
-    "bench_report",
-    "check_health",
     "create_fastapi_app",
     "create_server",
     "fastapi_available",
     "known_page_names",
     "predict_eval_seed",
     "predict_run_id",
-    "run_serve_bench",
 ]

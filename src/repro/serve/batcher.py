@@ -14,8 +14,9 @@ makes hot what-if scenarios nearly free under load.
 
 ``window=0`` disables batching entirely: every caller computes its own
 single-item batch inline.  That degenerate mode is the honest
-"unbatched" baseline the BENCH_8 gate compares against — same code
-path, no coalescing, no shared fleet call.
+"unbatched" baseline that ``tests/serve/test_batching_latency.py``
+holds the batched p99 against: same code path, no coalescing, no
+shared fleet call.
 """
 
 from __future__ import annotations

@@ -176,9 +176,8 @@ def create_server(app: ServeApp, host: str = "127.0.0.1",
 class ServerThread:
     """Run a server in a background thread with a clean stop.
 
-    The in-process harness tests and ``serve-bench --self-host`` use
-    this; the CLI's foreground mode drives the same ``shutdown()`` +
-    ``app.close()`` sequence from its signal handler.
+    ``repro serve`` and the in-process tests use this; the CLI's
+    foreground mode calls :meth:`stop` from its signal handler.
     """
 
     def __init__(self, app: ServeApp, host: str = "127.0.0.1",

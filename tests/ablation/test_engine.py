@@ -55,6 +55,18 @@ def test_cache_round_trip_is_report_identical(tmp_path):
         assert run.cached
 
 
+def test_warm_loo_matrix_is_fully_cached_and_report_identical(tmp_path):
+    """A second leave-one-out matrix over the whole default registry
+    serves every cell from the cache and prints the cold report."""
+    cache = ResultCache(tmp_path / "cache")
+    cold = run_matrix("loo", TINY, cache=cache)
+    warm = run_matrix("loo", TINY, cache=cache)
+    assert cold.n_cached == 0
+    assert len(cold.runs) == 7  # baseline + six default components
+    assert warm.cache_hit_rate == 1.0
+    assert warm.report() == cold.report()
+
+
 def test_partial_cache_reruns_only_the_missing_cells(tmp_path):
     specs = tiny_specs()
     cache = ResultCache(tmp_path / "cache")

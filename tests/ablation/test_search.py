@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.ablation.objective import Scenario
+from repro.ablation.objective import (_REFERENCE_MEMO, PopulationSpec,
+                                      Scenario, load_cache_stats,
+                                      reset_load_cache)
 from repro.ablation.search import (Constraint, Parameter, SearchSpace,
                                    SearchTrace, default_space, feasible,
                                    grid_search, halving_rungs,
                                    halving_search, promote,
                                    random_search)
+from repro.runtime.cache import ResultCache
+from repro.runtime.observability import collecting
 
 TINY = Scenario(profile="ideal", pages=("www.motors.ebay.com",),
                 reading_times=(2.0, 9.0, 30.0))
@@ -23,6 +27,17 @@ SMALL_SPACE = SearchSpace((
 SPIKY_SPACE = SearchSpace((
     Parameter("tp", 15.0, 25.0),
 ))
+
+#: One cell-edge page over the full default reading grid: the halving
+#: fidelity ladder whose caching the tests below pin.
+EDGE_LADDER = Scenario(profile="cell_edge", pages=("www.motors.ebay.com",),
+                       reading_times=(2.0, 5.0, 9.0, 15.0, 30.0, 60.0))
+
+POPULATION = Scenario(
+    profile="ideal", pages=("www.motors.ebay.com",),
+    reading_times=(2.0, 9.0, 30.0),
+    population=PopulationSpec(n_users=600, n_channels=30,
+                              horizon=1200.0, mean_interval=10.0))
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +236,60 @@ def test_search_caches_across_invocations(tmp_path):
     assert cold.n_cached == 0
     assert warm.n_cached == len([t for t in warm.trials if t.valid])
     assert warm.report() == cold.report()
+
+
+def _fresh_loads() -> None:
+    """Drop the process-level load memo and counters, as a new process
+    would start."""
+    _REFERENCE_MEMO.clear()
+    reset_load_cache()
+
+
+def _edge_halving(trace_path, cache):
+    return halving_search(EDGE_LADDER, space=SMALL_SPACE, n_trials=8,
+                          objective="energy", seed=97, cache=cache,
+                          trace_path=trace_path)
+
+
+def test_cold_halving_search_runs_two_page_loads(tmp_path):
+    """An α/Tp-only search shares one load projection: two
+    discrete-event loads in all (the baseline projection and the stock
+    reference), whatever the trial count."""
+    _fresh_loads()
+    result = _edge_halving(tmp_path / "cold.jsonl",
+                           ResultCache(tmp_path / "cache"))
+    assert result.best is not None
+    assert result.n_cached == 0
+    assert load_cache_stats()["loads"] == 2
+
+
+def test_warm_halving_search_is_fully_cached(tmp_path):
+    """A rerun in a fresh process serves every valid trial from the
+    result cache, runs at most the stock reference's load, and prints
+    the cold report."""
+    cache = ResultCache(tmp_path / "cache")
+    _fresh_loads()
+    cold = _edge_halving(tmp_path / "cold.jsonl", cache)
+    _fresh_loads()
+    warm = _edge_halving(tmp_path / "warm.jsonl", cache)
+    evaluated = sum(1 for trial in warm.trials if trial.valid)
+    assert evaluated > 0
+    assert warm.n_cached == evaluated
+    assert load_cache_stats()["loads"] <= 1
+    assert warm.report() == cold.report()
+
+
+def test_population_search_records_work_units(tmp_path):
+    """The drop-probability objective runs M/G/N capacity work, and
+    the kernel counters see it."""
+    _fresh_loads()
+    with collecting() as window:
+        result = halving_search(POPULATION, space=SMALL_SPACE,
+                                n_trials=4, objective="drop_probability",
+                                seed=97, trace_path=tmp_path / "pop.jsonl")
+    assert result.best is not None
+    assert "drop_probability" in result.best.metrics
+    assert window.snapshot().work_units > 0
 
 
 def test_default_space_covers_the_paper_knobs():

@@ -56,6 +56,12 @@ def test_predictor_ablation_trees_beat_linear():
     assert "linear" in result.report()
 
 
+def test_predictor_ablation_gbrt_clears_linear_on_default_trace():
+    result = ablations.predictor_ablation()
+    assert result.accuracy("GBRT M=100", 9.0) \
+        > result.accuracy("linear (ridge)", 9.0) + 0.05
+
+
 def test_alpha_ablation_tradeoff():
     result = ablations.interest_threshold_ablation(SMALL)
     coverages = [row.coverage for row in result.rows]

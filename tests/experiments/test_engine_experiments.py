@@ -35,6 +35,11 @@ def test_fig08_savings_in_band(fig08):
         > by_label["cnn"].tx_saving
 
 
+def test_fig08_full_saves_more_tx_time_than_mobile(fig08):
+    by_label = {g.label: g for g in fig08.groups}
+    assert by_label["full"].tx_saving > by_label["mobile"].tx_saving > 0
+
+
 def test_fig08_layout_phase_is_short(fig08):
     """Paper: the energy-aware layout phase is a small tail of the load,
     not another loading."""
@@ -66,6 +71,11 @@ def test_fig10_savings(fig10):
     cnn_delta = (cnn.original_open + cnn.original_read
                  - cnn.energy_aware_open - cnn.energy_aware_read)
     assert espn_delta > cnn_delta
+
+
+def test_fig10_mean_saving_above_a_quarter(fig10):
+    savings = [bar.saving for bar in fig10.bars]
+    assert sum(savings) / len(savings) > 0.25
 
 
 def test_fig10_reading_energy_is_idle_for_ours(fig10):

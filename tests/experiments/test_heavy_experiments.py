@@ -1,5 +1,6 @@
 """Capacity, prediction accuracy, six cases, and the suite runner."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -8,6 +9,7 @@ from repro.experiments import (
     fig16_six_cases,
 )
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
+from repro.prediction.predictor import ReadingTimePredictor
 from repro.traces.generator import TraceConfig
 from repro.units import hours
 
@@ -44,6 +46,23 @@ def test_fig15_interest_threshold_helps():
         assert result.improvement(threshold) > 0.03
         assert result.accuracy(threshold, True) > 0.72
     assert "Fig. 15" in result.report()
+
+
+def test_fig15_predictor_predicts_finite_times(default_trace):
+    """The fig15 predictor (300 trees, no interest threshold) fitted
+    on the full default trace."""
+    x, y = default_trace.to_arrays()
+    predictor = ReadingTimePredictor(interest_threshold=None)
+    predicted = predictor.fit_arrays(x, y).predict(x)
+    assert predicted.shape == y.shape
+    assert np.isfinite(predicted).all()
+
+
+def test_fig16_default_trace_orderings():
+    result = fig16_six_cases.run()
+    assert result.case("original-always-off").delay_saving < 0
+    assert result.case("accurate-9").power_saving == max(
+        case.power_saving for case in result.cases)
 
 
 def test_fig16_small_trace_orderings():

@@ -1,0 +1,94 @@
+"""Micro-batching pays for its window: under 8 closed-loop clients the
+warm batched p99 beats the unbatched p99.
+
+Each client thread sends a ``/predict``, waits for the answer and sends
+the next, cycling through three what-ifs over one mid-size cell.  Two
+of them share the ideal-profile scenario, so eight clients keep both
+duplicate keys and a shared grid in flight: the traffic the batcher
+coalesces.  Both servers are warm (a priming pass fills the corpus,
+load and benchmark memos), so the loop times the steady state.
+``tests/serve/test_service_golden.py`` shows the two modes answer with
+the same bytes.
+"""
+
+import json
+import threading
+import time
+import urllib.request
+
+from repro.serve import ServeApp, ServerThread, WhatIfService
+
+CLIENTS = 8
+REQUESTS_PER_CLIENT = 6
+
+PAYLOADS = (
+    {"n_users": 120, "n_channels": 80, "horizon": 900.0,
+     "mean_interval": 12.0},
+    {"n_users": 150, "n_channels": 80, "horizon": 900.0,
+     "mean_interval": 12.0, "setup": {"predictor": "gbrt-like"}},
+    {"n_users": 120, "n_channels": 80, "horizon": 900.0,
+     "mean_interval": 12.0, "profile": "congested"},
+)
+
+
+def _closed_loop(url, clients, requests_per_client):
+    """Sorted per-request latencies (s) of ``clients`` closed loops."""
+    latencies = []
+    errors = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(clients, timeout=30)
+
+    def client(index):
+        barrier.wait()
+        for turn in range(requests_per_client):
+            body = json.dumps(PAYLOADS[(index + turn) % len(PAYLOADS)])
+            request = urllib.request.Request(
+                url + "/predict", data=body.encode(), method="POST",
+                headers={"Content-Type": "application/json"})
+            started = time.perf_counter()
+            try:
+                with urllib.request.urlopen(request, timeout=60) as reply:
+                    reply.read()
+            except OSError as exc:
+                with lock:
+                    errors.append(exc)
+                return
+            with lock:
+                latencies.append(time.perf_counter() - started)
+
+    threads = [threading.Thread(target=client, args=(index,))
+               for index in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(latencies) == clients * requests_per_client
+    return sorted(latencies)
+
+
+def _p99(sorted_latencies):
+    """Nearest-rank 99th percentile."""
+    n = len(sorted_latencies)
+    return sorted_latencies[min(n, round(0.99 * (n - 1)) + 1) - 1]
+
+
+def _warm_p99(batch_window):
+    service = WhatIfService(batch_window=batch_window)
+    service.warmup()
+    thread = ServerThread(ServeApp(service)).start()
+    try:
+        _closed_loop(thread.url, clients=2, requests_per_client=2)
+        return _p99(_closed_loop(thread.url, CLIENTS,
+                                 REQUESTS_PER_CLIENT))
+    finally:
+        thread.stop()
+
+
+def test_batched_p99_beats_unbatched_at_8_clients():
+    unbatched = _warm_p99(batch_window=0.0)
+    batched = _warm_p99(batch_window=0.005)
+    assert batched < unbatched, (
+        f"batched p99 {1e3 * batched:.1f} ms not below unbatched "
+        f"{1e3 * unbatched:.1f} ms")

@@ -1,10 +1,6 @@
-"""CLI error paths and the in-process serve-bench loop
-(satellite #3)."""
-
-import json
+"""``repro serve`` CLI error paths."""
 
 from repro.cli import main
-from repro.serve import ServeApp, ServerThread, WhatIfService
 
 
 def test_serve_rejects_bad_port(capsys):
@@ -22,58 +18,3 @@ def test_serve_rejects_negative_window(capsys):
 def test_serve_rejects_bad_worker_counts(capsys):
     assert main(["serve", "--workers", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
-
-
-def test_serve_bench_rejects_malformed_payload_json(capsys):
-    assert main(["serve-bench", "--payload", "{not json"]) == 2
-    err = capsys.readouterr().err
-    assert "malformed --payload JSON" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_serve_bench_rejects_unknown_profile(capsys):
-    assert main(["serve-bench", "--profile", "marsbase"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown profile 'marsbase'" in err
-
-
-def test_serve_bench_rejects_invalid_scenario_payload(capsys):
-    assert main(["serve-bench", "--payload",
-                 json.dumps({"n_users": 0})]) == 2
-    assert "invalid bench payload" in capsys.readouterr().err
-
-
-def test_serve_bench_rejects_nonpositive_clients(capsys):
-    assert main(["serve-bench", "--clients", "0"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
-
-
-def test_serve_bench_dead_server_exits_1(capsys):
-    assert main(["serve-bench", "--url", "http://127.0.0.1:1",
-                 "--clients", "1", "--requests", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "cannot reach" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_serve_bench_against_live_server(tmp_path, capsys):
-    """The happy path end to end: spin a server in-process, bench it,
-    write the report row."""
-    service = WhatIfService(batch_window=0.002)
-    service.warmup()
-    thread = ServerThread(ServeApp(service)).start()
-    out_path = tmp_path / "bench.json"
-    try:
-        assert main(["serve-bench", "--url", thread.url,
-                     "--clients", "3", "--requests", "2",
-                     "--payload",
-                     json.dumps({"n_users": 20, "n_channels": 15,
-                                 "horizon": 120.0}),
-                     "--out", str(out_path)]) == 0
-    finally:
-        thread.stop()
-    out = capsys.readouterr().out
-    assert "throughput" in out
-    row = json.loads(out_path.read_text())
-    assert row["requests"] == 6
-    assert row["latency_ms"]["p50"] <= row["latency_ms"]["p99"]

@@ -14,7 +14,9 @@ import sys
 from pathlib import Path
 
 from repro.capacity.simulator import CapacityConfig
-from repro.stream.sweep import lognormal_pool, run_stream_sweep
+from repro.runtime.observability import collecting
+from repro.stream.sweep import (default_user_counts, lognormal_pool,
+                                run_stream_sweep)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -32,6 +34,24 @@ def test_stream_sweep_report_and_json_identical():
     assert json.dumps(streamed.to_dict(), sort_keys=True) \
         == json.dumps(in_memory.to_dict(), sort_keys=True)
     assert sum(p.dropped for p in in_memory.points) > 0
+
+
+def test_streamed_equals_in_memory_at_10x_fig11():
+    """Fig. 11's five-point load sweep on 2000 channels (10x the
+    paper's cell): the streamed points equal the materialised ones."""
+    pool = lognormal_pool()
+    config = CapacityConfig(n_channels=2000, horizon=900.0, seed=7)
+    counts = default_user_counts(config, float(pool.mean()))
+    with collecting() as window:
+        streamed = run_stream_sweep(pool, counts, config, seed=7,
+                                    stream=True)
+    in_memory = run_stream_sweep(pool, counts, config, seed=7,
+                                 stream=False)
+    assert streamed.points == in_memory.points
+    assert sum(point.dropped for point in streamed.points) > 0
+    counters = window.snapshot()
+    assert counters.stream_blocks > 0
+    assert counters.stream_peak_carried_bytes > 0
 
 
 def test_cli_stream_sweep_resumes_and_reports_identically(tmp_path):

@@ -1,5 +1,7 @@
 """CLI: every subcommand end to end."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -65,3 +67,21 @@ def test_session_subcommand(capsys):
 def test_session_unknown_user(capsys):
     assert main(["session", "--user", "9999"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_profile_subcommand_reports_top_hotspots(tmp_path, capsys):
+    report = tmp_path / "profile.json"
+    assert main(["profile", "fig01", "--top", "3",
+                 "--report", str(report)]) == 0
+    assert "profile fig01" in capsys.readouterr().out
+    payload = json.loads(report.read_text())
+    assert 0 < len(payload["hotspots"]) <= 3
+    assert payload["kernel"]["events_processed"] > 0
+
+
+def test_profile_unknown_task(capsys):
+    assert main(["profile", "fig99"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "fig99" in err
+    assert "fig01" in err and "table07" in err  # the known ids
