@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench-e2e bench-chain serve stream-sweep \
+.PHONY: install test loc bench-e2e bench-chain serve stream-sweep \
 	experiments experiments-parallel ablations ablate tune-smoke \
 	faults-sweep ci examples clean
 
@@ -12,6 +12,10 @@ install:
 
 test:
 	python -m pytest tests/
+
+# Lines of Python under src/ (the size ROADMAP tracks next to wall time).
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 # The seeded end-to-end benchmark (bench/): all four workloads, results
 # and the machine fingerprint in bench-e2e.json.

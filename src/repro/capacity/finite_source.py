@@ -99,6 +99,15 @@ class FiniteSourceCapacitySimulator:
         return CapacityResult(n_users=n_users, sessions=sessions,
                               dropped=dropped)
 
+    def exceeds_drop_target(self, n_users: int, target: float,
+                            seed: Optional[int] = None) -> bool:
+        """``run(n_users, seed).drop_probability > target``.
+
+        The session total is only known when the run ends, so no prefix
+        of the run can decide the answer exactly: this is the full run.
+        """
+        return self.run(n_users, seed=seed).drop_probability > target
+
     # Same decorrelated-by-default sweep seeding as the M/G/N model;
     # both only need ``self.config`` and ``self.run``.
     sweep_seeds = CapacitySimulator.sweep_seeds

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.fleet.capacity import resolve_drops
+from repro.fleet.capacity import drop_blocks, resolve_drops
 from repro.runtime.seeding import spawn_seeds
 from repro.units import hours, require_positive
 
@@ -105,13 +105,17 @@ class CapacitySimulator:
         services = rng.choice(self.service_times, size=arrivals.size)
         return arrivals, services
 
-    def run(self, n_users: int, seed: Optional[int] = None
-            ) -> CapacityResult:
-        """Simulate ``n_users`` browsing for the configured horizon."""
+    def _draw_run(self, n_users: int, seed: Optional[int]):
         require_positive("n_users", n_users)
         config = self.config
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        arrivals, services = self.draw(n_users, rng)
+        return self.draw(n_users, rng)
+
+    def run(self, n_users: int, seed: Optional[int] = None
+            ) -> CapacityResult:
+        """Simulate ``n_users`` browsing for the configured horizon."""
+        config = self.config
+        arrivals, services = self._draw_run(n_users, seed)
 
         # The sorted-count sweep of repro.fleet.capacity resolves the
         # drop set a per-session min-heap of channel release times would.
@@ -119,6 +123,28 @@ class CapacitySimulator:
                                     config.n_channels).sum())
         return CapacityResult(n_users=n_users, sessions=int(arrivals.size),
                               dropped=dropped)
+
+    def exceeds_drop_target(self, n_users: int, target: float,
+                            seed: Optional[int] = None) -> bool:
+        """``run(n_users, seed).drop_probability > target``, resolving
+        only as many arrival blocks as the answer needs.
+
+        The draw is :meth:`run`'s (the services ``choice`` follows every
+        gap, so nothing can be drawn lazily), which fixes ``sessions``
+        up front.  Drops only accumulate block by block, and dividing by
+        a fixed ``sessions`` is monotone in floats too, so the first
+        block whose running ``dropped / sessions`` — the very expression
+        :attr:`CapacityResult.drop_probability` evaluates — passes
+        ``target`` decides the run; an unresolved tail cannot undo it.
+        """
+        arrivals, services = self._draw_run(n_users, seed)
+        sessions = int(arrivals.size)
+        dropped = 0
+        for mask in drop_blocks(arrivals, services, self.config.n_channels):
+            dropped += int(mask.sum())
+            if dropped / sessions > target:
+                return True
+        return False
 
     def sweep_seeds(self, n_points: int,
                     seed: Optional[int] = None,
@@ -150,18 +176,22 @@ class CapacitySimulator:
 def capacity_at_drop_target(simulator: CapacitySimulator, target: float,
                             lo: int = 10, hi: int = 5000,
                             seed: Optional[int] = None) -> int:
-    """Largest user count whose drop probability stays ≤ ``target``.
+    """Largest user count in ``[lo, hi]`` whose drop probability stays
+    ≤ ``target`` (``lo`` when none does).
 
-    Binary search over a monotone (in expectation) dropping curve.
+    Binary search over a monotone (in expectation) dropping curve; each
+    probe asks the simulator's ``exceeds_drop_target`` for its one bit.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target must be in (0, 1)")
-    if simulator.run(hi, seed=seed).drop_probability <= target:
+    if lo < 1 or lo > hi:
+        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    if not simulator.exceeds_drop_target(hi, target, seed=seed):
         return hi
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if simulator.run(mid, seed=seed).drop_probability <= target:
-            lo = mid
-        else:
+        if simulator.exceeds_drop_target(mid, target, seed=seed):
             hi = mid - 1
+        else:
+            lo = mid
     return lo

@@ -44,8 +44,9 @@ Two facts make the iteration exact and well-behaved:
   :class:`DropCarry`), which keeps the number of sweeps proportional
   to the *local* cascade depth instead of the global one.
 
-:func:`resolve_drops_block` is the one drop algorithm; the in-memory
-:func:`resolve_drops` chains it over fixed-size slices.  Dense
+:func:`resolve_drops_block` is the one drop algorithm; :func:`drop_blocks`
+chains it over fixed-size slices of an in-memory stream, and
+:func:`resolve_drops` collects every block's mask.  Dense
 saturation (binary-search probes far above capacity) can still cascade
 heavily inside a block; past a sweep budget that block alone is
 replayed by the scalar heap loop, and the next block goes back to the
@@ -110,6 +111,27 @@ def _require_valid_stream(arrivals, services,
             f"one non-decreasing stream")
 
 
+def drop_blocks(arrivals: np.ndarray, services: np.ndarray,
+                n_channels: int,
+                block_arrivals: int = _BLOCK_ARRIVALS,
+                max_sweeps: int = _MAX_SWEEPS):
+    """Yield the drop mask of each ``block_arrivals``-sized slice, in
+    stream order: :func:`resolve_drops_block` chained over the in-memory
+    stream, threading one :class:`DropCarry`.
+
+    Each mask is final when yielded (drops cascade forward only), so a
+    consumer that needs only a prefix of the stream can stop early;
+    :func:`resolve_drops` consumes every block.
+    """
+    _require_matching_shapes(arrivals, services)
+    carry = None
+    for start in range(0, int(arrivals.size), block_arrivals):
+        blk = slice(start, start + block_arrivals)
+        mask, carry = resolve_drops_block(
+            arrivals[blk], services[blk], n_channels, carry, max_sweeps)
+        yield mask
+
+
 def resolve_drops(arrivals: np.ndarray, services: np.ndarray,
                   n_channels: int,
                   block_arrivals: int = _BLOCK_ARRIVALS,
@@ -125,17 +147,14 @@ def resolve_drops(arrivals: np.ndarray, services: np.ndarray,
         if len(busy) >= n_channels: drop
         else: heappush(busy, arrival + service)
 
-    The in-memory stream is the chained case of
-    :func:`resolve_drops_block`: ``block_arrivals``-sized slices
-    threading one :class:`DropCarry`.
+    The in-memory stream is every block of :func:`drop_blocks`.
     """
-    _require_matching_shapes(arrivals, services)
     dropped = np.empty(int(arrivals.size), dtype=bool)
-    carry = None
-    for start in range(0, dropped.size, block_arrivals):
-        blk = slice(start, start + block_arrivals)
-        dropped[blk], carry = resolve_drops_block(
-            arrivals[blk], services[blk], n_channels, carry, max_sweeps)
+    start = 0
+    for mask in drop_blocks(arrivals, services, n_channels,
+                            block_arrivals, max_sweeps):
+        dropped[start:start + mask.size] = mask
+        start += mask.size
     return dropped
 
 

@@ -48,6 +48,8 @@ def slow_fleet(monkeypatch):
     in place of the batched fleet paths."""
     monkeypatch.setattr(capacity_simulator, "resolve_drops",
                         capacity.resolve_drops)
+    monkeypatch.setattr(capacity_simulator, "drop_blocks",
+                        capacity.drop_blocks)
     monkeypatch.setattr(stream_sweep, "resolve_drops",
                         capacity.resolve_drops)
     monkeypatch.setattr(PolicyEvaluator, "_batched_switches",

@@ -11,7 +11,8 @@ from repro.capacity.simulator import (
     CapacitySimulator,
     capacity_at_drop_target,
 )
-from repro.fleet.capacity import resolve_drops, resolve_drops_block
+from repro.fleet.capacity import drop_blocks, resolve_drops, \
+    resolve_drops_block
 from repro.units import hours
 from tests.oracles import capacity as oracle
 from tests.oracles.capacity import heap_drops
@@ -229,5 +230,22 @@ def test_capacity_search_identical_to_slow(monkeypatch):
     fast = capacity_at_drop_target(simulator, 0.02, seed=2)
     monkeypatch.setattr(capacity_simulator, "resolve_drops",
                         oracle.resolve_drops)
+    monkeypatch.setattr(capacity_simulator, "drop_blocks",
+                        oracle.drop_blocks)
     slow = capacity_at_drop_target(simulator, 0.02, seed=2)
     assert fast == slow
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_drop_blocks_match_block_heap_oracle(seed):
+    """Block for block, the kernel's masks are the carried heap's."""
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(10):
+        arrivals, services, n_channels = _random_case(rng)
+        block = int(rng.integers(3, 64))
+        got = list(drop_blocks(arrivals, services, n_channels, block))
+        expected = list(oracle.drop_blocks(arrivals, services, n_channels,
+                                           block))
+        assert len(got) == len(expected) == -(-arrivals.size // block)
+        for mask, reference in zip(got, expected):
+            np.testing.assert_array_equal(mask, reference)
