@@ -1,8 +1,8 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test loc bench-e2e bench-chain serve stream-sweep \
-	experiments experiments-parallel ablations ablate tune-smoke \
-	faults-sweep ci examples clean
+.PHONY: install test loc bench-e2e bench-chain bench-cold serve \
+	stream-sweep experiments experiments-parallel ablations ablate \
+	tune-smoke faults-sweep ci examples clean
 
 # Worker count for the parallel experiment runner (override: make N=8 ...).
 N ?= 4
@@ -25,6 +25,11 @@ bench-e2e:
 # The paper chain alone, traced: prints the per-layer self-time table.
 bench-chain:
 	python3 bench/run.py --workload chain --seed 2013 --trace 1
+
+# Cold /predict requests alone, traced: DES loads, load-cache writes and
+# the load hit rate per request.
+bench-cold:
+	python3 bench/run.py --workload predict-cold --seed 2013 --trace 1
 
 # The what-if capacity-planning service (foreground; ^C drains).
 serve:

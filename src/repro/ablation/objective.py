@@ -36,12 +36,15 @@ Batched evaluation (PR 8): only a *projection* of the setup can change a
 discrete-event page load — reorganisation, intermediate display, fast
 dormancy, and the T1/T2 timers (:func:`load_projection`).  α/Tp/Td, the
 decision mode and the predictor level are scoring-only, so
-:func:`_load_page` outcomes are memoised on ``(page, profile, page_seed,
+:func:`_load_page` outcomes are memoised on ``(page, channel,
 projection)`` — process-local plus the content-addressed on-disk
 :class:`~repro.runtime.cache.ResultCache` — and a tune sweep over
-thresholds runs its simulations once, not once per trial.  Scoring then
-runs over the whole (trials × pages × readings) unit grid through the
-``*_grid`` array forms of :mod:`repro.rrc.tail`.  The scalar per-unit
+thresholds runs its simulations once, not once per trial.  The channel
+is :func:`load_channel`'s ``(profile, page_seed)``; on the fault-free
+``ideal`` channel it carries no seed, since there the seed never
+reaches the load.  Scoring then runs over the whole (trials × pages ×
+readings) unit grid through the ``*_grid`` array forms of
+:mod:`repro.rrc.tail`.  The scalar per-unit
 evaluator it replaced lives on as ``tests/oracles/ablation.py``; the
 two are gated byte-identical (``tests/ablation/test_batched_golden.py``).
 """
@@ -186,15 +189,31 @@ class _PageLoad:
     hold_time: float
 
 
+def load_channel(profile: str, page_seed: int
+                 ) -> Tuple[str, Optional[int]]:
+    """The channel half of a page load's identity.
+
+    ``(profile, page_seed)`` when the profile impairs the link: the
+    load runs under a :class:`FaultPlan` seeded with ``page_seed``.
+    ``(profile, None)`` on the fault-free channel (``ideal``): no plan
+    is drawn, the seed cannot reach the load, and every seed shares one
+    answer.  :func:`_load_page` draws its plan from this and every load
+    key reads it, so a key and its load cannot disagree.
+    """
+    if get_profile(profile).is_null:
+        return profile, None
+    return profile, int(page_seed)
+
+
 def _load_page(page_name: str, setup: VariantSetup, profile: str,
                page_seed: int) -> _PageLoad:
     """One full discrete-event page load under the scenario's plan."""
     page = find_page(page_name)
     engine_cls = (EnergyAwareEngine if setup.reorganisation
                   else OriginalEngine)
-    plan = None
-    if profile != "ideal":
-        plan = FaultPlan.named(profile, seed=page_seed)
+    _, plan_seed = load_channel(profile, page_seed)
+    plan = (None if plan_seed is None
+            else FaultPlan.named(profile, seed=plan_seed))
     session = browse_and_read(page, engine_cls, reading_time=0.0,
                               config=setup.to_config(), faults=plan)
     load = session.load
@@ -245,22 +264,39 @@ def load_projection(setup: VariantSetup) -> Dict[str, object]:
     }
 
 
+def load_memo_key(page_name: str, profile: str, page_seed: int,
+                  setup: VariantSetup) -> Tuple:
+    """Process-memo key of one page load: ``(page, channel,
+    projection items)``, the channel from :func:`load_channel`."""
+    return (page_name, load_channel(profile, page_seed),
+            tuple(load_projection(setup).items()))
+
+
 def load_cache_key(page_name: str, profile: str, page_seed: int,
                    setup: VariantSetup) -> str:
     """On-disk cache key for one page-load outcome (content-addressed:
     the current code-version hash is folded in automatically)."""
+    channel_profile, plan_seed = load_channel(profile, page_seed)
     return cache_key(KIND_LOAD_PAGE, page_name, {
-        "profile": profile,
-        "page_seed": int(page_seed),
+        "profile": channel_profile,
+        "page_seed": plan_seed,
         "projection": load_projection(setup),
     })
 
 
-#: Process-local load memo: ``(page, profile, page_seed, projection
-#: items) -> _PageLoad``.  Single-flight: the serving layer calls the
-#: evaluator from concurrent request threads, and two threads missing
-#: on the same key must share one discrete-event load, not race two.
+#: Process-local load memo: :func:`load_memo_key` ``-> _PageLoad``.
+#: Single-flight: the serving layer calls the evaluator from concurrent
+#: request threads, and two threads missing on the same key must share
+#: one discrete-event load, not race two.
 _LOAD_MEMO = SingleFlight()
+
+#: Process-local memo: the stock browser's metrics per scenario.  The
+#: stock setup has no run-level randomness (``never-switch`` predictor,
+#: no capacity draw needed), so its pages' loads and the reading grid
+#: fully determine it — keyed like the loads, on :func:`load_channel`,
+#: so every seed on ``ideal`` shares one entry.  Single-flight for the
+#: same reason as the load memo.
+_REFERENCE_MEMO = SingleFlight()
 
 #: Load-cache counters (simulated loads, memo hits, disk hits).  ``+=``
 #: on a shared dict tears under threads, so every bump goes through the
@@ -275,9 +311,11 @@ def load_cache_stats() -> Dict[str, int]:
 
 
 def reset_load_cache() -> None:
-    """Clear the process-local load memo and its counters (tests,
-    benchmarks; the on-disk cache is the caller's to manage)."""
+    """Clear the process-local load memo, the stock-reference memo
+    derived from it, and the load counters (tests, benchmarks; the
+    on-disk cache is the caller's to manage)."""
     _LOAD_MEMO.clear()
+    _REFERENCE_MEMO.clear()
     with _LOAD_STATS_LOCK:
         for counter in _LOAD_STATS:
             _LOAD_STATS[counter] = 0
@@ -290,12 +328,11 @@ def _load_page_cached(page_name: str, setup: VariantSetup, profile: str,
     """:func:`_load_page` through the projection memo and disk cache.
 
     Safe because the load path draws no global randomness (fault plans
-    are seeded per ``(profile, page_seed)``) and ``_PageLoad`` is six
-    floats — JSON round-trips them exactly via ``repr``, so a cached
-    load scores byte-identically to a fresh one.
+    are seeded per :func:`load_channel`, which the keys read too) and
+    ``_PageLoad`` is six floats — JSON round-trips them exactly via
+    ``repr``, so a cached load scores byte-identically to a fresh one.
     """
-    memo_key = (page_name, profile, int(page_seed),
-                tuple(load_projection(setup).items()))
+    memo_key = load_memo_key(page_name, profile, page_seed, setup)
     hit = _LOAD_MEMO.peek(memo_key)
     if hit is not None:
         locked_counter_add(_LOAD_STATS_LOCK, _LOAD_STATS, "memo_hits")
@@ -505,19 +542,14 @@ def evaluate_setup(setup: VariantSetup, scenario: Scenario,
                            load_cache)[0]
 
 
-#: Process-local memo: the stock browser's metrics per scenario.  The
-#: stock setup has no run-level randomness (``never-switch`` predictor,
-#: no capacity draw needed), so the scenario fully determines it.
-#: Single-flight for the same reason as the load memo.
-_REFERENCE_MEMO = SingleFlight()
-
-
 def reference_metrics(scenario: Scenario,
                       load_cache: Optional[ResultCache] = None
                       ) -> Dict[str, float]:
     """The stock browser's scores under ``scenario`` (memoised)."""
-    key = (scenario.profile, scenario.pages, scenario.reading_times,
-           scenario.seed)
+    # Page seeds derive from the scenario seed alone, so the channel of
+    # the scenario seed stands for every page's channel.
+    key = (scenario.pages, scenario.reading_times,
+           load_channel(scenario.profile, scenario.seed))
 
     def _compute() -> Dict[str, float]:
         reference = replace(scenario, population=None)

@@ -7,8 +7,10 @@ the engine's evaluator, every comparison here proves the batched path
 produces exactly the same bytes: matrix reports, tune JSONL traces and
 reports (including a population scenario), and the raw metrics dicts.
 The Hypothesis properties pin the load-cache-key contract: the key is
-exactly the load-relevant projection, so setups differing only in
-α/Tp/Td/mode or the predictor level share one cached load.
+exactly the page, the channel (which carries the page seed only where a
+fault plan is drawn) and the load-relevant projection, so setups
+differing only in α/Tp/Td/mode or the predictor level share one cached
+load.
 """
 
 from dataclasses import replace
@@ -21,15 +23,18 @@ import repro.ablation.engine as engine_module
 from repro.ablation.components import VariantSetup
 from repro.ablation.engine import run_matrix
 from repro.ablation.objective import (
-    _REFERENCE_MEMO,
+    Scenario,
+    _load_page,
     evaluate_setup,
     evaluate_setups,
     load_cache_key,
     load_cache_stats,
+    load_memo_key,
     load_projection,
     reset_load_cache,
 )
 from repro.ablation.search import halving_search
+from repro.faults.profiles import PROFILE_ORDER
 from repro.runtime.cache import ResultCache
 from tests import golden
 from tests.oracles import ablation as oracle
@@ -40,16 +45,11 @@ POP = golden.population_scenario()
 THRESHOLD_SPACE = golden.threshold_space()
 
 
-def _clear_process_state() -> None:
-    _REFERENCE_MEMO.clear()
-    reset_load_cache()
-
-
 @pytest.fixture(autouse=True)
 def fresh_state():
-    _clear_process_state()
+    reset_load_cache()
     yield
-    _clear_process_state()
+    reset_load_cache()
 
 
 def _slow(monkeypatch) -> None:
@@ -59,7 +59,7 @@ def _slow(monkeypatch) -> None:
                         oracle.evaluate_setup)
     monkeypatch.setattr(engine_module, "evaluate_setups",
                         oracle.evaluate_setups)
-    _clear_process_state()
+    reset_load_cache()
 
 
 SETUPS = (
@@ -110,7 +110,7 @@ def test_tune_trace_byte_identical_slow_vs_fast(tmp_path, monkeypatch):
 def test_population_metrics_byte_identical():
     fast = [evaluate_setup(setup, POP, 42 + i)
             for i, setup in enumerate(SETUPS)]
-    _clear_process_state()
+    reset_load_cache()
     slow = [oracle.evaluate_setup(setup, POP, 42 + i)
             for i, setup in enumerate(SETUPS)]
     assert fast == slow
@@ -152,7 +152,7 @@ def test_disk_cache_roundtrip_byte_identical(tmp_path):
     setup = VariantSetup(reorganisation=True, fast_dormancy=True,
                          predictor="gbrt-like")
     first = evaluate_setup(setup, TINY, 9, load_cache=cache)
-    _clear_process_state()
+    reset_load_cache()
     second = evaluate_setup(setup, TINY, 9, load_cache=cache)
     stats = load_cache_stats()
     assert stats["loads"] == 0
@@ -209,3 +209,83 @@ def test_key_changes_exactly_with_the_projection(load_overrides,
     moved = {name for name, value in load_overrides.items()
              if getattr(_BASE, name) != value}
     assert same_projection == (not moved)
+
+
+# ----------------------------------------------------------------------
+# The channel half of the key: the page seed counts only where a fault
+# plan is drawn from it.
+# ----------------------------------------------------------------------
+
+#: Page seeds as ``spawn_seeds`` hands them out (32-bit).
+_PAGE_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+#: Every profile that impairs the channel, so draws a seeded fault plan.
+_IMPAIRING = tuple(name for name in PROFILE_ORDER if name != "ideal")
+
+
+@settings(max_examples=50, deadline=None)
+@given(s1=_PAGE_SEEDS, s2=_PAGE_SEEDS, overrides=_LOAD_RELEVANT)
+def test_ideal_keys_ignore_the_page_seed(s1, s2, overrides):
+    setup = replace(_BASE, **overrides)
+    assert load_cache_key("p", "ideal", s1, setup) == \
+        load_cache_key("p", "ideal", s2, setup)
+    assert load_memo_key("p", "ideal", s1, setup) == \
+        load_memo_key("p", "ideal", s2, setup)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(_PAGE_SEEDS, min_size=2, max_size=2, unique=True),
+       overrides=_LOAD_RELEVANT)
+def test_impairing_keys_change_with_the_page_seed(seeds, overrides):
+    setup = replace(_BASE, **overrides)
+    s1, s2 = seeds
+    assert _IMPAIRING
+    for profile in _IMPAIRING:
+        assert load_cache_key("p", profile, s1, setup) != \
+            load_cache_key("p", profile, s2, setup)
+        assert load_memo_key("p", profile, s1, setup) != \
+            load_memo_key("p", profile, s2, setup)
+
+
+def test_ideal_load_is_the_same_under_any_page_seed():
+    """The soundness half: on ``ideal`` the seed never reaches the
+    discrete-event load, so sharing one key across seeds is exact."""
+    for setup in (VariantSetup(), _BASE):
+        assert _load_page("cnn", setup, "ideal", 11) == \
+            _load_page("cnn", setup, "ideal", 2 ** 31 + 5)
+
+
+#: A cold request stream: each call brings a fresh scenario seed and
+#: fresh T1/T2, so every variant load is unseen.
+_STREAM_PAGES = ("cnn", "www.motors.ebay.com")
+_STREAM = tuple(
+    (3000 + k, VariantSetup(reorganisation=True, fast_dormancy=True,
+                            predictor="gbrt-like", t1=2.0 + k,
+                            t2=9.0 + 2 * k), 700 + k)
+    for k in range(3))
+
+
+def _stream_scenario(profile: str, seed: int) -> Scenario:
+    return Scenario(profile=profile, pages=_STREAM_PAGES,
+                    reading_times=(2.0, 9.0, 30.0), seed=seed)
+
+
+@pytest.mark.parametrize("profile, expected_loads", [
+    ("ideal", len(_STREAM) * len(_STREAM_PAGES) + len(_STREAM_PAGES)),
+    ("suburban", 2 * len(_STREAM) * len(_STREAM_PAGES)),
+])
+def test_cold_stream_shares_only_seed_free_stock_loads(profile,
+                                                       expected_loads):
+    """On ``ideal`` the stock reference is simulated once for the whole
+    stream; on an impaired channel every seed still draws its own
+    plan.  Either way the metrics equal the memo-less oracle's."""
+    fast = [evaluate_setups([(setup, eval_seed)],
+                            _stream_scenario(profile, seed))
+            for seed, setup, eval_seed in _STREAM]
+    assert load_cache_stats()["loads"] == expected_loads
+    reset_load_cache()
+    slow = [oracle.evaluate_setups([(setup, eval_seed)],
+                                   _stream_scenario(profile, seed))
+            for seed, setup, eval_seed in _STREAM]
+    assert fast == slow
+

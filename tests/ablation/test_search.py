@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.ablation.objective import (_REFERENCE_MEMO, PopulationSpec,
-                                      Scenario, load_cache_stats,
-                                      reset_load_cache)
+from repro.ablation.objective import (PopulationSpec, Scenario,
+                                      load_cache_stats, reset_load_cache)
 from repro.ablation.search import (Constraint, Parameter, SearchSpace,
                                    SearchTrace, default_space, feasible,
                                    grid_search, halving_rungs,
@@ -238,13 +237,6 @@ def test_search_caches_across_invocations(tmp_path):
     assert warm.report() == cold.report()
 
 
-def _fresh_loads() -> None:
-    """Drop the process-level load memo and counters, as a new process
-    would start."""
-    _REFERENCE_MEMO.clear()
-    reset_load_cache()
-
-
 def _edge_halving(trace_path, cache):
     return halving_search(EDGE_LADDER, space=SMALL_SPACE, n_trials=8,
                           objective="energy", seed=97, cache=cache,
@@ -255,7 +247,7 @@ def test_cold_halving_search_runs_two_page_loads(tmp_path):
     """An α/Tp-only search shares one load projection: two
     discrete-event loads in all (the baseline projection and the stock
     reference), whatever the trial count."""
-    _fresh_loads()
+    reset_load_cache()
     result = _edge_halving(tmp_path / "cold.jsonl",
                            ResultCache(tmp_path / "cache"))
     assert result.best is not None
@@ -268,9 +260,9 @@ def test_warm_halving_search_is_fully_cached(tmp_path):
     result cache, runs at most the stock reference's load, and prints
     the cold report."""
     cache = ResultCache(tmp_path / "cache")
-    _fresh_loads()
+    reset_load_cache()
     cold = _edge_halving(tmp_path / "cold.jsonl", cache)
-    _fresh_loads()
+    reset_load_cache()
     warm = _edge_halving(tmp_path / "warm.jsonl", cache)
     evaluated = sum(1 for trial in warm.trials if trial.valid)
     assert evaluated > 0
@@ -282,7 +274,7 @@ def test_warm_halving_search_is_fully_cached(tmp_path):
 def test_population_search_records_work_units(tmp_path):
     """The drop-probability objective runs M/G/N capacity work, and
     the kernel counters see it."""
-    _fresh_loads()
+    reset_load_cache()
     with collecting() as window:
         result = halving_search(POPULATION, space=SMALL_SPACE,
                                 n_trials=4, objective="drop_probability",
