@@ -1,8 +1,8 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test loc bench-e2e bench-chain bench-cold serve \
-	stream-sweep experiments experiments-parallel ablations ablate \
-	tune-smoke faults-sweep ci examples clean
+.PHONY: install test loc startup bench-e2e bench-chain bench-cold \
+	bench-sweep serve stream-sweep experiments experiments-parallel \
+	ablations ablate tune-smoke faults-sweep ci examples clean
 
 # Worker count for the parallel experiment runner (override: make N=8 ...).
 N ?= 4
@@ -17,6 +17,15 @@ test:
 loc:
 	@find src -name '*.py' | xargs cat | wc -l
 
+# Median wall time (ms) of 5 `python -m repro --help` launches: the
+# start-up every CLI command and sweep worker pays before `main`.
+startup:
+	@PYTHONPATH=src python -c 'import statistics, subprocess, sys, timeit; \
+	cmd = [sys.executable, "-m", "repro", "--help"]; \
+	walls = timeit.repeat(lambda: subprocess.run( \
+	    cmd, stdout=subprocess.DEVNULL, check=True), number=1, repeat=5); \
+	print(f"{1000 * statistics.median(walls):.0f} ms")'
+
 # The seeded end-to-end benchmark (bench/): all four workloads, results
 # and the machine fingerprint in bench-e2e.json.
 bench-e2e:
@@ -30,6 +39,11 @@ bench-chain:
 # the load hit rate per request.
 bench-cold:
 	python3 bench/run.py --workload predict-cold --seed 2013 --trace 1
+
+# The Fig. 11 sweep through two stream-sweep workers alone, traced:
+# worker start-up (`sched.startup`), units, drop resolution, shards.
+bench-sweep:
+	python3 bench/run.py --workload sweep --seed 2013 --trace 1
 
 # The what-if capacity-planning service (foreground; ^C drains).
 serve:

@@ -49,13 +49,19 @@ def fit_weibull(samples: Sequence[float]) -> WeibullFit:
     """Maximum-likelihood Weibull fit (location fixed at zero).
 
     Solves the standard profile-likelihood equation for the shape k,
-    then recovers the scale in closed form.
+    then recovers the scale in closed form.  Non-finite, non-positive
+    and constant samples raise ``ValueError`` before any solver call.
     """
     data = np.asarray(list(samples), dtype=float)
     if data.size < 2:
         raise ValueError("need at least two samples")
+    if not np.isfinite(data).all():
+        raise ValueError("Weibull samples must be finite")
     if (data <= 0).any():
         raise ValueError("Weibull samples must be positive")
+    if data.min() == data.max():
+        # Zero spread has no finite MLE: the shape runs off to infinity.
+        raise ValueError("Weibull samples must not all be equal")
     log_data = np.log(data)
     mean_log = log_data.mean()
 

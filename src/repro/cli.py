@@ -31,8 +31,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.comparison import compare_engines
-from repro.experiments.ablations import ALL_ABLATIONS
-from repro.experiments.runner import ALL_EXPERIMENTS
 from repro.faults.profiles import PROFILES
 from repro.prediction.predictor import ReadingTimePredictor
 from repro.runtime import parallel as runtime_parallel
@@ -83,6 +81,10 @@ def _run_suite(kind: str, ids: List[str],
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    # Imported here, not at module top: the experiment suite (and scipy,
+    # via fig07) must stay out of every other subcommand's start-up.
+    from repro.experiments.runner import ALL_EXPERIMENTS
+
     known = {experiment_id for experiment_id, _, _ in ALL_EXPERIMENTS}
     unknown = set(args.ids) - known
     if unknown:
@@ -93,6 +95,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import ALL_ABLATIONS
+
     unknown = set(args.names) - set(ALL_ABLATIONS)
     if unknown:
         print(f"unknown ablations: {sorted(unknown)}; "

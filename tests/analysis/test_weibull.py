@@ -1,5 +1,7 @@
 """Weibull dwell-time analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,3 +48,13 @@ def test_validation():
         fit_weibull([1.0])
     with pytest.raises(ValueError):
         fit_weibull([1.0, -2.0])
+    # Degenerate samples fail up front with one line: no overflow
+    # warning and no solver error on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must not all be equal"):
+            fit_weibull([5.0, 5.0, 5.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_weibull([1.0, float("nan"), 3.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_weibull([1.0, float("inf")])
