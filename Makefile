@@ -1,8 +1,9 @@
 # Convenience targets for the reproduction workflow.
 
 .PHONY: install test loc startup bench-e2e bench-chain bench-cold \
-	bench-sweep serve stream-sweep experiments experiments-parallel \
-	ablations ablate tune-smoke faults-sweep ci examples clean
+	bench-warm bench-sweep serve stream-sweep experiments \
+	experiments-parallel ablations ablate tune-smoke faults-sweep ci \
+	examples clean
 
 # Worker count for the parallel experiment runner (override: make N=8 ...).
 N ?= 4
@@ -39,6 +40,11 @@ bench-chain:
 # the load hit rate per request.
 bench-cold:
 	python3 bench/run.py --workload predict-cold --seed 2013 --trace 1
+
+# Warm /predict requests alone, traced: memoised page loads, so the
+# capacity run and the service aggregates carry each request.
+bench-warm:
+	python3 bench/run.py --workload predict-warm --seed 2013 --trace 1
 
 # The Fig. 11 sweep through two stream-sweep workers alone, traced:
 # worker start-up (`sched.startup`), units, drop resolution, shards.

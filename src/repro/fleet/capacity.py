@@ -170,11 +170,10 @@ def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
     """
     size = int(arr_blk.size)
     minimum_accumulate = np.minimum.accumulate
-    floor_blk = n_channels - np.arange(size, dtype=np.int64)
     # First pass over the whole block with no in-block drops
     # cancelled; drop_i <=> T_{i-1} - L_i >= N <=> min(slack_{i-1},
     # carry) > ceiling_i (integers; slack_{-1} := +inf).
-    ceiling = floor_blk + live
+    ceiling = (n_channels - np.arange(size, dtype=np.int64)) + live
     slack = minimum_accumulate(ceiling)
     shifted = np.empty_like(slack)
     shifted[0] = carry
@@ -187,24 +186,30 @@ def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
     # from below), and a cancelled departure bins strictly after
     # its own arrival, so each round only the suffix past the
     # first new drop can change — recompute exactly that, seeding
-    # the running minimum from the untouched prefix.
+    # the running minimum from the untouched prefix.  The cancelled
+    # departures are binned against the suffix alone and subtracted
+    # from its ceilings in place: one binned into the prefix would
+    # lower every suffix count by one, exactly as one binned at the
+    # suffix start does, and prefix entries are never read again
+    # (the suffix only moves right).
     while pending.size:
         if sweeps >= max_sweeps:
             return blk_dropped, False, work
         sweeps += 1
-        cancel_bins = np.searchsorted(arr_blk,
-                                      np.sort(blk_deps[pending]),
-                                      side='left')
-        live = live - np.cumsum(
-            np.bincount(cancel_bins, minlength=size + 1))[:size]
         suffix = int(pending[0]) + 1
         if suffix >= size:
             break
-        work += size - suffix
-        ceiling[suffix:] = floor_blk[suffix:] + live[suffix:]
-        np.minimum(minimum_accumulate(ceiling[suffix:]),
-                   slack[suffix - 1], out=slack[suffix:])
-        shifted[suffix:] = np.minimum(slack[suffix - 1:-1], carry)
+        tail = size - suffix
+        work += tail
+        cancel_bins = np.searchsorted(arr_blk[suffix:],
+                                      np.sort(blk_deps[pending]),
+                                      side='left')
+        ceiling[suffix:] -= np.cumsum(
+            np.bincount(cancel_bins, minlength=tail + 1)[:tail])
+        seed = slack[suffix - 1]
+        minimum_accumulate(ceiling[suffix:], out=slack[suffix:])
+        np.minimum(slack[suffix:], seed, out=slack[suffix:])
+        np.minimum(slack[suffix - 1:-1], carry, out=shifted[suffix:])
         fresh = ((shifted[suffix:] > ceiling[suffix:])
                  & ~blk_dropped[suffix:])
         pending = suffix + np.flatnonzero(fresh)

@@ -45,13 +45,32 @@ import numpy as np
 #: 1126 = 1073 (smallest subnormal's frexp exponent, negated) + 53, the
 #: smallest offset making every double's unit shift non-negative.
 _UNIT_EXP = 1126
-#: int64 chunk length for mantissa partial sums: 512 * 2^53 < 2^63.
-_SUM_CHUNK = 512
+#: Mantissas are split into 26-bit halves, each summed per exponent as
+#: float64.  A half is below 2^27 in magnitude, so any chunk of under
+#: 2^25 of them sums exactly (every partial sum stays below 2^52).
+_HALF_BITS = 26
+#: Values folded per chunk: far inside that bound, and small enough that
+#: a chunk's temporaries stay in cache (2^14 ran a 65,536-value block
+#: about 3x faster than one whole-block pass on a 2-vCPU AMD EPYC).
+_SUM_CHUNK = 1 << 14
 
 
 def _require_finite(x: np.ndarray) -> None:
     if x.size and not np.isfinite(x).all():
         raise ValueError("aggregators require finite values")
+
+
+def _fold_segments(x: np.ndarray, k: int) -> np.ndarray:
+    """``sorted(seg)[1::2]`` of every full ``k``-segment of ``x``, one
+    row per segment: the values a level-0 compaction promotes.
+
+    Equal doubles are bitwise identical except ``-0.0 == 0.0``, the one
+    tie whose order shows in the promoted values, so the sort is stable
+    (the order ``sorted`` keeps) whenever the segments hold a zero.
+    """
+    segments = x[:x.size // k * k].reshape(-1, k)
+    kind = "stable" if (segments == 0.0).any() else None
+    return np.sort(segments, axis=1, kind=kind)[:, 1::2]
 
 
 class ExactSum:
@@ -72,19 +91,22 @@ class ExactSum:
         if x.size == 0:
             return self
         _require_finite(x)
-        mantissa, exponent = np.frexp(x)
-        # m·2^53 is an integer < 2^53: exactly representable, exactly
-        # truncated by the cast.
-        m53 = np.ldexp(mantissa, 53).astype(np.int64)
-        shifts = exponent.astype(np.int64) + (_UNIT_EXP - 53)
         total = 0
-        for shift in np.unique(shifts):
-            part = m53[shifts == shift]
-            subtotal = 0
-            for i in range(0, part.size, _SUM_CHUNK):
-                subtotal += int(part[i:i + _SUM_CHUNK]
-                                .sum(dtype=np.int64))
-            total += subtotal << int(shift)
+        for start in range(0, x.size, _SUM_CHUNK):
+            mantissa, exponent = np.frexp(x[start:start + _SUM_CHUNK])
+            # m·2^53 is an integer < 2^53: exactly representable,
+            # exactly truncated by the cast.
+            m53 = np.ldexp(mantissa, 53).astype(np.int64)
+            shifts = exponent + (_UNIT_EXP - 53)
+            low = int(shifts.min())
+            bins = shifts - low
+            # Per exponent bin, the float sums of each half are exact
+            # integers (see _HALF_BITS); m53 = hi·2^26 + lo.
+            his = np.bincount(bins, weights=m53 >> _HALF_BITS)
+            los = np.bincount(bins, weights=m53 & ((1 << _HALF_BITS) - 1))
+            for b in np.flatnonzero((his != 0.0) | (los != 0.0)).tolist():
+                total += ((int(his[b]) << _HALF_BITS) + int(los[b])) \
+                    << (low + b)
         self._units += total
         return self
 
@@ -139,11 +161,17 @@ class MeanVariance:
         x = np.asarray(values, dtype=np.float64).ravel()
         if x.size == 0:
             return self
-        self._count += int(x.size)
-        self._sum.add_block(x)
+        _require_finite(x)
         # The square is one double op per element — deterministic and
         # chunking-invariant; the *sum* of squares is then exact.
-        self._sumsq.add_block(x * x)
+        with np.errstate(over="ignore"):
+            squares = x * x
+        if not np.isfinite(squares).all():
+            raise ValueError("aggregators require values whose square "
+                             "is finite: x * x overflows float64")
+        self._count += int(x.size)
+        self._sum.add_block(x)
+        self._sumsq.add_block(squares)
         return self
 
     def merge(self, other: "MeanVariance") -> "MeanVariance":
@@ -300,17 +328,25 @@ class QuantileSketch:
         if x.size == 0:
             return self
         _require_finite(x)
-        data = x.tolist()
-        n = len(data)
-        i = 0
-        while i < n:
-            level0 = self._levels[0]
-            take = min(self._k - len(level0), n - i)
-            level0.extend(data[i:i + take])
-            self._count += take
-            i += take
-            if len(level0) >= self._k:
+        k = self._k
+        # Top up a partly filled level 0 first; every later full
+        # segment compacts straight from an empty level 0, so its
+        # promoted half is one row of the segment fold.
+        head = min(-len(self._levels[0]) % k, x.size)
+        if head:
+            self._levels[0].extend(x[:head].tolist())
+            if len(self._levels[0]) >= k:
                 self._compact(0)
+        rows = _fold_segments(x[head:], k)
+        if len(rows) and len(self._levels) == 1:
+            self._levels.append([])
+        for row in rows.tolist():
+            self._levels[1].extend(row)
+            self._error += 1
+            if len(self._levels[1]) >= k:
+                self._compact(1)
+        self._levels[0].extend(x[head + len(rows) * k:].tolist())
+        self._count += int(x.size)
         return self
 
     def _compact(self, level: int) -> None:
@@ -490,26 +526,27 @@ class PartialQuantileSketch:
         if x.size == 0:
             return self
         _require_finite(x)
-        data = x.tolist()
         k = self._k
-        i, n = 0, len(data)
         # head: global positions before the first k-aligned boundary
         first_boundary = -(-self._start // k) * k
         pos = self._start + self._count
-        if pos < first_boundary:
-            take = min(first_boundary - pos, n)
-            self._head.extend(data[:take])
-            self._count += take
-            i = take
-        while i < n:
-            take = min(k - len(self._buf), n - i)
-            self._buf.extend(data[i:i + take])
-            self._count += take
+        i = min(max(first_boundary - pos, 0), x.size)
+        self._head.extend(x[:i].tolist())
+        # Top up a partly filled segment; every later full segment is
+        # one row of the segment fold.
+        take = min(-len(self._buf) % k, x.size - i)
+        if take:
+            self._buf.extend(x[i:i + take].tolist())
             i += take
             if len(self._buf) == k:
-                seg = (self._start + self._count) // k - 1
-                self._push_node(0, seg, sorted(self._buf)[1::2])
+                self._push_node(0, (pos + i) // k - 1,
+                                sorted(self._buf)[1::2])
                 self._buf = []
+        rows = _fold_segments(x[i:], k)
+        for offset, row in enumerate(rows.tolist()):
+            self._push_node(0, (pos + i) // k + offset, row)
+        self._buf.extend(x[i + len(rows) * k:].tolist())
+        self._count += int(x.size)
         return self
 
     def _push_node(self, height: int, start_seg: int,
@@ -565,14 +602,15 @@ def stitch_quantile_sketch(parts_seq: Sequence[dict]) -> QuantileSketch:
             stack.append([h + 1, s, sorted(left + right)[1::2]])
 
     def feed_raws(values: List[float]) -> None:
-        i, n = 0, len(values)
-        while i < n:
-            take = min(k - len(carry), n - i)
-            carry.extend(values[i:i + take])
-            i += take
-            if len(carry) == k:
-                push(0, sorted(carry)[1::2])
-                del carry[:]
+        take = min(-len(carry) % k, len(values))
+        carry.extend(values[:take])
+        if len(carry) == k:
+            push(0, sorted(carry)[1::2])
+            del carry[:]
+        rows = _fold_segments(np.asarray(values[take:], dtype=float), k)
+        for row in rows.tolist():
+            push(0, row)
+        carry.extend(values[take + len(rows) * k:])
 
     for part in parts:
         if int(part["k"]) != k:

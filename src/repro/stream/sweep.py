@@ -108,8 +108,8 @@ class StreamPoint:
     def from_parts(cls, n_users: int, seed: int, sessions: int,
                    dropped: int, aggregate: ServiceAggregate
                    ) -> "StreamPoint":
-        p50, p90, p99 = (aggregate.sketch.quantile(q)
-                         for q in SERVICE_QUANTILES)
+        p50, p90, p99 = aggregate.sketch.quantiles(
+            SERVICE_QUANTILES).values()
         return cls(
             n_users=int(n_users), seed=int(seed),
             sessions=int(sessions), dropped=int(dropped),

@@ -8,6 +8,7 @@ tree over the chunks must produce the identical result.
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,21 @@ def test_mean_variance_split_invariant(values, cuts):
     if values:
         assert whole.variance >= 0.0
         assert whole.std == math.sqrt(whole.variance)
+
+
+def test_mean_variance_rejects_square_overflow_without_warning():
+    """A finite value whose square overflows is rejected up front with
+    an error naming the overflow — no RuntimeWarning, no misleading
+    "finite values" message, and the aggregate is left untouched."""
+    stats = MeanVariance().add_block([1.0, 2.0])
+    before = stats.to_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="square.*overflows"):
+            stats.add_block([3.0, 2e154])
+        # the largest finite square still folds
+        MeanVariance().add_block([1.3407807929942596e154])
+    assert stats.to_state() == before
 
 
 def test_mean_variance_matches_numpy():

@@ -12,6 +12,7 @@ import pytest
 
 from repro.fleet.capacity import DropCarry, resolve_drops, \
     resolve_drops_block
+from repro.runtime.observability import collecting
 from repro.sim.kernel import SimulationError
 from tests.oracles.capacity import heap_drops
 
@@ -180,3 +181,37 @@ def test_float32_carry_dtype_stable():
         _, carry = resolve_drops_block(arrivals[blk], services[blk], 4,
                                        carry)
         assert carry.busy.dtype == np.float32
+
+
+def _saturated_stream(n_channels, factor, seed=7, m=140_000,
+                      mean_service=30.0):
+    """Poisson arrivals offered ``factor`` times the cell's capacity:
+    the binary-search probes above capacity that cascade each stream
+    block through many sweeps."""
+    rng = np.random.default_rng(seed)
+    rate = factor * n_channels / mean_service
+    arrivals = np.cumsum(rng.exponential(1.0 / rate, size=m))
+    services = rng.exponential(mean_service, size=m)
+    return arrivals, services
+
+
+@pytest.mark.parametrize("n_channels, factor, work_units", [
+    (2000, 1.5, 3063553),
+    (2000, 2.0, 2483961),
+    (2000, 3.0, 2067721),
+    # blocks past the sweep budget: the scalar replay's units included
+    (200, 2.0, 10368256),
+])
+def test_stream_size_blocks_match_heap_with_pinned_work(
+        n_channels, factor, work_units):
+    """At the stream block size (65,536 arrivals) saturated blocks run
+    dozens of suffix sweeps; the mask must equal the heap replay and
+    the kernel's ``work_units`` the pinned count, i.e. the same
+    sweeps over the same suffixes."""
+    arrivals, services = _saturated_stream(n_channels, factor)
+    with collecting() as stats:
+        mask = resolve_drops(arrivals, services, n_channels,
+                             block_arrivals=65536)
+    assert np.array_equal(mask, heap_drops(arrivals, services,
+                                           n_channels))
+    assert stats.snapshot().work_units == work_units

@@ -4,8 +4,12 @@ in-memory path dies allocating its materialised arrays.
 
 This is the acceptance criterion for the streaming engine made
 executable: a fig11-shaped point at 10x the default population (2000
-channels, 8 h horizon) with ~100 MB of headroom over the streamed
-peak."""
+channels, 16 h horizon, ~7.8 M sessions) with ~100 MB of headroom over
+the streamed peak.  The streamed peak does not grow with the horizon
+and the in-memory path's materialised arrays do: VmPeak measured
+293 MB streamed at both 8 h and 16 h, and 337 MB (8 h) vs 494 MB
+(16 h) in memory, on a 2-vCPU AMD EPYC.  At 8 h the in-memory path
+would fit inside the headroom."""
 
 import json
 import resource
@@ -46,7 +50,7 @@ print(json.dumps({"sessions": result.points[0].sessions,
                   "vm_peak_kb": peak_kb}))
 """
 
-PARAMS = {"n_channels": 2000, "horizon": 28800.0}
+PARAMS = {"n_channels": 2000, "horizon": 57600.0}
 
 
 def _run_child(stream, limit_bytes=None, timeout=540.0):
