@@ -13,6 +13,7 @@ more supportable users at the same dropping probability (Fig. 11).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,6 +36,12 @@ class CapacityConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        # The block kernel's occupancy ceilings are int64 counts; a
+        # fractional channel count makes them disagree with the heap.
+        if (not isinstance(self.n_channels, numbers.Integral)
+                or isinstance(self.n_channels, bool)):
+            raise ValueError(f"n_channels must be an integer, got "
+                             f"{self.n_channels!r}")
         if self.n_channels < 1:
             raise ValueError("n_channels must be at least 1")
         require_positive("mean_interval", self.mean_interval)

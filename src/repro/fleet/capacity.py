@@ -38,18 +38,21 @@ Two facts make the iteration exact and well-behaved:
   events: the first event where they could differ sees the same
   occupancy).  A corollary: while ``C`` is a *subset* of the true drop
   set, every drop a sweep finds is a true drop.
-- *Drops cascade forward only*, so the stream is processed in blocks of
-  arrivals: each block's fixpoint runs with all earlier blocks
-  finalised (their still-busy departures carried as a
-  :class:`DropCarry`), which keeps the number of sweeps proportional
+- *Drops cascade forward only*, so the stream is processed in slices of
+  at most ``_BLOCK_ARRIVALS`` arrivals: each slice's fixpoint runs with
+  all earlier slices finalised (their still-busy departures carried as
+  a :class:`DropCarry`), which keeps the number of sweeps proportional
   to the *local* cascade depth instead of the global one.
 
-:func:`resolve_drops_block` is the one drop algorithm; :func:`drop_blocks`
-chains it over fixed-size slices of an in-memory stream, and
-:func:`resolve_drops` collects every block's mask.  Dense
+:func:`resolve_drops_block` is the one drop algorithm: it validates a
+block of any size once, then chains the per-slice fixpoint over its
+consecutive ``_BLOCK_ARRIVALS``-sized slices, so a 65,536-arrival
+stream block costs what sixteen in-memory slices cost.
+:func:`drop_blocks` chains it over fixed-size blocks of an in-memory
+stream, and :func:`resolve_drops` collects every block's mask.  Dense
 saturation (binary-search probes far above capacity) can still cascade
-heavily inside a block; past a sweep budget that block alone is
-replayed by the scalar heap loop, and the next block goes back to the
+heavily inside a slice; past the sweep budget that slice alone is
+replayed by the scalar heap loop, and the next slice goes back to the
 vectorised path.
 """
 
@@ -63,14 +66,18 @@ import numpy as np
 from repro.runtime.observability import KERNEL_STATS
 from repro.sim.kernel import SimulationError
 
-#: Arrivals per block: large enough to amortise the NumPy call overhead
-#: of one sweep, small enough that saturated cascades stay local.
+#: Arrivals per slice, the unit every block is resolved in: large
+#: enough to amortise the NumPy call overhead of one sweep, small enough
+#: that saturated cascades stay local.
 _BLOCK_ARRIVALS = 4096
-#: Sweeps allowed per block before the scalar fallback takes over.
+#: Sweeps allowed per slice before the scalar fallback replays it.
 _MAX_SWEEPS = 96
 
 
 def _require_matching_shapes(arrivals, services) -> None:
+    if arrivals.ndim != 1:
+        raise ValueError(f"arrivals and services must be 1-D streams, "
+                         f"got shape {arrivals.shape}")
     if arrivals.shape != services.shape:
         raise ValueError(
             f"arrivals and services must have matching shapes, got "
@@ -115,7 +122,7 @@ def drop_blocks(arrivals: np.ndarray, services: np.ndarray,
                 n_channels: int,
                 block_arrivals: int = _BLOCK_ARRIVALS,
                 max_sweeps: int = _MAX_SWEEPS):
-    """Yield the drop mask of each ``block_arrivals``-sized slice, in
+    """Yield the drop mask of each ``block_arrivals``-sized block, in
     stream order: :func:`resolve_drops_block` chained over the in-memory
     stream, threading one :class:`DropCarry`.
 
@@ -161,16 +168,16 @@ def resolve_drops(arrivals: np.ndarray, services: np.ndarray,
 def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
                     live: np.ndarray, carry: int, n_channels: int,
                     max_sweeps: int):
-    """Iterate one block's candidate drop set to its least fixpoint.
+    """Iterate one slice's candidate drop set to its least fixpoint.
 
     ``live`` holds the live-departure counts at each arrival of the
-    block (carried frontier included) and ``carry`` is the occupancy at
-    the block start plus one.  Returns ``(blk_dropped, converged,
+    slice (carried frontier included) and ``carry`` is the occupancy at
+    the slice start plus one.  Returns ``(blk_dropped, converged,
     work)``.
     """
     size = int(arr_blk.size)
     minimum_accumulate = np.minimum.accumulate
-    # First pass over the whole block with no in-block drops
+    # First pass over the whole slice with no in-slice drops
     # cancelled; drop_i <=> T_{i-1} - L_i >= N <=> min(slack_{i-1},
     # carry) > ceiling_i (integers; slack_{-1} := +inf).
     ceiling = (n_channels - np.arange(size, dtype=np.int64)) + live
@@ -262,11 +269,15 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
     the block-local recursion starts from ``T_{-1} = occupancy =
     busy.size`` (the carried frontier's departures bin into this block's
     ``live`` counts like any other departure), and drops cascade forward
-    only, so earlier blocks are final when a block is resolved.  A block
-    that exhausts the sweep budget is replayed by the scalar heap loop
-    seeded from the carried frontier, so pathological saturation costs
-    one scalar block, not the stream.  The returned carry keeps the
-    block's dtype; see :class:`DropCarry`.
+    only, so earlier blocks are final when a block is resolved.  A
+    block longer than ``_BLOCK_ARRIVALS`` is resolved as that chain
+    itself, over consecutive ``_BLOCK_ARRIVALS``-sized slices; the carry
+    bytes are the same as one whole-block pass, because the frontier is
+    built by order-preserving ``> boundary`` filters only.  A slice that
+    exhausts the sweep budget is replayed by the scalar heap loop seeded
+    from the carried frontier, so pathological saturation costs one
+    scalar slice, not the block.  The returned carry keeps the block's
+    dtype; see :class:`DropCarry`.
     """
     if carry is None:
         carry = DropCarry.empty()
@@ -274,6 +285,20 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
     if m == 0:
         return np.zeros(0, dtype=bool), carry
     _require_valid_stream(arrivals, services, lower=carry.boundary)
+    dropped = np.empty(m, dtype=bool)
+    for start in range(0, m, _BLOCK_ARRIVALS):
+        blk = slice(start, start + _BLOCK_ARRIVALS)
+        dropped[blk], carry = _resolve_slice(
+            arrivals[blk], services[blk], n_channels, carry, max_sweeps)
+    return dropped, carry
+
+
+def _resolve_slice(arrivals: np.ndarray, services: np.ndarray,
+                   n_channels: int, carry: DropCarry, max_sweeps: int):
+    """:func:`resolve_drops_block` on one validated, non-empty slice of
+    at most ``_BLOCK_ARRIVALS`` arrivals: the fixpoint, the scalar
+    fallback past the sweep budget, and the next carry."""
+    m = int(arrivals.size)
     departures = arrivals + services
     # Canonical carry dtype: the block's own promotion result.  The
     # frontier used to come back at whatever ``concatenate`` promoted
@@ -304,7 +329,7 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
 def _scalar_block(arrivals: np.ndarray, services: np.ndarray,
                   n_channels: int, busy_carry: np.ndarray,
                   dropped: np.ndarray) -> int:
-    """Replay one whole block with the scalar heap loop (budget path).
+    """Replay one whole slice with the scalar heap loop (budget path).
 
     Seeds the heap from the carried busy frontier and writes final
     statuses into ``dropped``; returns the sessions replayed.

@@ -131,6 +131,12 @@ def test_validation():
         CapacitySimulator([0.0])
     with pytest.raises(ValueError):
         CapacityConfig(n_channels=0)
+    # 2.5 channels used to pass, and the block kernel then dropped more
+    # sessions than the heap loop; a bool is no channel count either.
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            CapacityConfig(n_channels=bad)
+    assert CapacityConfig(n_channels=np.int64(3)).n_channels == 3
     simulator = make_simulator()
     with pytest.raises(ValueError):
         simulator.run(0)

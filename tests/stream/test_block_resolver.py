@@ -10,6 +10,7 @@ the boundary)."""
 import numpy as np
 import pytest
 
+from repro.fleet import capacity as fleet_capacity
 from repro.fleet.capacity import DropCarry, resolve_drops, \
     resolve_drops_block
 from repro.runtime.observability import collecting
@@ -159,6 +160,15 @@ def test_shape_mismatch_raises():
             resolve(np.array([0.0, 1.0]), np.array([1.0]), 2)
 
 
+def test_non_1d_streams_raise():
+    """A 2-D stream used to die inside the kernel with numpy's
+    ambiguous-truth-value error instead of naming the shape."""
+    grid = np.arange(4.0).reshape(2, 2)
+    for resolve in (resolve_drops, resolve_drops_block):
+        with pytest.raises(ValueError, match="1-D"):
+            resolve(grid, np.ones((2, 2)), 2)
+
+
 def test_boundary_violation_raises():
     """A block starting before the carried boundary breaks the
     one-stream contract and must refuse."""
@@ -195,6 +205,33 @@ def _saturated_stream(n_channels, factor, seed=7, m=140_000,
     return arrivals, services
 
 
+def _stream_blocks(arrivals, services, n_channels,
+                   max_sweeps=fleet_capacity._MAX_SWEEPS):
+    """Chain 65,536-arrival stream blocks through the resolver and
+    check each returned carry against the heap oracle byte for byte:
+    the entering frontier past the block's last arrival, then the
+    block's surviving departures past it, both in their original order
+    — the layout checkpoint shards store raw."""
+    carry = DropCarry.empty()
+    masks = []
+    for start in range(0, arrivals.size, 65536):
+        arr = arrivals[start:start + 65536]
+        srv = services[start:start + 65536]
+        busy_in = carry.busy
+        mask, carry = resolve_drops_block(arr, srv, n_channels, carry,
+                                          max_sweeps=max_sweeps)
+        heap_mask = heap_drops(arr, srv, n_channels, busy=busy_in)
+        np.testing.assert_array_equal(mask, heap_mask)
+        boundary = float(arr[-1])
+        survivors = (arr + srv)[~heap_mask]
+        expected = np.concatenate([busy_in[busy_in > boundary],
+                                   survivors[survivors > boundary]])
+        assert carry.boundary == boundary
+        assert carry.busy.tobytes() == expected.tobytes()
+        masks.append(mask)
+    return np.concatenate(masks)
+
+
 @pytest.mark.parametrize("n_channels, factor, work_units", [
     (2000, 1.5, 3063553),
     (2000, 2.0, 2483961),
@@ -203,11 +240,14 @@ def _saturated_stream(n_channels, factor, seed=7, m=140_000,
     (200, 2.0, 10368256),
 ])
 def test_stream_size_blocks_match_heap_with_pinned_work(
-        n_channels, factor, work_units):
-    """At the stream block size (65,536 arrivals) saturated blocks run
-    dozens of suffix sweeps; the mask must equal the heap replay and
-    the kernel's ``work_units`` the pinned count, i.e. the same
-    sweeps over the same suffixes."""
+        monkeypatch, n_channels, factor, work_units):
+    """The per-slice fixpoint itself is unchanged by slicing: with the
+    slice size raised to the stream block size (65,536 arrivals) every
+    block is one slice again, saturated blocks run dozens of suffix
+    sweeps, and the mask must equal the heap replay and the kernel's
+    ``work_units`` the count pinned before blocks were sliced, i.e. the
+    same sweeps over the same suffixes."""
+    monkeypatch.setattr(fleet_capacity, "_BLOCK_ARRIVALS", 65536)
     arrivals, services = _saturated_stream(n_channels, factor)
     with collecting() as stats:
         mask = resolve_drops(arrivals, services, n_channels,
@@ -215,3 +255,43 @@ def test_stream_size_blocks_match_heap_with_pinned_work(
     assert np.array_equal(mask, heap_drops(arrivals, services,
                                            n_channels))
     assert stats.snapshot().work_units == work_units
+
+
+@pytest.mark.parametrize("n_channels, factor, work_units", [
+    (2000, 1.5, 731287),
+    (2000, 2.0, 705716),
+    (2000, 3.0, 663423),
+    # the 200-channel stream no longer reaches the scalar replay
+    (200, 2.0, 1782510),
+])
+def test_stream_size_blocks_slice_with_pinned_work(
+        n_channels, factor, work_units):
+    """A stream-size block (65,536 arrivals) is resolved as chained
+    4,096-arrival slices, each running its own suffix sweeps; the mask
+    and the carry must equal the heap replay and the kernel's
+    ``work_units`` the pinned count, i.e. the same sweeps over the same
+    suffixes."""
+    arrivals, services = _saturated_stream(n_channels, factor)
+    with collecting() as stats:
+        mask = _stream_blocks(arrivals, services, n_channels)
+    assert np.array_equal(mask, heap_drops(arrivals, services,
+                                           n_channels))
+    assert stats.snapshot().work_units == work_units
+
+
+def test_stream_size_block_slices_fall_back_to_scalar(monkeypatch):
+    """With a two-sweep budget the saturated slices of a stream-size
+    block exhaust it and replay through the scalar heap one slice at a
+    time; the mask and the carry must still equal the heap replay."""
+    replayed = []
+    scalar_block = fleet_capacity._scalar_block
+
+    def counting(arrivals, *args):
+        replayed.append(arrivals.size)
+        return scalar_block(arrivals, *args)
+
+    monkeypatch.setattr(fleet_capacity, "_scalar_block", counting)
+    arrivals, services = _saturated_stream(200, 2.0, m=65536)
+    mask = _stream_blocks(arrivals, services, 200, max_sweeps=2)
+    assert np.array_equal(mask, heap_drops(arrivals, services, 200))
+    assert replayed and max(replayed) <= fleet_capacity._BLOCK_ARRIVALS
