@@ -31,8 +31,8 @@ class FiniteSourceCapacitySimulator:
 
     def __init__(self, service_times: Sequence[float],
                  config: Optional[CapacityConfig] = None):
-        # asarray, not array: an ndarray input (e.g. a shared-memory
-        # view from repro.runtime.shm) is used in place, not copied.
+        # asarray, not array: an ndarray pool is used in place, not
+        # copied.
         times = np.asarray(service_times, dtype=float)
         if times.size == 0:
             raise ValueError("need at least one service-time sample")

@@ -12,7 +12,7 @@ Subcommands::
                [--budget-delay 1.2] [--trace search.jsonl]
     repro profile fig11 [--kind experiment] [--top 25] [--report prof.json]
     repro stream-sweep [--scale 10] [--horizon 28800] [--out shards/]
-                       [--work-dir D --worker-id k/K [--unit-blocks 8]]
+                       [--parallel N] [--work-dir D --worker-id k/K]
     repro trace --out trace.csv
     repro train --trace trace.csv --out model.json
     repro predict --model model.json --trace trace.csv --threshold 9
@@ -244,15 +244,16 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
     """Run a fig11-shaped capacity sweep through the block pipeline.
 
     The report is mode-free (byte-identical between ``--stream`` and
-    ``--no-stream``, and between serial and ``--work-dir``
-    distributed runs); the runtime counters line below it is where the
-    execution mode shows.
+    ``--no-stream``, and between serial and ``repro.sched`` runs); the
+    runtime counters lines below it are where the execution mode shows.
 
-    ``--work-dir`` switches to the coordinator-free distributed
-    executor: launch the same command with the same work directory
-    from any number of processes (or hosts sharing the filesystem),
-    giving each a distinct ``--worker-id k/K``; every worker finishes
-    with the identical report.
+    ``--work-dir`` and ``--parallel N`` both run the coordinator-free
+    ``repro.sched`` executor.  ``--parallel N`` runs N local workers on
+    ``--work-dir`` (or, without it, on a temporary work dir).  Launch
+    the same command with the same work directory from any number of
+    processes (or hosts sharing the filesystem), giving each a distinct
+    ``--worker-id k/K``; every worker finishes with the identical
+    report.
     """
     from repro.capacity.simulator import CapacityConfig
     from repro.runtime.observability import collecting
@@ -260,10 +261,11 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
     from repro.stream.sweep import (default_user_counts, lognormal_pool,
                                     run_stream_sweep)
 
+    block = DEFAULT_BLOCK_ARRIVALS if args.block is None else args.block
     bad = [name for name, value, floor in (
         ("--scale", args.scale, 1),
         ("--horizon", args.horizon, 1e-9),
-        ("--block", args.block or 1, 1),
+        ("--block", block, 1),
         ("--checkpoint-every", args.checkpoint_every, 1),
         ("--parallel", args.parallel, 1),
         ("--unit-blocks", args.unit_blocks, 1),
@@ -274,15 +276,18 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
         print(f"stream-sweep arguments must be positive: "
               f"{', '.join(bad)}", file=sys.stderr)
         return 2
+    stream = args.stream is not False
+    sched = args.work_dir is not None or args.parallel > 1
     worker_index, n_workers = 0, 1
-    if args.work_dir is not None:
-        if args.stream is False:
-            print("--work-dir runs the streamed pipeline; it cannot "
+    if sched:
+        flag = "--work-dir" if args.work_dir is not None else "--parallel"
+        if not stream:
+            print(f"{flag} runs the streamed pipeline; it cannot "
                   "be combined with --no-stream", file=sys.stderr)
             return 2
-        if args.parallel != 1:
-            print("--work-dir and --parallel are different execution "
-                  "models; pick one", file=sys.stderr)
+        if args.out is not None:
+            print(f"{flag} keeps its shards in the work dir; it cannot "
+                  "be combined with --out", file=sys.stderr)
             return 2
         try:
             worker_index, n_workers = map(int,
@@ -298,24 +303,21 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
                             horizon=args.horizon, seed=args.seed)
     counts = args.users or default_user_counts(
         config, float(pool.mean()))
-    stream = True if args.stream is None else args.stream
-    block = args.block or DEFAULT_BLOCK_ARRIVALS
     with collecting() as stats:
-        if args.work_dir is not None:
+        if sched:
             from repro.sched import run_distributed_sweep
             result = run_distributed_sweep(
                 pool, counts, config, seed=args.seed,
                 work_dir=args.work_dir,
                 worker_id=f"w{worker_index}of{n_workers}-{os.getpid()}",
-                worker_index=worker_index, block_arrivals=block,
-                unit_blocks=args.unit_blocks,
+                worker_index=worker_index, processes=args.parallel,
+                block_arrivals=block, unit_blocks=args.unit_blocks,
                 stale_after=args.stale_after)
         else:
             result = run_stream_sweep(
                 pool, counts, config, seed=args.seed, stream=stream,
                 block_arrivals=block, shard_dir=args.out,
-                checkpoint_every=args.checkpoint_every,
-                processes=args.parallel)
+                checkpoint_every=args.checkpoint_every)
     snap = stats.snapshot()
     print(result.report())
     mode = "streamed" if stream else "in-memory"
@@ -323,7 +325,7 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
           f"{snap.stream_spills} spills, "
           f"{snap.stream_shard_bytes} shard bytes, "
           f"peak carried state {snap.stream_peak_carried_bytes} B --")
-    if args.work_dir is not None:
+    if sched:
         print(f"-- sched: {snap.sched_units} units, "
               f"{snap.sched_replay_blocks} replayed blocks, "
               f"{snap.sched_steals} steals --")
@@ -436,8 +438,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"invalid --batch-window {args.batch_window}: "
               "must be >= 0", file=sys.stderr)
         return 2
-    if args.workers < 1 or args.max_jobs < 1:
-        print("--workers and --max-jobs must be >= 1", file=sys.stderr)
+    if min(args.workers, args.max_jobs, args.max_batch) < 1:
+        print("--workers, --max-jobs and --max-batch must be >= 1",
+              file=sys.stderr)
         return 2
 
     service = WhatIfService(batch_window=args.batch_window,
@@ -690,7 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="blocks between checkpoint spills (default: 8)")
     stream_sweep.add_argument(
         "--parallel", type=int, default=1, metavar="N",
-        help="fan sweep points across N worker processes (default: 1)")
+        help="run N local work-stealing workers on one work dir "
+             "(--work-dir, or a temporary one) (default: 1)")
     stream_sweep.add_argument(
         "--work-dir", metavar="DIR", default=None,
         help="shared work directory for the distributed "

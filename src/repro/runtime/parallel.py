@@ -3,8 +3,8 @@
 ``ALL_EXPERIMENTS`` is embarrassingly parallel — every figure/table
 builds its own handsets and traces — yet the sequential runner serialises
 roughly two minutes of independent work.  This module fans experiments
-(and ablations, and capacity sweeps) out across worker processes while
-keeping three guarantees:
+(and ablations, and the channel-sensitivity sweep) out across worker
+processes while keeping three guarantees:
 
 - **determinism**: each task's seed derives from ``(root_seed, task id)``
   via :func:`repro.runtime.seeding.task_seed`, so output is independent
@@ -28,8 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.cache import ResultCache, cache_key, code_version_hash
-from repro.runtime.observability import (KERNEL_STATS, SimRunStats,
-                                         collecting)
+from repro.runtime.observability import SimRunStats, collecting
 from repro.runtime.seeding import DEFAULT_ROOT_SEED, task_seed
 
 KIND_EXPERIMENT = "experiment"
@@ -324,158 +323,3 @@ def run_faults_sweep(names: Optional[Sequence[str]] = None,
     """
     return run_tasks(KIND_FAULTS, names, processes, cache, root_seed)
 
-
-def _run_capacity_point(simulator, n_users: int, seed: int):
-    return simulator.run(n_users, seed=seed)
-
-
-#: Worker-process simulator built by :func:`_attach_fleet_worker`.
-_FLEET_STATE: dict = {}
-
-
-def _attach_fleet_worker(simulator_cls, spec, config) -> None:
-    """Pool initializer: map the shared service pool, build the
-    simulator once.  Everything after this ships per task is two ints."""
-    from repro.runtime.shm import SharedArray
-
-    shared = SharedArray.attach(spec)
-    _FLEET_STATE["shared"] = shared
-    _FLEET_STATE["simulator"] = simulator_cls(shared.array, config)
-
-
-def _run_fleet_point(n_users: int, seed: int):
-    return _FLEET_STATE["simulator"].run(n_users, seed=seed)
-
-
-def parallel_fleet_sweep(simulator, user_counts: Sequence[int],
-                         processes: int = 1,
-                         seed: Optional[int] = None,
-                         common_random_numbers: bool = False) -> list:
-    """:func:`parallel_sweep` without the per-task pickling.
-
-    The simulator's service-time pool goes into one
-    :class:`repro.runtime.shm.SharedArray` segment; workers map it
-    read-only at pool start-up and rebuild the simulator locally (the
-    constructors take ``ndarray`` inputs in place), so each task's
-    payload is just ``(n_users, seed)``.  Results are byte-identical to
-    :meth:`CapacitySimulator.sweep` — same seed derivation, same runs.
-    """
-    from repro.runtime.shm import SharedArray
-
-    counts = list(user_counts)
-    seeds = simulator.sweep_seeds(len(counts), seed=seed,
-                                  common_random_numbers=common_random_numbers)
-    if processes <= 1 or len(counts) <= 1:
-        return [simulator.run(n, seed=s) for n, s in zip(counts, seeds)]
-    workers = min(processes, len(counts))
-    shared = SharedArray.create(simulator.service_times)
-    try:
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_attach_fleet_worker,
-                initargs=(type(simulator), shared.spec,
-                          simulator.config)) as pool:
-            futures = [pool.submit(_run_fleet_point, n, s)
-                       for n, s in zip(counts, seeds)]
-            return [future.result() for future in futures]
-    finally:
-        shared.close()
-        shared.unlink()
-
-
-#: Worker-process state built by :func:`_attach_stream_worker`.
-_STREAM_STATE: dict = {}
-
-
-def _attach_stream_worker(spec, config, options) -> None:
-    """Pool initializer for stream-sweep points: map the shared pool
-    once; each task then ships only ``(n_users, seed)``."""
-    from repro.runtime.shm import SharedArray
-
-    shared = SharedArray.attach(spec)
-    _STREAM_STATE["shared"] = shared
-    _STREAM_STATE["pool"] = shared.array
-    _STREAM_STATE["config"] = config
-    _STREAM_STATE["options"] = options
-
-
-def _run_stream_point(n_users: int, seed: int):
-    from repro.capacity.simulator import CapacitySimulator
-    from repro.stream.sweep import sweep_point
-
-    simulator = CapacitySimulator(_STREAM_STATE["pool"],
-                                  _STREAM_STATE["config"])
-    with collecting() as stats:
-        point = sweep_point(simulator, n_users, seed,
-                            **_STREAM_STATE["options"])
-    return point, stats.snapshot()
-
-
-def parallel_stream_points(simulator, user_counts: Sequence[int],
-                           seeds: Sequence[int], processes: int = 1,
-                           **options) -> list:
-    """Fan stream-sweep points across worker processes.
-
-    Same shared-memory shape as :func:`parallel_fleet_sweep`; the
-    workers' stream counters fold back into this process's
-    :data:`~repro.runtime.observability.KERNEL_STATS` so the sweep's
-    runtime report sees blocks/spills from every process.  Per-point
-    shard subdirectories (chosen by the caller) keep workers from
-    racing on a shared manifest.
-
-    Points are *submitted* largest ``n_users`` first: a sweep's point
-    costs scale with its session count, and submission order is the
-    only scheduling lever a process pool offers — caller order put the
-    most expensive points (the knee and beyond, listed last) at the
-    tail of the queue, where one of them routinely ran alone while
-    every other worker sat idle.  Results are restored to caller order
-    before returning, so the reordering is invisible in the output.
-    """
-    from repro.runtime.shm import SharedArray
-
-    counts = list(user_counts)
-    order = sorted(range(len(counts)), key=lambda i: -counts[i])
-    workers = min(processes, len(counts))
-    shared = SharedArray.create(simulator.service_times)
-    try:
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_attach_stream_worker,
-                initargs=(shared.spec, simulator.config,
-                          dict(options))) as pool:
-            futures = {i: pool.submit(_run_stream_point, counts[i],
-                                      seeds[i])
-                       for i in order}
-            outcomes = [futures[i].result()
-                        for i in range(len(counts))]
-    finally:
-        shared.close()
-        shared.unlink()
-    for _, stats in outcomes:
-        KERNEL_STATS.add(**vars(stats))
-    return [point for point, _ in outcomes]
-
-
-def parallel_sweep(simulator, user_counts: Sequence[int],
-                   processes: int = 1,
-                   seed: Optional[int] = None,
-                   common_random_numbers: bool = False) -> list:
-    """Parallel ``CapacitySimulator.sweep`` with identical results.
-
-    Seeds are derived exactly as :meth:`CapacitySimulator.sweep_seeds`
-    does, *before* fanning out, so the parallel sweep returns the same
-    list the sequential one would.  Works with any simulator exposing
-    ``run(n_users, seed=...)`` and ``sweep_seeds`` semantics; simulators
-    are pickled once per task, which is cheap next to a multi-hour-horizon
-    run.
-    """
-    counts = list(user_counts)
-    seeds = simulator.sweep_seeds(len(counts), seed=seed,
-                                  common_random_numbers=common_random_numbers)
-    if processes <= 1 or len(counts) <= 1:
-        return [simulator.run(n, seed=s) for n, s in zip(counts, seeds)]
-    workers = min(processes, len(counts))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_capacity_point, simulator, n, s)
-                   for n, s in zip(counts, seeds)]
-        return [future.result() for future in futures]

@@ -10,8 +10,10 @@ rebuilds the exact aggregates (:mod:`repro.sched.stitch`), and a
 claim-file lease protocol (:mod:`repro.sched.executor`, built on
 :mod:`repro.runtime.lease`) lets any number of worker processes — on
 one host or many, sharing only a filesystem — claim, heartbeat, steal
-and re-execute tasks with no coordinator process.  The merged report is
-byte-identical to the serial ``processes=1`` path; the golden tests in
+and re-execute tasks with no coordinator process.  It is the one
+multi-process sweep executor: ``repro stream-sweep --parallel N`` runs
+``N`` local workers on one work dir.  The merged report is
+byte-identical to the serial ``run_stream_sweep``; the golden tests in
 ``tests/sched`` hold that line, kill/resume included.
 """
 

@@ -29,15 +29,17 @@ many, sharing only a filesystem — drive one sweep to completion:
 Determinism: every task is a pure function of the spec, all results
 land keyed by point/unit id, and :func:`merge_work_dir` assembles
 points in spec order — so the merged report is byte-identical to the
-serial ``processes=1`` sweep no matter how many workers ran, in what
-interleaving, or how many died along the way.
+serial :func:`~repro.stream.sweep.run_stream_sweep` no matter how many
+workers ran, in what interleaving, or how many died along the way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
+import tempfile
 import time
 import uuid
 from pathlib import Path
@@ -47,7 +49,8 @@ import numpy as np
 
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime import lease
-from repro.runtime.observability import KERNEL_STATS
+from repro.runtime.observability import (KERNEL_STATS, SimRunStats,
+                                         collecting)
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
 from repro.stream.shard import ShardStore, params_fingerprint
 from repro.stream.sweep import (StreamPoint, StreamSweepResult,
@@ -475,13 +478,21 @@ def merge_work_dir(work_dir) -> StreamSweepResult:
     return StreamSweepResult(config=wd.config, points=tuple(points))
 
 
+def _collected_worker(work_dir, **options) -> SimRunStats:
+    """One local pool worker: run the work dir, return its counters."""
+    with collecting() as stats:
+        execute_work_dir(work_dir, **options)
+    return stats.snapshot()
+
+
 def run_distributed_sweep(pool: np.ndarray,
                           user_counts: Sequence[int],
                           config: Optional[CapacityConfig] = None, *,
                           seed: Optional[int] = None,
-                          work_dir,
+                          work_dir=None,
                           worker_id: Optional[str] = None,
                           worker_index: int = 0,
+                          processes: int = 1,
                           block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
                           unit_blocks: int = DEFAULT_UNIT_BLOCKS,
                           quantile_k: int = 256,
@@ -489,20 +500,45 @@ def run_distributed_sweep(pool: np.ndarray,
                           heartbeat_interval: float = 1.0,
                           stale_after: float = 10.0
                           ) -> StreamSweepResult:
-    """One worker's entry point: join (or initialise) ``work_dir``,
-    work until the sweep completes everywhere, merge and return.
+    """Join (or initialise) ``work_dir`` with ``processes`` local
+    workers, work until the sweep completes everywhere, merge and
+    return.
+
+    This process is one worker; ``processes - 1`` more run in a process
+    pool, and their counters fold into this process's
+    :data:`~repro.runtime.observability.KERNEL_STATS`.  Local worker
+    ``j`` takes index ``worker_index * processes + j``, so the local
+    workers of distinct ``worker_index`` callers all scan in different
+    rotations.  Without a ``work_dir`` the sweep runs in a temporary
+    directory that is removed after the merge.
 
     Every participating worker returns the same
     :class:`~repro.stream.sweep.StreamSweepResult` — byte-identical to
-    ``run_stream_sweep(..., processes=1)`` on the same parameters.
+    the serial ``run_stream_sweep`` on the same parameters.
     """
     payload = spec_payload(pool, user_counts, config, seed=seed,
                            block_arrivals=block_arrivals,
                            unit_blocks=unit_blocks,
                            quantile_k=quantile_k)
-    ensure_spec(work_dir, payload)
-    execute_work_dir(work_dir, worker_id=worker_id,
-                     worker_index=worker_index, poll=poll,
-                     heartbeat_interval=heartbeat_interval,
-                     stale_after=stale_after)
-    return merge_work_dir(work_dir)
+    options = dict(poll=poll, heartbeat_interval=heartbeat_interval,
+                   stale_after=stale_after)
+    first = worker_index * processes
+    with contextlib.ExitStack() as stack:
+        if work_dir is None:
+            work_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-sweep-"))
+        ensure_spec(work_dir, payload)
+        futures = []
+        if processes > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            local = stack.enter_context(
+                ProcessPoolExecutor(max_workers=processes - 1))
+            futures = [local.submit(_collected_worker, work_dir,
+                                    worker_index=first + j, **options)
+                       for j in range(1, processes)]
+        execute_work_dir(work_dir, worker_id=worker_id,
+                         worker_index=first, **options)
+        for future in futures:
+            KERNEL_STATS.add(**vars(future.result()))
+        return merge_work_dir(work_dir)

@@ -12,13 +12,11 @@ request always yields the same bytes.  Around it:
 - :class:`~repro.serve.jobs.JobManager` — async population sweeps as
   resumable ``repro.sched`` work directories behind a bounded queue;
 - :class:`~repro.serve.http.ServeApp` + a stdlib threading HTTP
-  server (``repro serve``), with an optional FastAPI skin
-  (:mod:`repro.serve.fastapi_app`) for ASGI deployments.
+  server (``repro serve``), the one transport.
 """
 
 from repro.serve.batcher import (BatcherClosed, DEFAULT_BATCH_WINDOW,
                                  DEFAULT_MAX_BATCH, MicroBatcher)
-from repro.serve.fastapi_app import create_fastapi_app, fastapi_available
 from repro.serve.http import (ServeApp, ServerThread, create_server)
 from repro.serve.jobs import JobManager, JobQueueFull, UnknownJob
 from repro.serve.metrics import LATENCY_QUANTILES, ServeMetrics
@@ -44,9 +42,7 @@ __all__ = [
     "UnknownJob",
     "ValidationError",
     "WhatIfService",
-    "create_fastapi_app",
     "create_server",
-    "fastapi_available",
     "known_page_names",
     "predict_eval_seed",
     "predict_run_id",

@@ -2,8 +2,7 @@
 
 :class:`ServeApp` maps ``(method, path, payload)`` to ``(status, body,
 headers)`` with every error already shaped — the stdlib handler below
-and the optional FastAPI app (:mod:`repro.serve.fastapi_app`) are both
-thin skins over it, so tier-1 tests exercise the full routing logic
+is a thin skin over it, so tier-1 tests exercise the full routing logic
 with zero third-party dependencies.
 
 The stdlib server is a ``ThreadingHTTPServer``: one thread per request,

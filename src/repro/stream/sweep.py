@@ -213,30 +213,19 @@ def run_stream_sweep(pool: np.ndarray,
                      block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
                      queue_depth: int = DEFAULT_QUEUE_DEPTH,
                      shard_dir: Optional[Path] = None,
-                     checkpoint_every: int = 8,
-                     processes: int = 1) -> StreamSweepResult:
-    """Sweep ``user_counts``, one :class:`StreamPoint` each.
+                     checkpoint_every: int = 8) -> StreamSweepResult:
+    """Sweep ``user_counts`` serially, one :class:`StreamPoint` each.
 
-    ``processes > 1`` fans points out across worker processes (service
-    pool in shared memory); per-point shard subdirectories keep the
-    workers' checkpoints from racing on one manifest.
+    The multi-process sweep is :func:`repro.sched.run_distributed_sweep`,
+    whose merged result is byte-identical to this one.
     """
     simulator = CapacitySimulator(pool, config)
     counts = list(user_counts)
     seeds = simulator.sweep_seeds(len(counts), seed=seed)
-    if processes > 1 and len(counts) > 1:
-        from repro.runtime.parallel import parallel_stream_points
-        points = parallel_stream_points(
-            simulator, counts, seeds, processes=processes,
-            stream=stream, block_arrivals=block_arrivals,
-            queue_depth=queue_depth, shard_dir=shard_dir,
-            checkpoint_every=checkpoint_every)
-    else:
-        points = [sweep_point(simulator, n, s, stream=stream,
-                              block_arrivals=block_arrivals,
-                              queue_depth=queue_depth,
-                              shard_dir=shard_dir,
-                              checkpoint_every=checkpoint_every)
-                  for n, s in zip(counts, seeds)]
+    points = [sweep_point(simulator, n, s, stream=stream,
+                          block_arrivals=block_arrivals,
+                          queue_depth=queue_depth, shard_dir=shard_dir,
+                          checkpoint_every=checkpoint_every)
+              for n, s in zip(counts, seeds)]
     return StreamSweepResult(config=simulator.config,
                              points=tuple(points))

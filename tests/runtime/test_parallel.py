@@ -9,13 +9,10 @@ import json
 
 import pytest
 
-from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime.cache import ResultCache
-from repro.runtime.observability import SimRunStats, collecting
+from repro.runtime.observability import SimRunStats
 from repro.runtime.parallel import (
     TaskResult,
-    parallel_stream_points,
-    parallel_sweep,
     run_ablations,
     run_experiments,
     run_tasks,
@@ -132,50 +129,3 @@ def test_ablation_registry_is_wired():
     with pytest.raises(KeyError, match="nonsense"):
         run_ablations(("nonsense",))
 
-
-def test_parallel_sweep_matches_sequential_sweep():
-    simulator = CapacitySimulator(
-        [10.0], CapacityConfig(n_channels=50, horizon=3600.0, seed=1))
-    counts = [40, 80, 120, 160]
-    sequential = simulator.sweep(counts, seed=7)
-    fanned = parallel_sweep(simulator, counts, processes=2, seed=7)
-    assert [(r.n_users, r.sessions, r.dropped) for r in sequential] \
-        == [(r.n_users, r.sessions, r.dropped) for r in fanned]
-
-
-def test_parallel_stream_points_restores_caller_order():
-    """Points are submitted largest-n_users-first (the cheap fix for
-    the skewed load balance: the expensive points used to sit at the
-    tail of the pool queue), but the returned list must still be in
-    caller order and identical to the serial points."""
-    from repro.stream.sweep import sweep_point
-
-    simulator = CapacitySimulator(
-        [10.0], CapacityConfig(n_channels=50, horizon=1200.0, seed=1))
-    # Deliberately not sorted by size, smallest first: the reordering
-    # at submission has to be undone on the way out.
-    counts = [40, 200, 120, 400]
-    seeds = simulator.sweep_seeds(len(counts), seed=7)
-    with collecting() as serial_stats:
-        serial = [sweep_point(simulator, n, s, stream=True,
-                              block_arrivals=512)
-                  for n, s in zip(counts, seeds)]
-    with collecting() as fanned_stats:
-        fanned = parallel_stream_points(simulator, counts, seeds,
-                                        processes=2, stream=True,
-                                        block_arrivals=512)
-    assert [p.n_users for p in fanned] == counts
-    assert fanned == serial
-    # The workers' counters fold back into this process's windows.
-    blocks = serial_stats.snapshot().stream_blocks
-    assert blocks > 0
-    assert fanned_stats.snapshot().stream_blocks == blocks
-
-
-def test_parallel_sweep_crn_mode():
-    simulator = CapacitySimulator(
-        [10.0], CapacityConfig(n_channels=50, horizon=3600.0, seed=1))
-    fanned = parallel_sweep(simulator, [60, 60], processes=2, seed=3,
-                            common_random_numbers=True)
-    assert (fanned[0].sessions, fanned[0].dropped) \
-        == (fanned[1].sessions, fanned[1].dropped)
