@@ -55,10 +55,10 @@ bench-sweep:
 serve:
 	python -m repro serve --job-dir serve-jobs
 
-# Bounded-memory capacity sweep through the block pipeline, with
-# resumable shard spills under stream-shards/.
+# Bounded-memory capacity sweep in streamed blocks, resumable through
+# the repro.sched work dir stream-work/ (rerun to resume or replay).
 stream-sweep:
-	python -m repro stream-sweep --out stream-shards
+	python -m repro stream-sweep --work-dir stream-work
 
 experiments:
 	python -m repro.experiments.runner

@@ -11,7 +11,7 @@ Subcommands::
     repro tune [--algorithm halving] [--profile cell_edge]
                [--budget-delay 1.2] [--trace search.jsonl]
     repro profile fig11 [--kind experiment] [--top 25] [--report prof.json]
-    repro stream-sweep [--scale 10] [--horizon 28800] [--out shards/]
+    repro stream-sweep [--scale 10] [--horizon 28800]
                        [--parallel N] [--work-dir D --worker-id k/K]
     repro trace --out trace.csv
     repro train --trace trace.csv --out model.json
@@ -241,14 +241,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_sweep(args: argparse.Namespace) -> int:
-    """Run a fig11-shaped capacity sweep through the block pipeline.
+    """Run a fig11-shaped capacity sweep in streamed blocks.
 
-    The report is mode-free (byte-identical between ``--stream`` and
-    ``--no-stream``, and between serial and ``repro.sched`` runs); the
-    runtime counters lines below it are where the execution mode shows.
+    The report is mode-free (byte-identical between serial and
+    ``repro.sched`` runs); the runtime counters lines below it are
+    where the execution mode shows.
 
-    ``--work-dir`` and ``--parallel N`` both run the coordinator-free
-    ``repro.sched`` executor.  ``--parallel N`` runs N local workers on
+    Without ``--work-dir`` the sweep runs serially and keeps nothing on
+    disk.  ``--work-dir`` and ``--parallel N`` both run the
+    coordinator-free ``repro.sched`` executor, the one resumable sweep:
+    rerun the same command on the same work dir and it resumes where a
+    killed run stopped.  ``--parallel N`` runs N local workers on
     ``--work-dir`` (or, without it, on a temporary work dir).  Launch
     the same command with the same work directory from any number of
     processes (or hosts sharing the filesystem), giving each a distinct
@@ -266,7 +269,6 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
         ("--scale", args.scale, 1),
         ("--horizon", args.horizon, 1e-9),
         ("--block", block, 1),
-        ("--checkpoint-every", args.checkpoint_every, 1),
         ("--parallel", args.parallel, 1),
         ("--unit-blocks", args.unit_blocks, 1),
         ("--stale-after", args.stale_after, 1e-9),
@@ -276,19 +278,9 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
         print(f"stream-sweep arguments must be positive: "
               f"{', '.join(bad)}", file=sys.stderr)
         return 2
-    stream = args.stream is not False
     sched = args.work_dir is not None or args.parallel > 1
     worker_index, n_workers = 0, 1
     if sched:
-        flag = "--work-dir" if args.work_dir is not None else "--parallel"
-        if not stream:
-            print(f"{flag} runs the streamed pipeline; it cannot "
-                  "be combined with --no-stream", file=sys.stderr)
-            return 2
-        if args.out is not None:
-            print(f"{flag} keeps its shards in the work dir; it cannot "
-                  "be combined with --out", file=sys.stderr)
-            return 2
         try:
             worker_index, n_workers = map(int,
                                           args.worker_id.split("/"))
@@ -314,14 +306,12 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
                 block_arrivals=block, unit_blocks=args.unit_blocks,
                 stale_after=args.stale_after)
         else:
-            result = run_stream_sweep(
-                pool, counts, config, seed=args.seed, stream=stream,
-                block_arrivals=block, shard_dir=args.out,
-                checkpoint_every=args.checkpoint_every)
+            result = run_stream_sweep(pool, counts, config,
+                                      seed=args.seed,
+                                      block_arrivals=block)
     snap = stats.snapshot()
     print(result.report())
-    mode = "streamed" if stream else "in-memory"
-    print(f"-- {mode} runtime: {snap.stream_blocks} blocks, "
+    print(f"-- streamed runtime: {snap.stream_blocks} blocks, "
           f"{snap.stream_spills} spills, "
           f"{snap.stream_shard_bytes} shard bytes, "
           f"peak carried state {snap.stream_peak_carried_bytes} B --")
@@ -667,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream_sweep = subparsers.add_parser(
         "stream-sweep",
-        help="capacity sweep through the bounded-memory block pipeline")
+        help="capacity sweep in bounded-memory streamed blocks")
     stream_sweep.add_argument(
         "--scale", type=int, default=10,
         help="channel-count multiple of the paper's N=200 (default: 10)")
@@ -686,20 +676,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-seed", type=int, default=7,
         help="service-time pool seed (default: 7)")
     stream_sweep.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="shard directory for checkpoint/resume spills")
-    stream_sweep.add_argument(
-        "--checkpoint-every", type=int, default=8, metavar="BLOCKS",
-        help="blocks between checkpoint spills (default: 8)")
-    stream_sweep.add_argument(
         "--parallel", type=int, default=1, metavar="N",
         help="run N local work-stealing workers on one work dir "
              "(--work-dir, or a temporary one) (default: 1)")
     stream_sweep.add_argument(
         "--work-dir", metavar="DIR", default=None,
         help="shared work directory for the distributed "
-             "work-stealing executor; run the same command from "
-             "several processes/hosts to split the sweep")
+             "work-stealing executor: a rerun resumes it, and the "
+             "same command run from several processes/hosts splits "
+             "the sweep")
     stream_sweep.add_argument(
         "--worker-id", metavar="K/N", default="0/1",
         help="this worker's index and the worker count, e.g. 1/4 "
@@ -711,10 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stale-after", type=float, default=30.0, metavar="SECONDS",
         help="heartbeat age after which a worker's claim is stolen "
              "in --work-dir mode (default: 30)")
-    stream_sweep.add_argument(
-        "--stream", action=argparse.BooleanOptionalAction, default=None,
-        help="block pipeline (--stream, default) or the in-memory "
-             "reference (--no-stream) — the reports are identical")
     stream_sweep.add_argument(
         "--report", metavar="PATH",
         help="write points + runtime counters (.json or .csv)")

@@ -3,7 +3,7 @@
 The field list of :class:`SimRunStats` is the only place that names a
 counter; merging, dict export, the collector and every report derive
 from it.  Instrumented code counts with ``KERNEL_STATS.add(name=n)`` —
-``Simulator.run`` on exit, the GBRT fit, the stream pipeline, the
+``Simulator.run`` on exit, the GBRT fit, the streamed sweep, the
 scheduler and the serving layer — one call per batch of work, never per
 element.  Harnesses that want to attribute that work to a unit of their
 own — one experiment in the parallel runner, one benchmark — open a
@@ -48,9 +48,9 @@ class SimRunStats:
     #: cost is dominated by non-kernel work (model fitting, batched
     #: accounting) a non-zero denominator in the regression gate.
     work_units: int = 0
-    #: Blocks processed by the streaming pipeline (repro.stream).
+    #: Blocks processed by the streamed sweep (repro.stream).
     stream_blocks: int = 0
-    #: Shards spilled to disk (checkpoints and finals).
+    #: Shards written by ``ShardStore.put`` (sched plans, units, points).
     stream_spills: int = 0
     #: Bytes written to shard files.
     stream_shard_bytes: int = 0

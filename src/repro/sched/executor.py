@@ -24,7 +24,9 @@ many, sharing only a filesystem — drive one sweep to completion:
     One :class:`~repro.stream.shard.ShardStore` per point holding the
     plan, the unit results and the stitched point.  Every read is
     checksum-verified; a damaged shard drops the task's done marker so
-    the work re-executes instead of poisoning the merge.
+    the work re-executes instead of poisoning the merge.  Each worker
+    reads every stitched point once per run, so a rerun re-stitches a
+    point whose shard was damaged after it finished.
 
 Determinism: every task is a pure function of the spec, all results
 land keyed by point/unit id, and :func:`merge_work_dir` assembles
@@ -43,7 +45,7 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -260,6 +262,8 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
     if worker_id is None:
         worker_id = f"w{worker_index}-{os.getpid()}"
     plans: Dict[int, PointPlan] = {}
+    #: Points whose stitched shard this run wrote or read back intact.
+    stitched: Set[int] = set()
     durations: Dict[str, float] = {}
     stats = {"worker_id": worker_id, "tasks": durations, "steals": 0}
 
@@ -330,10 +334,11 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
                 wd.clear_done(f"unit-{point}-{unit_index}")
                 raise _Retry
             results.append(got)
-        stitched = stitch_point(wd.pool, plan, results,
-                                config=wd.config)
+        point_result = stitch_point(wd.pool, plan, results,
+                                    config=wd.config)
         store.put(_POINT_KEY, {},
-                  {"point": dataclasses.asdict(stitched)})
+                  {"point": dataclasses.asdict(point_result)})
+        stitched.add(point)
 
     point_order = _rotated(list(range(wd.n_points)), worker_index)
     while True:
@@ -373,6 +378,14 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
                     stitch_id,
                     lambda point=point, plan=plan:
                     _run_stitch(point, plan))
+            elif point not in stitched:
+                if wd.open_store(point).get(_POINT_KEY) is None:
+                    # Done marker without a readable point shard: the
+                    # merge would fail on every rerun — re-stitch.
+                    wd.clear_done(stitch_id)
+                    pending = True
+                else:
+                    stitched.add(point)
         if not pending:
             return stats
         if not progressed:

@@ -1,6 +1,6 @@
 """Mergeable online aggregators with exact, associative ``merge()``.
 
-Block pipelines fold each block into an aggregate and merge aggregates
+Block loops fold each block into an aggregate and merge aggregates
 across blocks, workers and shards; for streamed reports to stay
 byte-identical to the in-memory ones, the fold must not depend on how
 the stream was chunked.  Floating-point Welford merging is *not*
@@ -721,8 +721,8 @@ class PartialServiceAggregate:
     holds them; the sketch — whose ``merge`` is *not* sequential-
     equivalent — is held as a :class:`PartialQuantileSketch` fragment
     instead.  :func:`stitch_service_aggregates` folds an ordered run of
-    fragments into the exact ``ServiceAggregate`` the serial pipeline
-    would have produced.
+    fragments into the exact ``ServiceAggregate`` the serial streamed
+    sweep would have produced.
     """
 
     __slots__ = ("moments", "extrema", "sketch_parts")

@@ -1,19 +1,21 @@
 """Spill-to-disk npz shards with a JSON manifest.
 
-A :class:`ShardStore` is the durability layer of the streaming
-pipeline: checkpoints (source RNG state + drop carry + aggregate state)
-and final results spill to compressed ``.npz`` files under one root
-directory, indexed by a ``manifest.json`` that records a sha256 per
-shard.  The design goals, in order:
+A :class:`ShardStore` is the durability layer of a :mod:`repro.sched`
+work dir: each point's plan, unit results and stitched point spill to
+compressed ``.npz`` files under one root directory, indexed by a
+``manifest.json`` that records a sha256 per shard.  Every ``put``
+counts one ``stream_spills`` and its bytes in ``stream_shard_bytes``.
+The design goals, in order:
 
-- **crash safety** — every write goes to a temp file and lands with
-  ``os.replace``, so a kill mid-write leaves either the old shard or
-  none, never a torn one; the manifest is rewritten the same way after
-  the shard it references exists;
+- **crash safety** — every write goes to a per-writer temp file and
+  lands with ``os.replace``, so a kill mid-write leaves either the old
+  shard or none, never a torn one, and two writers of one key never
+  share a temp file; the manifest is rewritten the same way after the
+  shard it references exists;
 - **self-verifying reads** — ``get`` re-hashes the shard bytes against
   the manifest; a truncated or corrupted file (or a manifest entry
   whose file vanished) invalidates that key and returns ``None``, which
-  the pipeline treats as "recompute from an earlier checkpoint";
+  the executor treats as "re-run the task that wrote it";
 - **parameter hygiene** — the store carries a caller-supplied
   ``fingerprint`` of the run parameters; opening a root whose manifest
   was written under a different fingerprint discards it wholesale
@@ -34,12 +36,14 @@ import hashlib
 import io
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.runtime import lease
+from repro.runtime.observability import KERNEL_STATS
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 1
@@ -56,7 +60,8 @@ def params_fingerprint(params: dict) -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(
+        f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     with open(tmp, "wb") as handle:
         handle.write(data)
         handle.flush()
@@ -134,10 +139,6 @@ class ShardStore:
     def keys(self):
         return sorted(self._shards)
 
-    def shard_bytes(self) -> int:
-        """Total bytes of all shards currently in the manifest."""
-        return sum(int(entry["bytes"]) for entry in self._shards.values())
-
     def put(self, key: str, arrays: Dict[str, np.ndarray],
             meta: Optional[dict] = None) -> int:
         """Write a shard; returns its size in bytes.
@@ -158,6 +159,7 @@ class ShardStore:
             "meta": meta if meta is not None else {},
         }
         self._mutate_manifest(lambda shards: shards.update({key: entry}))
+        KERNEL_STATS.add(stream_spills=1, stream_shard_bytes=len(data))
         return len(data)
 
     def get(self, key: str
@@ -185,13 +187,3 @@ class ShardStore:
 
     def _invalidate(self, key: str) -> None:
         self._mutate_manifest(lambda shards: shards.pop(key, None))
-
-    def discard(self, key: str) -> None:
-        """Remove a shard (file and manifest entry) if present."""
-        entry = self._shards.get(key)
-        self._mutate_manifest(lambda shards: shards.pop(key, None))
-        if entry is not None:
-            try:
-                os.remove(self.root / entry["file"])
-            except OSError:
-                pass

@@ -26,9 +26,9 @@ ones (both verified by ``tests/stream/test_source.py``):
   sequential left-to-right, so ``cumsum([c + x0, x1, ...])`` reproduces
   the tail of ``cumsum([... , x0, x1, ...])`` addition-for-addition.
 
-Generator states snapshot to JSON-safe dicts, so a
-:class:`repro.stream.shard.ShardStore` checkpoint can resume the stream
-at any block boundary after a kill.
+Generator states snapshot to JSON-safe dicts, so a :mod:`repro.sched`
+work unit can start the stream at any block boundary its plan
+recorded.
 """
 
 from __future__ import annotations

@@ -7,10 +7,16 @@ sketch quantiles).  Both execution paths produce the *same points*:
 
 - the **in-memory** path materialises the arrays like fig11 does and
   folds them into one aggregate in a single block;
-- the **streamed** path drives :func:`repro.stream.pipeline.
-  stream_capacity_run` block by block, optionally spilling checkpoints
-  into a per-point :class:`~repro.stream.shard.ShardStore` subdirectory
-  so a killed sweep resumes where it stopped.
+- the **streamed** path draws ``(arrivals, services)`` blocks from an
+  :class:`~repro.stream.source.ArrivalBlockSource`, threads each
+  through :func:`repro.fleet.capacity.resolve_drops_block` with one
+  :class:`~repro.fleet.capacity.DropCarry` busy frontier (at most
+  ``n_channels`` departures) and folds it into the aggregate, so its
+  resident state is O(block + n_channels + sketch) at any horizon.
+
+A resumable sweep is a :mod:`repro.sched` work dir (``repro
+stream-sweep --work-dir D``); the serial streamed path keeps nothing on
+disk.
 
 Because the block source is draw-for-draw identical to the
 materialised draw, the block resolver threads its carry exactly, and
@@ -24,19 +30,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-from repro.fleet.capacity import resolve_drops
+from repro.fleet.capacity import (DropCarry, resolve_drops,
+                                  resolve_drops_block)
+from repro.runtime.observability import KERNEL_STATS
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
 from repro.stream.aggregate import SERVICE_QUANTILES, ServiceAggregate
-from repro.stream.pipeline import (DEFAULT_QUEUE_DEPTH,
-                                   stream_capacity_run)
-from repro.stream.shard import ShardStore, params_fingerprint
+from repro.stream.shard import params_fingerprint
+from repro.stream.source import ArrivalBlockSource
 
 
 def lognormal_pool(size: int = 400, median: float = 14.0,
@@ -175,30 +181,32 @@ def point_fingerprint(pool: np.ndarray, config: CapacityConfig,
 
 def sweep_point(simulator: CapacitySimulator, n_users: int, seed: int,
                 *, stream: bool,
-                block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
-                queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                shard_dir: Optional[Path] = None,
-                checkpoint_every: int = 8) -> StreamPoint:
+                block_arrivals: int = DEFAULT_BLOCK_ARRIVALS
+                ) -> StreamPoint:
     """Run one sweep point on either path; the results are identical."""
     aggregate = ServiceAggregate()
+    config = simulator.config
     if stream:
-        store = None
-        if shard_dir is not None:
-            subdir = Path(shard_dir) / f"point-{n_users}-{seed}"
-            store = ShardStore(subdir, point_fingerprint(
-                simulator.service_times, simulator.config, n_users,
-                seed, block_arrivals))
-        result = stream_capacity_run(
-            simulator, n_users, seed, block_arrivals=block_arrivals,
-            queue_depth=queue_depth, aggregate=aggregate, store=store,
-            checkpoint_every=checkpoint_every)
-        sessions, dropped = result.sessions, result.dropped
+        source = ArrivalBlockSource(simulator.service_times, n_users,
+                                    config=config, seed=seed,
+                                    block_arrivals=block_arrivals)
+        sessions = source.scan()
+        carry = DropCarry.empty()
+        dropped = 0
+        for arrivals, services in source.blocks():
+            mask, carry = resolve_drops_block(arrivals, services,
+                                              config.n_channels, carry)
+            dropped += int(mask.sum())
+            aggregate.add_block(services)
+            KERNEL_STATS.add(
+                stream_blocks=1,
+                stream_peak_carried_bytes=carry.nbytes
+                + aggregate.state_nbytes())
     else:
-        rng = np.random.default_rng(
-            simulator.config.seed if seed is None else seed)
-        arrivals, services = simulator.draw(n_users, rng)
+        arrivals, services = simulator.draw(
+            n_users, np.random.default_rng(seed))
         dropped = int(resolve_drops(
-            arrivals, services, simulator.config.n_channels).sum())
+            arrivals, services, config.n_channels).sum())
         sessions = int(arrivals.size)
         aggregate.add_block(services)
     return StreamPoint.from_parts(n_users, seed, sessions, dropped,
@@ -210,22 +218,19 @@ def run_stream_sweep(pool: np.ndarray,
                      config: Optional[CapacityConfig] = None, *,
                      seed: Optional[int] = None,
                      stream: bool = True,
-                     block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
-                     queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                     shard_dir: Optional[Path] = None,
-                     checkpoint_every: int = 8) -> StreamSweepResult:
+                     block_arrivals: int = DEFAULT_BLOCK_ARRIVALS
+                     ) -> StreamSweepResult:
     """Sweep ``user_counts`` serially, one :class:`StreamPoint` each.
 
-    The multi-process sweep is :func:`repro.sched.run_distributed_sweep`,
-    whose merged result is byte-identical to this one.
+    The multi-process (and resumable) sweep is
+    :func:`repro.sched.run_distributed_sweep`, whose merged result is
+    byte-identical to this one.
     """
     simulator = CapacitySimulator(pool, config)
     counts = list(user_counts)
     seeds = simulator.sweep_seeds(len(counts), seed=seed)
     points = [sweep_point(simulator, n, s, stream=stream,
-                          block_arrivals=block_arrivals,
-                          queue_depth=queue_depth, shard_dir=shard_dir,
-                          checkpoint_every=checkpoint_every)
+                          block_arrivals=block_arrivals)
               for n, s in zip(counts, seeds)]
     return StreamSweepResult(config=simulator.config,
                              points=tuple(points))

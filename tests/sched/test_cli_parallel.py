@@ -1,9 +1,11 @@
 """``repro stream-sweep --parallel N``: N local sched workers on one work
 dir print the serial table byte for byte, and the runtime line counts
-the blocks of every worker."""
+the blocks and shard writes of every worker.  A rerun over a finished
+work dir with a damaged shard still prints the serial table."""
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 
@@ -17,16 +19,26 @@ ARGS = ["stream-sweep", "--scale", "1", "--horizon", "3600",
 SERIAL_BLOCKS = 14
 
 
-def _sweep(*extra: str):
-    """Run the CLI in-process: (table, streamed blocks, sched units)."""
+def _run(*extra: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(ARGS + list(extra)) == 0
-    text = out.getvalue()
+    return out.getvalue()
+
+
+def _sweep(*extra: str):
+    """Run the CLI in-process: (table, streamed blocks, sched units)."""
+    text = _run(*extra)
     table = text.split("-- streamed runtime")[0]
     blocks = int(re.search(r"-- streamed runtime: (\d+) blocks", text)[1])
     units = re.search(r"-- sched: (\d+) units", text)
     return table, blocks, int(units[1]) if units else None
+
+
+def _shard_writes(text: str):
+    """(spills, shard bytes) from the runtime line."""
+    found = re.search(r"(\d+) spills, (\d+) shard bytes", text)
+    return int(found[1]), int(found[2])
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +73,41 @@ def test_parallel_over_a_work_dir_resumes_with_zero_units(serial,
     assert (blocks, units) == (0, 0)
 
 
-@pytest.mark.parametrize("extra", [["--no-stream"], ["--out", "shards"]])
-def test_parallel_rejects_flags_the_sched_path_cannot_honour(
-        extra, capsys):
-    assert main(ARGS + ["--parallel", "2", *extra]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert "--parallel" in err and extra[0] in err
+def test_parallel_counts_every_shard_write(tmp_path):
+    """Every plan, unit and stitched point is one counted spill, from
+    whichever local worker wrote it."""
+    work_dir = tmp_path / "wd"
+    spills, nbytes = _shard_writes(_run("--parallel", "2", "--work-dir",
+                                        str(work_dir)))
+    shard_bytes = {}
+    for manifest in (work_dir / "shards").glob("*/manifest.json"):
+        shards = json.loads(manifest.read_text())["shards"]
+        for key, entry in shards.items():
+            shard_bytes[manifest.parent.name, key] = entry["bytes"]
+    assert {key.split("-")[0] for _, key in shard_bytes} \
+        == {"plan", "unit", "point"}
+    assert spills == len(shard_bytes)
+    assert nbytes == sum(shard_bytes.values()) > 0
+    # A rerun over the finished dir writes nothing.
+    assert _shard_writes(_run("--parallel", "2", "--work-dir",
+                              str(work_dir))) == (0, 0)
+
+
+@pytest.mark.parametrize("damaged", ["plan", "unit-0000", "point"])
+def test_rerun_over_a_damaged_shard_prints_the_serial_table(
+        serial, tmp_path, damaged):
+    """Truncate one kind of shard in every point of a finished work dir:
+    the rerun re-executes whatever it needs and prints the serial
+    table, and so does the rerun after it."""
+    work_dir = tmp_path / "wd"
+    assert _sweep("--work-dir", str(work_dir))[0] == serial
+    shards = sorted((work_dir / "shards").glob(f"*/{damaged}.npz"))
+    assert len(shards) == 2
+    for shard in shards:
+        data = shard.read_bytes()
+        shard.write_bytes(data[:len(data) // 2])
+    for _ in range(2):
+        assert _sweep("--work-dir", str(work_dir))[0] == serial
 
 
 def test_block_zero_is_rejected(capsys):

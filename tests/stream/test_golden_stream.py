@@ -3,8 +3,8 @@ to the materialised path.
 
 Both execution paths of :func:`repro.stream.sweep.run_stream_sweep`
 feed the same block resolver; the report text and the JSON payload
-must match exactly.  The CLI test runs in subprocesses to cover shard
-resume end to end.
+must match exactly.  The CLI test runs in subprocesses to cover a
+work-dir resume end to end.
 """
 
 import json
@@ -55,16 +55,16 @@ def test_streamed_equals_in_memory_at_10x_fig11():
 
 
 def test_cli_stream_sweep_resumes_and_reports_identically(tmp_path):
-    """End-to-end through the CLI: a sharded sweep rerun with the same
-    --out serves every point from the final shards (zero blocks) and
-    prints the identical report."""
+    """End-to-end through the CLI: a sweep rerun on the same finished
+    --work-dir serves every point from its stitched shards (zero
+    blocks) and prints the identical report."""
     report_a = tmp_path / "a.json"
     report_b = tmp_path / "b.json"
     args = [sys.executable, "-m", "repro", "stream-sweep",
             "--scale", "1", "--horizon", "600", "--seed", "5",
             "--users", "250", "300", "--block", "4096",
-            "--out", str(tmp_path / "shards"),
-            "--checkpoint-every", "2"]
+            "--work-dir", str(tmp_path / "work"),
+            "--unit-blocks", "2"]
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     first = subprocess.run(args + ["--report", str(report_a)],

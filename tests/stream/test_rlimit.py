@@ -6,12 +6,13 @@ This is the acceptance criterion for the streaming engine made
 executable: a fig11-shaped point at 10x the default population (2000
 channels, 16 h horizon, ~7.8 M sessions) with ~100 MB of headroom over
 the streamed peak.  The streamed peak does not grow with the horizon
-and the in-memory path's materialised arrays do: VmPeak measured
-293 MB streamed at both 8 h and 16 h, and 337 MB (8 h) vs 494 MB
-(16 h) in memory, on a 2-vCPU AMD EPYC.  At 8 h the in-memory path
-would fit inside the headroom.  With stream blocks resolved as chained
-4,096-arrival slices the 16 h peaks are 292,580 kB streamed and
-494,248 kB in memory, against a 394,980 kB limit."""
+and the in-memory path's materialised arrays do: in memory VmPeak
+measured 337 MB at 8 h and 494 MB at 16 h, on a 2-vCPU AMD EPYC.  The
+16 h horizon dates from a 293 MB streamed peak, when a producer thread
+drew blocks ahead and the 8 h in-memory run fit inside the headroom.
+Drawing inline (no address space reserved for a thread), the 16 h
+peaks are 159,288 kB streamed and 494,244 kB in memory, against
+a 261,688 kB limit."""
 
 import json
 import resource

@@ -2,11 +2,18 @@
 fingerprint hygiene."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.runtime.observability import collecting
 from repro.stream.shard import ShardStore, params_fingerprint
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture
@@ -18,9 +25,13 @@ def test_roundtrip(store):
     arrays = {"busy": np.array([1.5, 2.5, 3.5]),
               "empty": np.empty(0, dtype=np.float64)}
     meta = {"dropped": 7, "nested": {"x": [1, 2]}}
-    nbytes = store.put("checkpoint", arrays, meta)
+    with collecting() as stats:
+        nbytes = store.put("checkpoint", arrays, meta)
     assert nbytes > 0
-    assert store.shard_bytes() == nbytes
+    # Every put is one counted spill of exactly the bytes it wrote.
+    snapshot = stats.snapshot()
+    assert snapshot.stream_spills == 1
+    assert snapshot.stream_shard_bytes == nbytes
     loaded, loaded_meta = store.get("checkpoint")
     np.testing.assert_array_equal(loaded["busy"], arrays["busy"])
     assert loaded["empty"].size == 0
@@ -78,14 +89,6 @@ def test_corrupt_manifest_treated_as_empty(tmp_path):
     assert reopened.get("final") is None
     reopened.put("final", {}, {"n": 2})
     assert reopened.get("final")[1] == {"n": 2}
-
-
-def test_discard_removes_file_and_entry(store, tmp_path):
-    store.put("checkpoint", {"busy": np.arange(2.0)}, {})
-    store.discard("checkpoint")
-    assert store.get("checkpoint") is None
-    assert not (tmp_path / "shards" / "checkpoint.npz").exists()
-    store.discard("checkpoint")  # idempotent
 
 
 def test_overwrite_updates_manifest(store):
@@ -179,3 +182,47 @@ def test_stale_lock_is_stolen(tmp_path):
     os.utime(store._lock_path, (old, old))
     store.put("k", {"x": np.arange(2.0)}, {})  # steals, does not raise
     assert store.keys() == ["k"]
+
+
+_PUTTER = r"""
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.stream.shard import ShardStore, params_fingerprint
+
+store = ShardStore(sys.argv[1], params_fingerprint({"a": 5}))
+# Start together: neither writer may finish before the other begins.
+ready = Path(sys.argv[2])
+(ready / sys.argv[3]).touch()
+deadline = time.monotonic() + 60.0
+while len(list(ready.iterdir())) < 2 and time.monotonic() < deadline:
+    time.sleep(0.001)
+for i in range(30):
+    store.put("unit-0000", {"x": np.arange(2000.0) + i}, {"i": i})
+"""
+
+
+def test_two_processes_writing_one_key_never_collide(tmp_path):
+    """A stolen claim whose owner is still alive leaves two processes
+    writing the same shard key; neither put may fail, and a read
+    afterwards returns one writer's intact payload or nothing."""
+    root, ready = tmp_path / "shared", tmp_path / "ready"
+    ready.mkdir()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    writers = [subprocess.Popen([sys.executable, "-c", _PUTTER,
+                                 str(root), str(ready), name],
+                                stderr=subprocess.PIPE, text=True,
+                                env=env)
+               for name in ("a", "b")]
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+    got = ShardStore(root, params_fingerprint({"a": 5})).get("unit-0000")
+    if got is not None:
+        arrays, meta = got
+        np.testing.assert_array_equal(arrays["x"],
+                                      np.arange(2000.0) + meta["i"])
+    assert not list(root.glob("*.tmp*"))
