@@ -148,7 +148,8 @@ def _execute_specs_batched(registry_name: str, specs: Sequence[RunSpec],
                            scenario: Scenario, seeds: Mapping[str, int],
                            cache_dir: Optional[str] = None
                            ) -> List[Dict[str, Any]]:
-    """Evaluate many cells in one unit-grid pass (single-process path).
+    """Evaluate cells in one unit-grid pass: every single-process
+    evaluation, one pending cell or many.
 
     Nothing on the evaluation path reads the legacy global np.random
     stream (predictor and capacity draws use explicit ``eval_seed``
@@ -186,9 +187,6 @@ def warm_process() -> None:
 
     warm_corpus()
 
-
-# Backwards-compatible alias: pool initializers predate the public name.
-_warm_worker = warm_process
 
 
 @dataclass
@@ -323,17 +321,13 @@ def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
 
     if pending:
         cache_dir = str(cache.root) if cache is not None else None
-        if processes == 1 and len(pending) > 1:
+        if processes == 1 or len(pending) == 1:
             payloads = _execute_specs_batched(registry_name, pending,
                                               scenario, seeds, cache_dir)
-        elif processes == 1 or len(pending) == 1:
-            payloads = [_execute_spec(registry_name, spec, scenario,
-                                      seeds[spec.run_id], cache_dir)
-                        for spec in pending]
         else:
             workers = min(processes, len(pending))
             with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_warm_worker) as pool:
+                                     initializer=warm_process) as pool:
                 futures = [pool.submit(_execute_spec, registry_name,
                                        spec, scenario,
                                        seeds[spec.run_id], cache_dir)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.capacity.simulator import CapacityConfig, CapacityResult, CapacitySimulator
+from repro.capacity.simulator import CapacityConfig, CapacityResult
 from repro.units import require_positive
 
 
@@ -107,8 +107,3 @@ class FiniteSourceCapacitySimulator:
         of the run can decide the answer exactly: this is the full run.
         """
         return self.run(n_users, seed=seed).drop_probability > target
-
-    # Same decorrelated-by-default sweep seeding as the M/G/N model;
-    # both only need ``self.config`` and ``self.run``.
-    sweep_seeds = CapacitySimulator.sweep_seeds
-    sweep = CapacitySimulator.sweep

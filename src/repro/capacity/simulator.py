@@ -9,18 +9,26 @@ channels are busy is dropped.
 
 Shorter transmission times — the energy-aware browser's effect — mean
 more supportable users at the same dropping probability (Fig. 11).
+
+Every M/G/N run has one shape: an :class:`ArrivalBlockSource` draws the
+run's ``(arrivals, services)`` in blocks, and :func:`resolve_source`
+threads them through :func:`repro.fleet.capacity.resolve_drops_block`
+with one carried busy frontier.  Resident state is O(block +
+n_channels) at any horizon.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fleet.capacity import drop_blocks, resolve_drops
+from repro.fleet.capacity import (_BLOCK_ARRIVALS, DropCarry,
+                                  resolve_drops_block)
 from repro.runtime.seeding import spawn_seeds
+from repro.stream import DEFAULT_BLOCK_ARRIVALS
 from repro.units import hours, require_positive
 
 
@@ -63,16 +71,161 @@ class CapacityResult:
         return self.dropped / self.sessions
 
 
-def arrival_draw_count(rate: float, horizon: float) -> int:
-    """Exponential gaps drawn for one run (mean + 6 sigma headroom).
+class ArrivalBlockSource:
+    """Bounded-memory generator of one run's ``(arrivals, services)``
+    blocks.
 
-    Shared between the materialising :meth:`CapacitySimulator.draw` and
-    the chunked :class:`repro.stream.source.ArrivalBlockSource` — both
-    must consume exactly this many draws for their RNG streams to stay
-    aligned draw-for-draw.
+    The run's draw order is fixed: ``n_draw`` exponential gaps (the
+    expected arrivals plus 6 sigma of headroom), cumulative-summed and
+    truncated at the horizon, then one ``choice`` of a service time for
+    every arrival inside the horizon.  Chunking that order naively would
+    interleave gap and service draws and change every value, so the
+    source replays the *same seed* through two generators:
+
+    - the **lead** generator runs pass 1 (:meth:`scan`) — it consumes
+      exactly ``n_draw`` exponentials in blocks, counting how many
+      cumulative arrivals fall inside the horizon, and is then
+      positioned where the service draws start;
+    - the **replay** generator re-draws the gap stream in pass 2
+      (:meth:`blocks`), emitting arrival blocks paired with the lead
+      generator's service blocks.
+
+    Two identities make any chunking yield the same values:
+    ``Generator.exponential``/``choice`` consume the bit stream per
+    element, so splitting one ``size=n`` call into chunks summing to
+    ``n`` draws the same values; and prefix sums chunk exactly when the
+    carry is folded into the first element *before* ``np.cumsum``
+    (``np.add.accumulate`` is strictly sequential left to right).
+    ``tests/stream/test_source.py`` checks both against the whole-array
+    draw of ``tests/oracles/capacity.py``.
+
+    Generator states snapshot to JSON-safe dicts, so a :mod:`repro.sched`
+    work unit can start the stream at any block boundary its plan
+    recorded.
     """
-    n_expected = rate * horizon
-    return int(n_expected + 6 * np.sqrt(n_expected) + 10)
+
+    def __init__(self, service_times, n_users: int,
+                 config: Optional[CapacityConfig] = None,
+                 seed: Optional[int] = None,
+                 block_arrivals: int = DEFAULT_BLOCK_ARRIVALS):
+        require_positive("n_users", n_users)
+        if block_arrivals < 1:
+            raise ValueError(
+                f"block_arrivals must be >= 1, got {block_arrivals}")
+        self.service_times = np.asarray(service_times, dtype=float)
+        self.config = config or CapacityConfig()
+        self.n_users = int(n_users)
+        self.block_arrivals = int(block_arrivals)
+        # Superposition of the users' Poisson processes is Poisson with
+        # aggregate rate n_users / mean_interval.
+        self.rate = n_users / self.config.mean_interval
+        n_expected = self.rate * self.config.horizon
+        self.n_draw = int(n_expected + 6 * np.sqrt(n_expected) + 10)
+        seed_value = self.config.seed if seed is None else seed
+        self._lead = np.random.default_rng(seed_value)
+        self._replay = np.random.default_rng(seed_value)
+        #: Sessions inside the horizon; None until pass 1 has run.
+        self._n_sessions: Optional[int] = None
+        #: Cumulative-sum carry of the replay pass (last arrival time).
+        self._carry = 0.0
+        #: Arrivals already yielded by :meth:`blocks`.
+        self._emitted = 0
+
+    def scan(self) -> int:
+        """Pass 1: count in-horizon sessions, position the service RNG.
+
+        Consumes exactly ``n_draw`` exponentials from the lead
+        generator — also the ones past the horizon crossing, which the
+        draw order discards — so service draws start from the fixed
+        generator state.  Idempotent.
+        """
+        if self._n_sessions is not None:
+            return self._n_sessions
+        horizon = self.config.horizon
+        scale = 1.0 / self.rate
+        remaining = self.n_draw
+        carry = 0.0
+        sessions = 0
+        crossed = False
+        while remaining:
+            size = min(self.block_arrivals, remaining)
+            gaps = self._lead.exponential(scale, size=size)
+            remaining -= size
+            if crossed:
+                continue
+            gaps[0] += carry
+            block = np.cumsum(gaps)
+            carry = float(block[-1])
+            # arrivals are non-decreasing (gaps >= 0), so the count of
+            # entries < horizon is one searchsorted.
+            below = int(np.searchsorted(block, horizon, side='left'))
+            sessions += below
+            crossed = below < size
+        self._n_sessions = sessions
+        return sessions
+
+    @property
+    def n_sessions(self) -> int:
+        """Sessions inside the horizon (runs pass 1 on first use)."""
+        return self.scan()
+
+    def blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Pass 2: yield ``(arrivals, services)`` blocks in order.
+
+        Internal cursors (generator states, cumsum carry, emitted
+        count) advance *before* each yield, so :meth:`state` captured
+        between blocks is a coherent boundary snapshot.
+        """
+        total = self.scan()
+        scale = 1.0 / self.rate
+        while self._emitted < total:
+            size = min(self.block_arrivals, total - self._emitted)
+            gaps = self._replay.exponential(scale, size=size)
+            gaps[0] += self._carry
+            arrivals = np.cumsum(gaps)
+            self._carry = float(arrivals[-1])
+            services = self._lead.choice(self.service_times, size=size)
+            self._emitted += size
+            yield arrivals, services
+
+    def state(self) -> dict:
+        """JSON-safe snapshot of the source at a block boundary."""
+        if self._n_sessions is None:
+            raise RuntimeError("cannot snapshot before scan()")
+        return {
+            "version": 1,
+            "lead": self._lead.bit_generator.state,
+            "replay": self._replay.bit_generator.state,
+            "carry": self._carry,
+            "emitted": self._emitted,
+            "n_sessions": self._n_sessions,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Resume from a :meth:`state` snapshot (same construction
+        parameters assumed — the caller fingerprints them)."""
+        self._lead.bit_generator.state = state["lead"]
+        self._replay.bit_generator.state = state["replay"]
+        self._carry = float(state["carry"])
+        self._emitted = int(state["emitted"])
+        self._n_sessions = int(state["n_sessions"])
+
+
+def resolve_source(source: ArrivalBlockSource, n_channels: int
+                   ) -> Iterator[Tuple[int, np.ndarray, DropCarry]]:
+    """Yield ``(dropped, services, carry)`` for each block of
+    ``source``: its drop count, its service draws and the busy frontier
+    after it.
+
+    One :class:`~repro.fleet.capacity.DropCarry` threads the blocks, so
+    each block's count is final when yielded (drops cascade forward
+    only) and a consumer that needs only a prefix can stop early.
+    """
+    carry = DropCarry.empty()
+    for arrivals, services in source.blocks():
+        mask, carry = resolve_drops_block(arrivals, services, n_channels,
+                                          carry)
+        yield int(mask.sum()), services, carry
 
 
 class CapacitySimulator:
@@ -94,41 +247,26 @@ class CapacitySimulator:
     def mean_service_time(self) -> float:
         return float(self.service_times.mean())
 
-    def draw(self, n_users: int, rng: np.random.Generator):
-        """Draw one run's ``(arrivals, services)`` arrays from ``rng``.
+    def source(self, n_users: int, seed: Optional[int] = None,
+               block_arrivals: int = _BLOCK_ARRIVALS
+               ) -> ArrivalBlockSource:
+        """The block source of one run (``seed=None``: the config's).
 
-        This is the canonical draw order every equivalent path must
-        reproduce: all gaps, cumulative-summed and truncated at the
-        horizon, then one ``choice`` for the services.
+        The default block is the resolver's own slice, so a one-bit
+        probe stops within one slice of its deciding arrival.
         """
-        config = self.config
-        # Superposition of the users' Poisson processes is Poisson with
-        # aggregate rate n_users / mean_interval.
-        rate = n_users / config.mean_interval
-        n_draw = arrival_draw_count(rate, config.horizon)
-        gaps = rng.exponential(1.0 / rate, size=n_draw)
-        arrivals = np.cumsum(gaps)
-        arrivals = arrivals[arrivals < config.horizon]
-        services = rng.choice(self.service_times, size=arrivals.size)
-        return arrivals, services
-
-    def _draw_run(self, n_users: int, seed: Optional[int]):
-        require_positive("n_users", n_users)
-        config = self.config
-        rng = np.random.default_rng(config.seed if seed is None else seed)
-        return self.draw(n_users, rng)
+        return ArrivalBlockSource(self.service_times, n_users,
+                                  config=self.config, seed=seed,
+                                  block_arrivals=block_arrivals)
 
     def run(self, n_users: int, seed: Optional[int] = None
             ) -> CapacityResult:
         """Simulate ``n_users`` browsing for the configured horizon."""
-        config = self.config
-        arrivals, services = self._draw_run(n_users, seed)
-
-        # The sorted-count sweep of repro.fleet.capacity resolves the
-        # drop set a per-session min-heap of channel release times would.
-        dropped = int(resolve_drops(arrivals, services,
-                                    config.n_channels).sum())
-        return CapacityResult(n_users=n_users, sessions=int(arrivals.size),
+        source = self.source(n_users, seed)
+        sessions = source.scan()
+        dropped = sum(count for count, _, _ in
+                      resolve_source(source, self.config.n_channels))
+        return CapacityResult(n_users=n_users, sessions=sessions,
                               dropped=dropped)
 
     def exceeds_drop_target(self, n_users: int, target: float,
@@ -136,48 +274,32 @@ class CapacitySimulator:
         """``run(n_users, seed).drop_probability > target``, resolving
         only as many arrival blocks as the answer needs.
 
-        The draw is :meth:`run`'s (the services ``choice`` follows every
-        gap, so nothing can be drawn lazily), which fixes ``sessions``
-        up front.  Drops only accumulate block by block, and dividing by
-        a fixed ``sessions`` is monotone in floats too, so the first
-        block whose running ``dropped / sessions`` — the very expression
+        The source's first pass fixes ``sessions`` up front.  Drops
+        only accumulate block by block, and dividing by a fixed
+        ``sessions`` is monotone in floats too, so the first block whose
+        running ``dropped / sessions`` — the very expression
         :attr:`CapacityResult.drop_probability` evaluates — passes
         ``target`` decides the run; an unresolved tail cannot undo it.
         """
-        arrivals, services = self._draw_run(n_users, seed)
-        sessions = int(arrivals.size)
+        source = self.source(n_users, seed)
+        sessions = source.scan()
         dropped = 0
-        for mask in drop_blocks(arrivals, services, self.config.n_channels):
-            dropped += int(mask.sum())
+        for count, _, _ in resolve_source(source, self.config.n_channels):
+            dropped += count
             if dropped / sessions > target:
                 return True
         return False
 
     def sweep_seeds(self, n_points: int,
-                    seed: Optional[int] = None,
-                    common_random_numbers: bool = False) -> list:
+                    seed: Optional[int] = None) -> list:
         """Per-point seeds for a sweep of ``n_points`` user counts.
 
-        By default each point gets an independent child of one
-        ``SeedSequence`` root, so adjacent sweep points are statistically
-        decorrelated (sharing one seed biases the whole curve up or down
-        together).  ``common_random_numbers=True`` opts back into a
-        single shared seed — the classic variance-reduction trick for
-        *comparing* two systems point-by-point on the same arrival luck.
+        Each point gets an independent child of one ``SeedSequence``
+        root, so adjacent sweep points are statistically decorrelated
+        (sharing one seed biases the whole curve up or down together).
         """
         base = self.config.seed if seed is None else seed
-        if common_random_numbers:
-            return [base] * n_points
         return spawn_seeds(base, n_points)
-
-    def sweep(self, user_counts: Sequence[int],
-              seed: Optional[int] = None,
-              common_random_numbers: bool = False) -> list:
-        """Run a user-count sweep; returns a list of results."""
-        seeds = self.sweep_seeds(len(user_counts), seed=seed,
-                                 common_random_numbers=common_random_numbers)
-        return [self.run(n, seed=s)
-                for n, s in zip(user_counts, seeds)]
 
 
 def capacity_at_drop_target(simulator: CapacitySimulator, target: float,

@@ -1,10 +1,11 @@
 """Batched Erlang-loss drop resolution via sorted-count sweeps.
 
-The scalar :class:`repro.capacity.simulator.CapacitySimulator` walks a
-min-heap of channel release times, one Python iteration per session.
-The loss process it computes is a deterministic function of the arrival
-and service-time arrays, so the whole run can be resolved with array
-sweeps instead.
+The Erlang-loss process of
+:class:`repro.capacity.simulator.CapacitySimulator` is the scalar heap
+loop over channel release times, one Python iteration per session
+(``tests/oracles/capacity.py`` keeps it).  That loop is a deterministic
+function of the arrival and service-time arrays, so each arrival block
+can be resolved with array sweeps instead.
 
 Work per *arrival* rather than per event: let ``L_i`` be the number of
 *live* departures (of sessions not dropped) at or before ``a_i`` — ties
@@ -47,10 +48,11 @@ Two facts make the iteration exact and well-behaved:
 :func:`resolve_drops_block` is the one drop algorithm: it validates a
 block of any size once, then chains the per-slice fixpoint over its
 consecutive ``_BLOCK_ARRIVALS``-sized slices, so a 65,536-arrival
-stream block costs what sixteen in-memory slices cost.
-:func:`drop_blocks` chains it over fixed-size blocks of an in-memory
-stream, and :func:`resolve_drops` collects every block's mask.  Dense
-saturation (binary-search probes far above capacity) can still cascade
+stream block costs what sixteen 4,096-arrival blocks cost.  Every
+capacity run feeds it the blocks of an
+:class:`~repro.capacity.simulator.ArrivalBlockSource`, threading one
+carry (:func:`repro.capacity.simulator.resolve_source`, and the
+:mod:`repro.sched` unit and stitch loops).  Dense saturation (binary-search probes far above capacity) can still cascade
 heavily inside a slice; past the sweep budget that slice alone is
 replayed by the scalar heap loop, and the next slice goes back to the
 vectorised path.
@@ -74,16 +76,6 @@ _BLOCK_ARRIVALS = 4096
 _MAX_SWEEPS = 96
 
 
-def _require_matching_shapes(arrivals, services) -> None:
-    if arrivals.ndim != 1:
-        raise ValueError(f"arrivals and services must be 1-D streams, "
-                         f"got shape {arrivals.shape}")
-    if arrivals.shape != services.shape:
-        raise ValueError(
-            f"arrivals and services must have matching shapes, got "
-            f"{arrivals.shape} vs {services.shape}")
-
-
 def _require_valid_stream(arrivals, services,
                           lower: "float | None" = None) -> None:
     """Reject the two verified silent-wrongness inputs up front.
@@ -100,7 +92,13 @@ def _require_valid_stream(arrivals, services,
     anyway.  ``lower`` (the carried block boundary) guards the
     cross-block ordering contract the same way.
     """
-    _require_matching_shapes(arrivals, services)
+    if arrivals.ndim != 1:
+        raise ValueError(f"arrivals and services must be 1-D streams, "
+                         f"got shape {arrivals.shape}")
+    if arrivals.shape != services.shape:
+        raise ValueError(
+            f"arrivals and services must have matching shapes, got "
+            f"{arrivals.shape} vs {services.shape}")
     if not np.isfinite(arrivals).all() or not np.isfinite(services).all():
         raise SimulationError(
             "arrivals and services must be finite: a NaN/inf session "
@@ -116,53 +114,6 @@ def _require_valid_stream(arrivals, services,
             f"block arrivals start at {float(arrivals[0])!r}, before "
             f"the carried boundary {lower!r}; blocks must continue "
             f"one non-decreasing stream")
-
-
-def drop_blocks(arrivals: np.ndarray, services: np.ndarray,
-                n_channels: int,
-                block_arrivals: int = _BLOCK_ARRIVALS,
-                max_sweeps: int = _MAX_SWEEPS):
-    """Yield the drop mask of each ``block_arrivals``-sized block, in
-    stream order: :func:`resolve_drops_block` chained over the in-memory
-    stream, threading one :class:`DropCarry`.
-
-    Each mask is final when yielded (drops cascade forward only), so a
-    consumer that needs only a prefix of the stream can stop early;
-    :func:`resolve_drops` consumes every block.
-    """
-    _require_matching_shapes(arrivals, services)
-    carry = None
-    for start in range(0, int(arrivals.size), block_arrivals):
-        blk = slice(start, start + block_arrivals)
-        mask, carry = resolve_drops_block(
-            arrivals[blk], services[blk], n_channels, carry, max_sweeps)
-        yield mask
-
-
-def resolve_drops(arrivals: np.ndarray, services: np.ndarray,
-                  n_channels: int,
-                  block_arrivals: int = _BLOCK_ARRIVALS,
-                  max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """Boolean mask of dropped sessions for one capacity run.
-
-    ``arrivals`` must be non-decreasing and ``services`` strictly
-    positive (a zero service would free its channel *before* its own
-    arrival claims one).  Bit-for-bit equivalent to the scalar heap
-    loop::
-
-        while busy and busy[0] <= arrival: heappop(busy)
-        if len(busy) >= n_channels: drop
-        else: heappush(busy, arrival + service)
-
-    The in-memory stream is every block of :func:`drop_blocks`.
-    """
-    dropped = np.empty(int(arrivals.size), dtype=bool)
-    start = 0
-    for mask in drop_blocks(arrivals, services, n_channels,
-                            block_arrivals, max_sweeps):
-        dropped[start:start + mask.size] = mask
-        start += mask.size
-    return dropped
 
 
 def _block_fixpoint(arr_blk: np.ndarray, blk_deps: np.ndarray,
@@ -264,9 +215,16 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
     ``(dropped_mask, next_carry)``.
 
     Feeding consecutive blocks of one non-decreasing arrival stream
-    through this function (threading the returned carry) yields exactly
-    the mask the scalar heap loop computes on the concatenated arrays —
-    the block-local recursion starts from ``T_{-1} = occupancy =
+    with strictly positive services (a zero service would free its
+    channel *before* its own arrival claims one) through this function,
+    threading the returned carry, yields exactly the mask the scalar
+    heap loop computes on the concatenated arrays::
+
+        while busy and busy[0] <= arrival: heappop(busy)
+        if len(busy) >= n_channels: drop
+        else: heappush(busy, arrival + service)
+
+    The block-local recursion starts from ``T_{-1} = occupancy =
     busy.size`` (the carried frontier's departures bin into this block's
     ``live`` counts like any other departure), and drops cascade forward
     only, so earlier blocks are final when a block is resolved.  A

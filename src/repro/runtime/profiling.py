@@ -10,7 +10,6 @@ end-to-end benchmark's job (``python -m bench.run --trace``).
 from __future__ import annotations
 
 import cProfile
-import io
 import pstats
 import time as _time
 from pathlib import Path
@@ -70,7 +69,7 @@ def profile_task(kind: str, task_id: str, seed: Optional[int] = None,
             report = runner().report()
         profiler.disable()
     wall_time = _time.perf_counter() - started
-    stats = pstats.Stats(profiler, stream=io.StringIO())
+    stats = pstats.Stats(profiler)
 
     payload: Dict[str, Any] = {
         "kind": kind,

@@ -32,11 +32,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.capacity.simulator import CapacityConfig
+from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
 from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import KERNEL_STATS
 from repro.stream.aggregate import stitch_service_aggregates
-from repro.stream.source import ArrivalBlockSource
 from repro.stream.sweep import StreamPoint
 from repro.sched.units import PointPlan
 from repro.sched.worker import frontier_digest

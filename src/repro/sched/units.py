@@ -1,7 +1,7 @@
 """The partitioner: split one sweep point into block-range units.
 
 A *unit* is a contiguous range of arrival blocks plus the
-:meth:`~repro.stream.source.ArrivalBlockSource.state` snapshot at its
+:meth:`~repro.capacity.simulator.ArrivalBlockSource.state` snapshot at its
 starting boundary, so any worker can regenerate exactly its share of
 the stream — draw-for-draw identical to the serial pass — without
 touching the rest.
@@ -25,9 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.capacity.simulator import CapacityConfig
+from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
-from repro.stream.source import ArrivalBlockSource
 
 #: Default blocks per unit: coarse enough that the stitch replays a
 #: small fraction of each unit, fine enough to load-balance 8 workers.

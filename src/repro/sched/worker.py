@@ -31,11 +31,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.capacity.simulator import CapacityConfig
+from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
 from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import KERNEL_STATS
 from repro.stream.aggregate import PartialServiceAggregate
-from repro.stream.source import ArrivalBlockSource
 from repro.sched.units import PointPlan, UnitDescriptor
 
 

@@ -165,8 +165,8 @@ class WhatIfService:
         Seeded exactly like the evaluator's ``drop_probability`` metric
         — same config seed, same :func:`capacity_seed` —
         and executed through :func:`~repro.stream.sweep.sweep_point`,
-        whose sessions/dropped are golden-gated byte-identical to
-        ``CapacitySimulator.run``.
+        whose sessions/dropped are ``CapacitySimulator.run``'s: both
+        resolve the same source blocks through one loop.
         """
         pool = variant_hold_pool(request.setup(), request.scenario(),
                                  load_cache=self._load_cache)
@@ -175,6 +175,5 @@ class WhatIfService:
                                 horizon=request.horizon,
                                 seed=eval_seed)
         point = sweep_point(CapacitySimulator(pool, config),
-                            request.n_users, capacity_seed(eval_seed),
-                            stream=False)
+                            request.n_users, capacity_seed(eval_seed))
         return point.to_dict()

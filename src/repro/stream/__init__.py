@@ -1,20 +1,19 @@
 """Bounded-memory streaming sweep engine.
 
-Capacity sweeps materialise whole arrival arrays and result vectors;
-``repro.stream`` turns them into block loops with O(block + n_channels)
-resident state:
+Every capacity run streams its arrivals in blocks from an
+:class:`repro.capacity.simulator.ArrivalBlockSource`, with O(block +
+n_channels) resident state; ``repro.stream`` holds what sweeps build
+on top of those blocks:
 
-- :mod:`repro.stream.source` — chunked arrival/session generators,
-  draw-for-draw identical to the materialised arrays;
-- :mod:`repro.stream.aggregate` — mergeable online aggregators (exact
-  count/sum/mean-variance, min/max, deterministic quantile sketch);
+- :mod:`repro.stream.aggregate` — chunking-invariant online
+  aggregators (exact count/sum/mean-variance, min/max, deterministic
+  quantile sketch) and their per-unit fragments;
 - :mod:`repro.stream.shard` — spill-to-disk npz shards with a JSON
   manifest, the storage of a :mod:`repro.sched` work dir;
 - :mod:`repro.stream.sweep` — the ``repro stream-sweep`` driver, whose
-  streamed ``sweep_point`` threads one
-  :class:`repro.fleet.capacity.DropCarry` through the blocks.
+  ``sweep_point`` folds each resolved block's services into the
+  point's aggregate.
 """
-
 from __future__ import annotations
 
 #: Arrivals per streamed block: ~0.5 MB per float64 array, large enough

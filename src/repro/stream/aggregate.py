@@ -1,11 +1,12 @@
-"""Mergeable online aggregators with exact, associative ``merge()``.
+"""Online aggregators whose state does not depend on the chunking.
 
-Block loops fold each block into an aggregate and merge aggregates
-across blocks, workers and shards; for streamed reports to stay
-byte-identical to the in-memory ones, the fold must not depend on how
-the stream was chunked.  Floating-point Welford merging is *not*
-associative (each merge rounds), so the moment aggregators here go one
-step further than the classic recurrences: they accumulate exact sums.
+Block loops fold each block into an aggregate; for a sweep point to
+come out the same at any block size and from any :mod:`repro.sched`
+unit partition, the fold must not depend on how the stream was
+chunked, and the per-unit fragments must reassemble exactly.
+Floating-point Welford merging is *not* associative (each merge
+rounds), so the moment aggregators here go one step further than the
+classic recurrences: they accumulate exact sums.
 
 **ExactSum** exploits the fact that every finite double is an integer
 multiple of 2^-1074.  ``frexp`` splits x into mantissa·2^exp; the
@@ -25,14 +26,12 @@ the simulation producing the blocks.
 holds up to ``k`` values of weight ``2^l``; a full level sorts and
 promotes every second element.  Because level 0 compacts at *exact
 element counts* — independent of block boundaries — feeding a sequence
-in any chunking yields the identical sketch state, which is what keeps
-streamed CDF anchors byte-identical to in-memory ones.  ``merge``
-(needed across workers/shards) concatenates levels and re-compacts;
-each compaction of weight-w items perturbs any rank by at most w, and
-the sketch tracks the accumulated bound itself
-(:attr:`QuantileSketch.rank_error_bound`).
+in any chunking yields the identical sketch state.  Each compaction of
+weight-w items perturbs any rank by at most w, and the sketch tracks
+the accumulated bound itself (:attr:`QuantileSketch.rank_error_bound`).
+Per-unit fragments (:class:`PartialQuantileSketch`) stitch back into
+the sequential sketch byte for byte.
 """
-
 from __future__ import annotations
 
 import math
@@ -109,9 +108,6 @@ class ExactSum:
                     << (low + b)
         self._units += total
         return self
-
-    def add(self, value: float) -> "ExactSum":
-        return self.add_block(np.asarray([value], dtype=np.float64))
 
     def merge(self, other: "ExactSum") -> "ExactSum":
         self._units += other._units
@@ -292,9 +288,8 @@ class QuantileSketch:
 
     ``add_block`` is *chunking-invariant*: the sketch state after
     feeding a sequence depends only on the sequence, because level 0
-    fills and compacts at exact element counts.  ``merge`` is
-    deterministic but only rank-approximate; the worst-case weighted
-    rank error accumulated by compactions is tracked in
+    fills and compacts at exact element counts.  The worst-case
+    weighted rank error accumulated by compactions is tracked in
     :attr:`rank_error_bound` (each compaction at level ``l`` moves any
     rank by at most ``2^l``).
     """
@@ -350,66 +345,22 @@ class QuantileSketch:
         return self
 
     def _compact(self, level: int) -> None:
-        """Sort a level, promote every second element one level up.
+        """Sort a full level, promote every second element one level up.
 
-        An odd leftover (only possible after a merge) stays behind at
-        its own weight, so total weight — and hence ``count`` — is
-        invariant; the promoted half perturbs any rank by at most the
-        level weight ``2^level``.
+        Levels fill one value (level 0) or ``k/2`` promoted values at a
+        time and compact at exactly ``k`` values, ``k`` even, so the
+        whole level empties into its promoted half: total weight — and
+        hence ``count`` — is invariant, and any rank moves by at most
+        the level weight ``2^level``.
         """
-        buf = self._levels[level]
-        if len(buf) < 2:
-            return
         if level + 1 == len(self._levels):
             self._levels.append([])
-        buf.sort()
-        keep = (len(buf) // 2) * 2
-        promoted = buf[1:keep:2]
-        self._levels[level] = buf[keep:]
-        self._levels[level + 1].extend(promoted)
+        buf = sorted(self._levels[level])
+        self._levels[level] = []
+        self._levels[level + 1].extend(buf[1::2])
         self._error += 1 << level
         if len(self._levels[level + 1]) >= self._k:
             self._compact(level + 1)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        if other._k != self._k:
-            raise ValueError(
-                f"cannot merge sketches with k={self._k} and k={other._k}")
-        while len(self._levels) < len(other._levels):
-            self._levels.append([])
-        for level, buf in enumerate(other._levels):
-            self._levels[level].extend(buf)
-        self._count += other._count
-        self._error += other._error
-        for level in range(len(self._levels)):
-            if len(self._levels[level]) >= self._k:
-                self._compact(level)
-        return self
-
-    def rank(self, value: float) -> int:
-        """Estimated weighted #{x <= value}; exact within the bound."""
-        total = 0
-        for level, buf in enumerate(self._levels):
-            weight = 1 << level
-            total += weight * sum(1 for v in buf if v <= value)
-        return total
-
-    def quantile(self, q: float) -> float:
-        """Deterministic q-quantile estimate (nan when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self._count == 0:
-            return float("nan")
-        items: List[Tuple[float, int]] = sorted(
-            (v, 1 << level)
-            for level, buf in enumerate(self._levels) for v in buf)
-        target = max(1, math.ceil(q * self._count))
-        cumulative = 0
-        for value, weight in items:
-            cumulative += weight
-            if cumulative >= target:
-                return value
-        return items[-1][0]
 
     def quantiles(self, qs) -> Dict[str, float]:
         """Several quantiles in one pass, keyed ``"p50"``-style.
@@ -442,26 +393,9 @@ class QuantileSketch:
             out[key] = value
         return out
 
-    def cdf(self, anchors) -> List[float]:
-        """Estimated CDF at each anchor (fig07/fig11-style curves)."""
-        if self._count == 0:
-            return [float("nan") for _ in anchors]
-        return [self.rank(a) / self._count for a in anchors]
-
     def to_state(self) -> dict:
         return {"k": self._k, "count": self._count, "error": self._error,
                 "levels": [list(buf) for buf in self._levels]}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "QuantileSketch":
-        sketch = cls(k=int(state["k"]))
-        sketch._count = int(state["count"])
-        sketch._error = int(state["error"])
-        sketch._levels = [[float(v) for v in buf]
-                          for buf in state["levels"]]
-        if not sketch._levels:
-            sketch._levels = [[]]
-        return sketch
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuantileSketch)
@@ -476,10 +410,10 @@ class PartialQuantileSketch:
     """Exact sketch fragment over elements ``[start, start+count)`` of
     a globally-ordered stream.
 
-    ``QuantileSketch.merge`` is rank-correct but *not* byte-identical
-    to feeding one sequence through ``add_block`` — merging two halves
-    compacts different buffers than the sequential fill would (k=4,
-    halves of 3+3: the merge compacts six raws at once where the
+    Merging two sketches level by level would be rank-correct but
+    *not* byte-identical to feeding one sequence through ``add_block``
+    — it compacts different buffers than the sequential fill would
+    (k=4, halves of 3+3: a merge compacts six raws at once where the
     sequential path compacted at element 4).  The distributed sweep
     needs byte-identity, so a unit records a fragment the stitcher can
     replay *as if* the stream had been sequential:
@@ -581,8 +515,7 @@ def stitch_quantile_sketch(parts_seq: Sequence[dict]) -> QuantileSketch:
     per raw-spillover segment — independent of the stream length the
     fragments cover, which is what makes the distributed stitch cheap.
     """
-    parts = [p.to_parts() if isinstance(p, PartialQuantileSketch) else p
-             for p in parts_seq]
+    parts = list(parts_seq)
     if not parts:
         return QuantileSketch()
     k = int(parts[0]["k"])
@@ -659,9 +592,7 @@ class ServiceAggregate:
     """Composite per-point aggregate over service times.
 
     Bundles the exact moments, extrema and the quantile sketch that the
-    stream-sweep report consumes; ``merge`` composes the members'
-    merges (exact for everything but the sketch, which stays within its
-    self-reported rank bound).
+    stream-sweep report consumes.
     """
 
     __slots__ = ("moments", "extrema", "sketch")
@@ -677,27 +608,6 @@ class ServiceAggregate:
         self.extrema.add_block(x)
         self.sketch.add_block(x)
         return self
-
-    def merge(self, other: "ServiceAggregate") -> "ServiceAggregate":
-        self.moments.merge(other.moments)
-        self.extrema.merge(other.extrema)
-        self.sketch.merge(other.sketch)
-        return self
-
-    def to_state(self) -> dict:
-        return {"moments": self.moments.to_state(),
-                "extrema": self.extrema.to_state(),
-                "sketch": self.sketch.to_state()}
-
-    def restore(self, state: dict) -> "ServiceAggregate":
-        self.moments = MeanVariance.from_state(state["moments"])
-        self.extrema = MinMax.from_state(state["extrema"])
-        self.sketch = QuantileSketch.from_state(state["sketch"])
-        return self
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ServiceAggregate":
-        return cls().restore(state)
 
     def state_nbytes(self) -> int:
         """Rough resident footprint (for peak carried-state tracking)."""
@@ -718,9 +628,8 @@ class PartialServiceAggregate:
 
     Moments and extrema merge exactly in any grouping (big-int adds and
     min/max are associative down to the bit), so the fragment simply
-    holds them; the sketch — whose ``merge`` is *not* sequential-
-    equivalent — is held as a :class:`PartialQuantileSketch` fragment
-    instead.  :func:`stitch_service_aggregates` folds an ordered run of
+    holds them; the sketch, which has no sequential-equivalent merge,
+    is held as a :class:`PartialQuantileSketch` fragment instead.  :func:`stitch_service_aggregates` folds an ordered run of
     fragments into the exact ``ServiceAggregate`` the serial streamed
     sweep would have produced.
     """
@@ -743,10 +652,6 @@ class PartialServiceAggregate:
         return {"moments": self.moments.to_state(),
                 "extrema": self.extrema.to_state(),
                 "sketch_parts": self.sketch_parts.to_parts()}
-
-    @classmethod
-    def state_start(cls, state: dict) -> int:
-        return int(state["sketch_parts"]["start"])
 
 
 def stitch_service_aggregates(states: Sequence[dict]

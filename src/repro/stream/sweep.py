@@ -3,27 +3,23 @@ bounded memory.
 
 Each sweep point runs one capacity simulation and reports the drop
 probability plus service-time statistics (exact moments and extrema,
-sketch quantiles).  Both execution paths produce the *same points*:
+sketch quantiles).  :func:`sweep_point` draws ``(arrivals, services)``
+blocks from an :class:`~repro.capacity.simulator.ArrivalBlockSource`,
+resolves them through :func:`~repro.capacity.simulator.resolve_source`
+— the block loop every capacity run shares, threading one
+:class:`~repro.fleet.capacity.DropCarry` busy frontier (at most
+``n_channels`` departures) — and folds each block into the aggregate,
+so its resident state is O(block + n_channels + sketch) at any horizon.
 
-- the **in-memory** path materialises the arrays like fig11 does and
-  folds them into one aggregate in a single block;
-- the **streamed** path draws ``(arrivals, services)`` blocks from an
-  :class:`~repro.stream.source.ArrivalBlockSource`, threads each
-  through :func:`repro.fleet.capacity.resolve_drops_block` with one
-  :class:`~repro.fleet.capacity.DropCarry` busy frontier (at most
-  ``n_channels`` departures) and folds it into the aggregate, so its
-  resident state is O(block + n_channels + sketch) at any horizon.
+A resumable or multi-process sweep is a :mod:`repro.sched` work dir
+(``repro stream-sweep --work-dir D``, ``--parallel N``); the serial
+sweep keeps nothing on disk.
 
-A resumable sweep is a :mod:`repro.sched` work dir (``repro
-stream-sweep --work-dir D``); the serial streamed path keeps nothing on
-disk.
-
-Because the block source is draw-for-draw identical to the
-materialised draw, the block resolver threads its carry exactly, and
-the aggregators are chunking-invariant, the two paths yield
-byte-identical reports — ``tests/stream/test_golden_stream.py`` holds
-that line.  The report text deliberately carries no streamed/in-memory
-marker; execution mode is runtime metadata, not a result.
+The source chunks the draw without changing it, the resolver threads
+its carry exactly, and the aggregators are chunking-invariant, so the
+points equal those of a whole-array draw and resolve at any block size
+— ``tests/stream/test_golden_stream.py`` holds that line against the
+materialised reference in ``tests/oracles/capacity.py``.
 """
 
 from __future__ import annotations
@@ -35,14 +31,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-from repro.fleet.capacity import (DropCarry, resolve_drops,
-                                  resolve_drops_block)
+from repro.capacity.simulator import (CapacityConfig, CapacitySimulator,
+                                     resolve_source)
 from repro.runtime.observability import KERNEL_STATS
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
 from repro.stream.aggregate import SERVICE_QUANTILES, ServiceAggregate
 from repro.stream.shard import params_fingerprint
-from repro.stream.source import ArrivalBlockSource
 
 
 def lognormal_pool(size: int = 400, median: float = 14.0,
@@ -78,13 +72,14 @@ class StreamPoint:
     seed: int
     sessions: int
     dropped: int
-    service_mean: float
-    service_std: float
-    service_min: float
-    service_max: float
-    service_p50: float
-    service_p90: float
-    service_p99: float
+    #: Service-time statistics; None when the point has no session.
+    service_mean: Optional[float]
+    service_std: Optional[float]
+    service_min: Optional[float]
+    service_max: Optional[float]
+    service_p50: Optional[float]
+    service_p90: Optional[float]
+    service_p99: Optional[float]
     rank_error_bound: int
 
     @property
@@ -114,34 +109,43 @@ class StreamPoint:
     def from_parts(cls, n_users: int, seed: int, sessions: int,
                    dropped: int, aggregate: ServiceAggregate
                    ) -> "StreamPoint":
+        empty = aggregate.moments.count == 0
+
+        def stat(value) -> Optional[float]:
+            return None if empty else float(value)
+
         p50, p90, p99 = aggregate.sketch.quantiles(
             SERVICE_QUANTILES).values()
         return cls(
             n_users=int(n_users), seed=int(seed),
             sessions=int(sessions), dropped=int(dropped),
-            service_mean=aggregate.moments.mean,
-            service_std=aggregate.moments.std,
-            service_min=float(aggregate.extrema.minimum),
-            service_max=float(aggregate.extrema.maximum),
-            service_p50=float(p50), service_p90=float(p90),
-            service_p99=float(p99),
+            service_mean=stat(aggregate.moments.mean),
+            service_std=stat(aggregate.moments.std),
+            service_min=stat(aggregate.extrema.minimum),
+            service_max=stat(aggregate.extrema.maximum),
+            service_p50=stat(p50), service_p90=stat(p90),
+            service_p99=stat(p99),
             rank_error_bound=aggregate.sketch.rank_error_bound)
 
 
 @dataclass(frozen=True)
 class StreamSweepResult:
     """All points of one stream sweep plus the config that produced
-    them.  ``report()``/``to_dict()`` are mode-free by design: the
-    golden tests compare them across streamed and in-memory runs."""
+    them.  ``report()``/``to_dict()`` carry no runtime facts: the
+    serial sweep and every :mod:`repro.sched` executor print the same
+    bytes."""
 
     config: CapacityConfig
     points: Tuple[StreamPoint, ...]
 
     def report(self) -> str:
         rows = [[p.n_users, p.sessions, p.dropped,
-                 f"{p.drop_probability:.4f}", p.service_mean,
-                 p.service_std, p.service_p50, p.service_p90,
-                 p.service_p99] for p in self.points]
+                 f"{p.drop_probability:.4f}"]
+                + ["-" if value is None else value
+                   for value in (p.service_mean, p.service_std,
+                                 p.service_p50, p.service_p90,
+                                 p.service_p99)]
+                for p in self.points]
         return format_table(
             ["users", "sessions", "dropped", "p_drop", "svc_mean",
              "svc_std", "p50", "p90", "p99"],
@@ -180,35 +184,22 @@ def point_fingerprint(pool: np.ndarray, config: CapacityConfig,
 
 
 def sweep_point(simulator: CapacitySimulator, n_users: int, seed: int,
-                *, stream: bool,
-                block_arrivals: int = DEFAULT_BLOCK_ARRIVALS
+                *, block_arrivals: int = DEFAULT_BLOCK_ARRIVALS
                 ) -> StreamPoint:
-    """Run one sweep point on either path; the results are identical."""
+    """Run one sweep point: the capacity run plus its service-time
+    aggregate, one block at a time."""
     aggregate = ServiceAggregate()
-    config = simulator.config
-    if stream:
-        source = ArrivalBlockSource(simulator.service_times, n_users,
-                                    config=config, seed=seed,
-                                    block_arrivals=block_arrivals)
-        sessions = source.scan()
-        carry = DropCarry.empty()
-        dropped = 0
-        for arrivals, services in source.blocks():
-            mask, carry = resolve_drops_block(arrivals, services,
-                                              config.n_channels, carry)
-            dropped += int(mask.sum())
-            aggregate.add_block(services)
-            KERNEL_STATS.add(
-                stream_blocks=1,
-                stream_peak_carried_bytes=carry.nbytes
-                + aggregate.state_nbytes())
-    else:
-        arrivals, services = simulator.draw(
-            n_users, np.random.default_rng(seed))
-        dropped = int(resolve_drops(
-            arrivals, services, config.n_channels).sum())
-        sessions = int(arrivals.size)
+    source = simulator.source(n_users, seed, block_arrivals)
+    sessions = source.scan()
+    dropped = 0
+    for count, services, carry in resolve_source(
+            source, simulator.config.n_channels):
+        dropped += count
         aggregate.add_block(services)
+        KERNEL_STATS.add(
+            stream_blocks=1,
+            stream_peak_carried_bytes=carry.nbytes
+            + aggregate.state_nbytes())
     return StreamPoint.from_parts(n_users, seed, sessions, dropped,
                                   aggregate)
 
@@ -217,7 +208,6 @@ def run_stream_sweep(pool: np.ndarray,
                      user_counts: Sequence[int],
                      config: Optional[CapacityConfig] = None, *,
                      seed: Optional[int] = None,
-                     stream: bool = True,
                      block_arrivals: int = DEFAULT_BLOCK_ARRIVALS
                      ) -> StreamSweepResult:
     """Sweep ``user_counts`` serially, one :class:`StreamPoint` each.
@@ -229,8 +219,7 @@ def run_stream_sweep(pool: np.ndarray,
     simulator = CapacitySimulator(pool, config)
     counts = list(user_counts)
     seeds = simulator.sweep_seeds(len(counts), seed=seed)
-    points = [sweep_point(simulator, n, s, stream=stream,
-                          block_arrivals=block_arrivals)
+    points = [sweep_point(simulator, n, s, block_arrivals=block_arrivals)
               for n, s in zip(counts, seeds)]
     return StreamSweepResult(config=simulator.config,
                              points=tuple(points))

@@ -5,18 +5,18 @@
 get there without resolving every arrival block of a saturated probe.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.fleet.capacity as fleet_capacity
+import repro.capacity.simulator as capacity_simulator
 from repro.capacity.finite_source import FiniteSourceCapacitySimulator
 from repro.capacity.simulator import (
     CapacityConfig,
     CapacitySimulator,
     capacity_at_drop_target,
 )
+from tests.oracles.capacity import chained_blocks, draw
 
 
 def _full_run_search(simulator, target, lo, hi, seed):
@@ -41,8 +41,8 @@ def _exact_target(simulator, n_users, seed, mode):
         return result.dropped / result.sessions
     if mode == "one_below":
         return max(result.dropped - 1, 0) / result.sessions
-    first = next(fleet_capacity.drop_blocks(
-        *simulator.draw(n_users, np.random.default_rng(seed)),
+    first = next(chained_blocks(
+        *draw(simulator.service_times, n_users, simulator.config, seed),
         simulator.config.n_channels))
     return int(first.sum()) / result.sessions
 
@@ -86,23 +86,23 @@ def test_saturated_probes_stop_early(monkeypatch):
     assert simulator.run(5000, seed=11).drop_probability > 0.5
 
     stream_blocks = []
-    draw = simulator.draw
+    source = simulator.source
 
-    def counted_draw(n_users, rng):
-        arrivals, services = draw(n_users, rng)
+    def counted_source(n_users, seed=None):
+        blocks = source(n_users, seed)
         stream_blocks.append(
-            -(-arrivals.size // fleet_capacity._BLOCK_ARRIVALS))
-        return arrivals, services
+            -(-blocks.n_sessions // blocks.block_arrivals))
+        return blocks
 
     resolved = []
-    resolve_block = fleet_capacity.resolve_drops_block
+    resolve_block = capacity_simulator.resolve_drops_block
 
     def counted_resolve(*args, **kwargs):
         resolved.append(1)
         return resolve_block(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "draw", counted_draw)
-    monkeypatch.setattr(fleet_capacity, "resolve_drops_block",
+    monkeypatch.setattr(simulator, "source", counted_source)
+    monkeypatch.setattr(capacity_simulator, "resolve_drops_block",
                         counted_resolve)
     assert capacity_at_drop_target(simulator, 0.02, seed=11) == expected
     assert stream_blocks[0] >= 10  # the hi probe spans many blocks

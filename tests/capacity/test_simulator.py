@@ -79,10 +79,16 @@ def test_capacity_binary_search_is_tight():
     assert simulator.run(capacity + 25, seed=2).drop_probability > 0.02
 
 
+def _sweep(simulator, user_counts, seed):
+    """One run per user count, on the sweep's per-point seeds."""
+    seeds = simulator.sweep_seeds(len(user_counts), seed=seed)
+    return [simulator.run(n, seed=s) for n, s in zip(user_counts, seeds)]
+
+
 def test_sweep_is_deterministic():
     simulator = make_simulator(service=20.0, channels=40)
-    a = simulator.sweep([50, 100, 200], seed=11)
-    b = simulator.sweep([50, 100, 200], seed=11)
+    a = _sweep(simulator, [50, 100, 200], seed=11)
+    b = _sweep(simulator, [50, 100, 200], seed=11)
     assert [(r.sessions, r.dropped) for r in a] \
         == [(r.sessions, r.dropped) for r in b]
 
@@ -93,35 +99,12 @@ def test_sweep_points_use_independent_seeds():
     is biased up or down together."""
     simulator = make_simulator(service=20.0, channels=40)
     n = 120
-    independent = simulator.sweep([n, n, n], seed=11)
+    independent = _sweep(simulator, [n, n, n], seed=11)
     # Independent streams: same user count, different session draws.
     sessions = {r.sessions for r in independent}
     assert len(sessions) > 1
     # And none of the per-point seeds is the root seed itself.
     assert all(s != 11 for s in simulator.sweep_seeds(3, seed=11))
-
-
-def test_sweep_common_random_numbers_opt_in():
-    """CRN mode restores the shared-seed behaviour for paired
-    comparisons: identical points give identical results."""
-    simulator = make_simulator(service=20.0, channels=40)
-    n = 120
-    crn = simulator.sweep([n, n, n], seed=11,
-                          common_random_numbers=True)
-    assert len({(r.sessions, r.dropped) for r in crn}) == 1
-    # CRN matches what run() itself produces with the root seed.
-    direct = simulator.run(n, seed=11)
-    assert (crn[0].sessions, crn[0].dropped) \
-        == (direct.sessions, direct.dropped)
-
-
-def test_finite_source_sweep_shares_seeding():
-    from repro.capacity.finite_source import FiniteSourceCapacitySimulator
-
-    simulator = CapacitySimulator([10.0], CapacityConfig(seed=5))
-    finite = FiniteSourceCapacitySimulator([10.0], CapacityConfig(seed=5))
-    assert simulator.sweep_seeds(4) == finite.sweep_seeds(4)
-    assert finite.sweep_seeds(2, common_random_numbers=True) == [5, 5]
 
 
 def test_validation():

@@ -15,7 +15,6 @@ import repro.capacity.simulator as capacity_simulator
 import repro.core.comparison as comparison
 import repro.experiments.fig07_reading_cdf as fig07_module
 import repro.ml.tree as tree_module
-import repro.stream.sweep as stream_sweep
 from repro.core.policy_eval import PolicyEvaluator
 from repro.runtime.singleflight import SingleFlight
 from repro.sim.kernel import Simulator
@@ -46,12 +45,8 @@ def slow_kernel(monkeypatch):
 def slow_fleet(monkeypatch):
     """The per-session heap, per-record ``decide`` and per-anchor means
     in place of the batched fleet paths."""
-    monkeypatch.setattr(capacity_simulator, "resolve_drops",
-                        capacity.resolve_drops)
-    monkeypatch.setattr(capacity_simulator, "drop_blocks",
-                        capacity.drop_blocks)
-    monkeypatch.setattr(stream_sweep, "resolve_drops",
-                        capacity.resolve_drops)
+    monkeypatch.setattr(capacity_simulator, "resolve_drops_block",
+                        capacity.resolve_drops_block)
     monkeypatch.setattr(PolicyEvaluator, "_batched_switches",
                         lambda self, policy: None)
     monkeypatch.setattr(fig07_module, "threshold_fractions",

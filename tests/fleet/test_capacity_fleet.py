@@ -1,4 +1,8 @@
-"""Batched Erlang-loss drop resolution vs the scalar heap loop."""
+"""Batched Erlang-loss drop resolution vs the scalar heap loop.
+
+``chained_drops``/``chained_blocks`` chain the kernel's
+``resolve_drops_block`` over an in-memory stream, the shape every
+capacity run feeds it from its block source."""
 
 import numpy as np
 import pytest
@@ -11,11 +15,11 @@ from repro.capacity.simulator import (
     CapacitySimulator,
     capacity_at_drop_target,
 )
-from repro.fleet.capacity import drop_blocks, resolve_drops, \
-    resolve_drops_block
+from repro.fleet.capacity import resolve_drops_block
 from repro.units import hours
 from tests.oracles import capacity as oracle
-from tests.oracles.capacity import heap_drops
+from tests.oracles.capacity import chained_blocks, chained_drops, \
+    heap_drops
 
 
 def _random_case(rng):
@@ -39,7 +43,7 @@ def test_resolver_matches_heap_reference(seed):
     for _ in range(20):
         arrivals, services, n_channels = _random_case(rng)
         expected = heap_drops(arrivals, services, n_channels)
-        got = resolve_drops(arrivals, services, n_channels)
+        got = chained_drops(arrivals, services, n_channels)
         np.testing.assert_array_equal(got, expected)
 
 
@@ -53,7 +57,7 @@ def test_resolver_matches_with_tiny_blocks_and_budget(seed):
         expected = heap_drops(arrivals, services, n_channels)
         block = int(rng.integers(3, 64))
         budget = int(rng.integers(1, 4))
-        got = resolve_drops(arrivals, services, n_channels,
+        got = chained_drops(arrivals, services, n_channels,
                             block_arrivals=block, max_sweeps=budget)
         np.testing.assert_array_equal(got, expected)
 
@@ -102,11 +106,11 @@ def test_scalar_block_fallback_fires_and_matches_vectorised(monkeypatch):
     n_channels = 4
 
     expected = heap_drops(arrivals, services, n_channels)
-    unbudgeted = resolve_drops(arrivals, services, n_channels)
+    unbudgeted = chained_drops(arrivals, services, n_channels)
     np.testing.assert_array_equal(unbudgeted, expected)
 
     calls = _spy_on_block_paths(monkeypatch, arrivals)
-    budgeted = resolve_drops(arrivals, services, n_channels,
+    budgeted = chained_drops(arrivals, services, n_channels,
                              block_arrivals=64, max_sweeps=1)
     starts = [start for name, start in calls if name == "_scalar_block"]
     assert starts, "sweep budget of 1 must trigger the scalar fallback"
@@ -122,11 +126,11 @@ def test_scalar_block_fallback_from_first_block(monkeypatch):
     services = rng.uniform(10.0, 40.0, size=400)
     expected = heap_drops(arrivals, services, 3)
     calls = _spy_on_block_paths(monkeypatch, arrivals)
-    budgeted = resolve_drops(arrivals, services, 3,
+    budgeted = chained_drops(arrivals, services, 3,
                              block_arrivals=64, max_sweeps=1)
     assert ("_scalar_block", 0) in calls
     np.testing.assert_array_equal(budgeted, expected)
-    np.testing.assert_array_equal(resolve_drops(arrivals, services, 3),
+    np.testing.assert_array_equal(chained_drops(arrivals, services, 3),
                                   expected)
 
 
@@ -143,7 +147,7 @@ def test_block_after_budget_fallback_returns_to_fixpoint(monkeypatch):
     n_channels = 4
 
     calls = _spy_on_block_paths(monkeypatch, arrivals)
-    budgeted = resolve_drops(arrivals, services, n_channels,
+    budgeted = chained_drops(arrivals, services, n_channels,
                              block_arrivals=64, max_sweeps=1)
     np.testing.assert_array_equal(
         budgeted, heap_drops(arrivals, services, n_channels))
@@ -165,7 +169,7 @@ def test_resolver_matches_on_arbitrary_floats(pairs, n_channels):
     arrivals = np.sort(np.array([a for a, _ in pairs]))
     services = np.array([s for _, s in pairs])
     expected = heap_drops(arrivals, services, n_channels)
-    got = resolve_drops(arrivals, services, n_channels,
+    got = chained_drops(arrivals, services, n_channels,
                         block_arrivals=7)
     np.testing.assert_array_equal(got, expected)
 
@@ -184,13 +188,13 @@ def test_resolver_matches_on_arbitrary_floats(pairs, n_channels):
 def test_cut_point_parity_with_whole_stream(pairs, n_channels,
                                             cut_frac):
     """Property: splitting a stream into two blocks at *any* cut point
-    and threading the DropCarry yields the same mask as resolve_drops
-    on the whole stream.  Times are half-integers, so
+    and threading the DropCarry yields the same mask as the whole
+    stream chained in 4,096-arrival blocks.  Times are half-integers, so
     arrival/departure/boundary ties are exact."""
     gaps = np.array([g for g, _ in pairs], dtype=float) * 0.5
     services = np.array([s for _, s in pairs], dtype=float) * 0.5
     arrivals = np.cumsum(gaps)
-    expected = resolve_drops(arrivals, services, n_channels)
+    expected = chained_drops(arrivals, services, n_channels)
 
     cut = int(round(cut_frac * arrivals.size))
     head_mask, carry = resolve_drops_block(arrivals[:cut],
@@ -203,7 +207,9 @@ def test_cut_point_parity_with_whole_stream(pairs, n_channels,
 
 def test_empty_stream():
     empty = np.empty(0)
-    assert resolve_drops(empty, empty, 5).size == 0
+    mask, carry = resolve_drops_block(empty, empty, 5)
+    assert mask.size == 0 and carry.busy.size == 0
+    assert chained_drops(empty, empty, 5).size == 0
 
 
 def test_simulator_fleet_path_identical_to_slow(monkeypatch):
@@ -216,8 +222,8 @@ def test_simulator_fleet_path_identical_to_slow(monkeypatch):
     for n_users in (150, 300, 420, 700):
         fast = simulator.run(n_users)
         with monkeypatch.context() as patch:
-            patch.setattr(capacity_simulator, "resolve_drops",
-                          oracle.resolve_drops)
+            patch.setattr(capacity_simulator, "resolve_drops_block",
+                          oracle.resolve_drops_block)
             slow = simulator.run(n_users)
         assert fast == slow
 
@@ -228,10 +234,8 @@ def test_capacity_search_identical_to_slow(monkeypatch):
     simulator = CapacitySimulator(
         pool, CapacityConfig(n_channels=50, horizon=hours(0.1), seed=2))
     fast = capacity_at_drop_target(simulator, 0.02, seed=2)
-    monkeypatch.setattr(capacity_simulator, "resolve_drops",
-                        oracle.resolve_drops)
-    monkeypatch.setattr(capacity_simulator, "drop_blocks",
-                        oracle.drop_blocks)
+    monkeypatch.setattr(capacity_simulator, "resolve_drops_block",
+                        oracle.resolve_drops_block)
     slow = capacity_at_drop_target(simulator, 0.02, seed=2)
     assert fast == slow
 
@@ -243,9 +247,10 @@ def test_drop_blocks_match_block_heap_oracle(seed):
     for _ in range(10):
         arrivals, services, n_channels = _random_case(rng)
         block = int(rng.integers(3, 64))
-        got = list(drop_blocks(arrivals, services, n_channels, block))
-        expected = list(oracle.drop_blocks(arrivals, services, n_channels,
-                                           block))
+        got = list(chained_blocks(arrivals, services, n_channels, block))
+        expected = list(chained_blocks(
+            arrivals, services, n_channels, block,
+            resolve=oracle.resolve_drops_block))
         assert len(got) == len(expected) == -(-arrivals.size // block)
         for mask, reference in zip(got, expected):
             np.testing.assert_array_equal(mask, reference)

@@ -3,8 +3,8 @@
 ``ExactSum`` summed each exponent's mantissas in 512-element int64
 chunks; both quantile sketches filled a Python list one level-0 buffer
 at a time and sorted every full ``k``-segment with ``sorted()``.  The
-subclasses here keep those loops and inherit everything else (merge,
-compaction carry, state export), so a differential test can drive an
+subclasses here keep those loops and inherit everything else
+(compaction, state export), so a differential test can drive an
 oracle and a production aggregate through the same operations and
 compare their states byte for byte.
 """

@@ -110,6 +110,46 @@ def test_rerun_over_a_damaged_shard_prints_the_serial_table(
         assert _sweep("--work-dir", str(work_dir))[0] == serial
 
 
+#: One user over a 0.01 s horizon: the point draws no session at all.
+EMPTY = ["stream-sweep", "--scale", "1", "--horizon", "0.01",
+         "--users", "1"]
+EMPTY_TABLE = """\
+Stream sweep: N=200 channels, horizon=0s
+users | sessions | dropped | p_drop | svc_mean | svc_std | p50 | p90 | p99
+------+----------+---------+--------+----------+---------+-----+-----+----
+    1 |        0 |       0 | 0.0000 |        - |       - |   - |   - |   -
+"""
+
+
+def _empty_sweep(*extra: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(EMPTY + list(extra)) == 0
+    return out.getvalue()
+
+
+def test_zero_session_point_reports_no_service_statistics(tmp_path):
+    """A point with no in-horizon session has sessions 0, dropped 0,
+    drop probability 0.0 and no service statistics: ``-`` in the
+    table, ``null`` in the report."""
+    report = tmp_path / "empty.json"
+    text = _empty_sweep("--report", str(report))
+    assert text.split("-- streamed runtime")[0] == EMPTY_TABLE
+    (point,) = json.loads(report.read_text())["points"]
+    assert (point["sessions"], point["dropped"],
+            point["drop_probability"]) == (0, 0, 0.0)
+    assert [point[f"service_{stat}"] for stat in (
+        "mean", "std", "min", "max", "p50", "p90", "p99")] == [None] * 7
+
+
+def test_zero_session_point_stitches_to_the_serial_table(tmp_path,
+                                                         monkeypatch):
+    """A zero-block plan stitches to the serial point."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    text = _empty_sweep("--parallel", "2")
+    assert text.split("-- streamed runtime")[0] == EMPTY_TABLE
+
+
 def test_block_zero_is_rejected(capsys):
     assert main(ARGS + ["--block", "0"]) == 2
     err = capsys.readouterr().err

@@ -26,7 +26,7 @@ KW = dict(seed=7, block_arrivals=512)
 
 
 def _serial():
-    return run_stream_sweep(POOL, COUNTS, CONFIG, stream=True, **KW)
+    return run_stream_sweep(POOL, COUNTS, CONFIG, **KW)
 
 
 WORKER = """

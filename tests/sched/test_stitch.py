@@ -139,8 +139,7 @@ def test_stitch_point_matches_serial_sweep_point():
         results = [run_unit(pool, plan, unit, config=config)
                    for unit in plan.units]
         stitched = stitch_point(pool, plan, results, config=config)
-        serial = sweep_point(simulator, 2500, 13, stream=True,
-                             block_arrivals=512)
+        serial = sweep_point(simulator, 2500, 13, block_arrivals=512)
         assert stitched == serial
 
 

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.capacity.simulator import CapacityConfig
+from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
 from repro.sched.units import PointPlan, plan_point
-from repro.stream.source import ArrivalBlockSource
 from repro.stream.sweep import lognormal_pool
 
 POOL = lognormal_pool(seed=7)

@@ -9,17 +9,26 @@ coalesces.  Both servers are warm (a priming pass fills the corpus,
 load and benchmark memos), so the loop times the steady state.
 ``tests/serve/test_service_golden.py`` shows the two modes answer with
 the same bytes.
+
+The p99 of 48 requests is their maximum, so one scheduling spike can
+flip a single comparison.  The modes therefore alternate over three
+passes, and the claim compares the median of each mode's p99.
 """
 
 import json
+import statistics
 import threading
 import time
 import urllib.request
+from contextlib import ExitStack
 
 from repro.serve import ServeApp, ServerThread, WhatIfService
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 6
+PASSES = 3
+#: Batch window per mode, seconds.
+WINDOWS = {"unbatched": 0.0, "batched": 0.005}
 
 PAYLOADS = (
     {"n_users": 120, "n_channels": 80, "horizon": 900.0,
@@ -74,21 +83,29 @@ def _p99(sorted_latencies):
     return sorted_latencies[min(n, round(0.99 * (n - 1)) + 1) - 1]
 
 
-def _warm_p99(batch_window):
+def _warm_server(stack, batch_window):
+    """A warm, primed server on ``batch_window``; its URL."""
     service = WhatIfService(batch_window=batch_window)
     service.warmup()
     thread = ServerThread(ServeApp(service)).start()
-    try:
-        _closed_loop(thread.url, clients=2, requests_per_client=2)
-        return _p99(_closed_loop(thread.url, CLIENTS,
-                                 REQUESTS_PER_CLIENT))
-    finally:
-        thread.stop()
+    stack.callback(thread.stop)
+    _closed_loop(thread.url, clients=2, requests_per_client=2)
+    return thread.url
 
 
 def test_batched_p99_beats_unbatched_at_8_clients():
-    unbatched = _warm_p99(batch_window=0.0)
-    batched = _warm_p99(batch_window=0.005)
+    p99s = {mode: [] for mode in WINDOWS}
+    with ExitStack() as stack:
+        urls = {mode: _warm_server(stack, window)
+                for mode, window in WINDOWS.items()}
+        for _ in range(PASSES):
+            for mode, url in urls.items():
+                p99s[mode].append(_p99(_closed_loop(
+                    url, CLIENTS, REQUESTS_PER_CLIENT)))
+    unbatched = statistics.median(p99s["unbatched"])
+    batched = statistics.median(p99s["batched"])
     assert batched < unbatched, (
-        f"batched p99 {1e3 * batched:.1f} ms not below unbatched "
-        f"{1e3 * unbatched:.1f} ms")
+        f"median batched p99 {1e3 * batched:.1f} ms not below unbatched "
+        f"{1e3 * unbatched:.1f} ms; per pass (ms): "
+        + ", ".join(f"{mode} {[round(1e3 * v, 1) for v in values]}"
+                    for mode, values in p99s.items()))

@@ -93,6 +93,20 @@ def test_predict_with_a_failed_transfer_answers_200(server):
     assert body["metrics"]["load_time"] > 0
 
 
+def test_predict_with_no_session_in_the_horizon_answers_200(server):
+    """One user over a 0.01 s horizon draws no session: the capacity
+    section reports nothing dropped and no service statistics."""
+    status, body, _ = _request(server.url + "/predict", "POST",
+                               {"n_users": 1, "horizon": 0.01})
+    assert status == 200
+    capacity = body["capacity"]
+    assert (capacity["sessions"], capacity["dropped"],
+            capacity["drop_probability"]) == (0, 0, 0.0)
+    assert capacity["service_mean"] is None
+    assert capacity["service_p99"] is None
+    assert body["metrics"]["drop_probability"] == 0.0
+
+
 def test_predict_validation_error_is_400(server):
     status, body, _ = _request(server.url + "/predict", "POST",
                                {"n_users": 0})

@@ -13,7 +13,7 @@ from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.serve.schema import PredictRequest
 from repro.serve.service import (WhatIfService, predict_eval_seed,
                                  predict_run_id)
-from repro.stream.sweep import sweep_point
+from tests.oracles.capacity import in_memory_point
 
 #: Small but non-trivial: a real congested cell, two default pages.
 PAYLOAD = {"n_users": 40, "n_channels": 30, "horizon": 300.0,
@@ -73,8 +73,7 @@ def test_capacity_matches_direct_simulator(request_obj, response):
     assert response["metrics"]["drop_probability"] == \
         direct.drop_probability
 
-    point = sweep_point(simulator, PAYLOAD["n_users"], capacity_seed,
-                        stream=False)
+    point = in_memory_point(simulator, PAYLOAD["n_users"], capacity_seed)
     assert response["capacity"] == point.to_dict()
 
 

@@ -17,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream.aggregate import (ExactSum, MeanVariance, MinMax,
+                                    PartialQuantileSketch,
+                                    PartialServiceAggregate,
                                     QuantileSketch, ServiceAggregate,
-                                    _UNIT_EXP)
+                                    _UNIT_EXP, stitch_quantile_sketch,
+                                    stitch_service_aggregates)
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12,
                           allow_nan=False, allow_infinity=False)
@@ -146,6 +149,12 @@ def test_sketch_is_chunking_invariant():
         assert chunked == whole
 
 
+def _sketch_rank(sketch, value):
+    """The sketch's weighted count of retained items <= ``value``."""
+    return sum((1 << level) * sum(1 for v in buf if v <= value)
+               for level, buf in enumerate(sketch._levels))
+
+
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 10000])
 def test_sketch_rank_within_bound(n):
     rng = np.random.default_rng(n)
@@ -153,36 +162,17 @@ def test_sketch_rank_within_bound(n):
     sketch = QuantileSketch(k=256).add_block(x)
     assert sketch.count == n
     xs = np.sort(x)
-    for q in (0.01, 0.5, 0.9, 0.99, 1.0):
-        value = sketch.quantile(q)
+    for value in sketch.quantiles((0.01, 0.5, 0.9, 0.99, 1.0)).values():
         true_rank = int(np.searchsorted(xs, value, side="right"))
-        assert abs(sketch.rank(value) - true_rank) \
+        assert abs(_sketch_rank(sketch, value) - true_rank) \
             <= sketch.rank_error_bound
-
-
-def test_sketch_merge_conserves_weight_and_bound():
-    rng = np.random.default_rng(9)
-    a = QuantileSketch().add_block(rng.exponential(5.0, size=30000))
-    b = QuantileSketch().add_block(rng.exponential(20.0, size=17001))
-    bound_before = a.rank_error_bound + b.rank_error_bound
-    a.merge(b)
-    assert a.count == 47001
-    total_weight = sum((1 << level) * len(buf)
-                       for level, buf in enumerate(a._levels))
-    assert total_weight == a.count
-    assert a.rank_error_bound >= bound_before
-
-
-def test_sketch_merge_rejects_mismatched_k():
-    with pytest.raises(ValueError):
-        QuantileSketch(k=256).merge(QuantileSketch(k=128))
 
 
 def test_sketch_empty_and_validation():
     sketch = QuantileSketch()
-    assert math.isnan(sketch.quantile(0.5))
+    assert math.isnan(sketch.quantiles([0.5])["p50"])
     with pytest.raises(ValueError):
-        sketch.quantile(1.5)
+        sketch.quantiles([1.5])
     with pytest.raises(ValueError):
         QuantileSketch(k=3)
     with pytest.raises(ValueError):
@@ -190,46 +180,25 @@ def test_sketch_empty_and_validation():
 
 
 def test_service_aggregate_state_roundtrips_through_json():
+    """A unit's fragment state, through JSON and the stitch, is the
+    aggregate itself — and the stitched copy keeps evolving
+    identically."""
     rng = np.random.default_rng(1)
-    aggregate = ServiceAggregate().add_block(
-        rng.exponential(10.0, size=12345))
-    state = json.loads(json.dumps(aggregate.to_state()))
-    restored = ServiceAggregate.from_state(state)
+    values = rng.exponential(10.0, size=12345)
+    aggregate = ServiceAggregate().add_block(values)
+    state = json.loads(json.dumps(
+        PartialServiceAggregate(0).add_block(values).to_state()))
+    restored = stitch_service_aggregates([state])
     assert restored == aggregate
-    # and the restored copy keeps evolving identically
     more = rng.exponential(10.0, size=777)
     assert aggregate.add_block(more) == restored.add_block(more)
 
 
-def test_service_aggregate_merge_matches_whole():
-    """Moments and extrema merge exactly; the sketch merges within its
-    self-reported rank bound (merge is a different compaction history
-    than sequential feeding, so state equality is not promised)."""
-    rng = np.random.default_rng(2)
-    x = rng.exponential(10.0, size=20000)
-    whole = ServiceAggregate().add_block(x)
-    merged = ServiceAggregate().add_block(x[:333])
-    merged.merge(ServiceAggregate().add_block(x[333:]))
-    assert merged.moments == whole.moments
-    assert merged.extrema == whole.extrema
-    assert merged.sketch.count == whole.sketch.count
-    xs = np.sort(x)
-    for q in (0.5, 0.9, 0.99):
-        value = merged.sketch.quantile(q)
-        true_rank = int(np.searchsorted(xs, value, side="right"))
-        assert abs(merged.sketch.rank(value) - true_rank) \
-            <= merged.sketch.rank_error_bound
-
-
 # ----------------------------------------------------------------------
-# Distributed-sweep properties: merges over arbitrary partitions, and
-# the partition-exact sketch stitch (repro.sched's aggregate layer).
+# Distributed-sweep properties: moment merges over arbitrary
+# partitions, and the partition-exact sketch stitch (repro.sched's
+# aggregate layer).
 # ----------------------------------------------------------------------
-
-from repro.stream.aggregate import (PartialQuantileSketch,  # noqa: E402
-                                    PartialServiceAggregate,
-                                    stitch_quantile_sketch,
-                                    stitch_service_aggregates)
 
 service_floats = st.floats(min_value=1e-3, max_value=1e6,
                            allow_nan=False, allow_infinity=False)
@@ -273,7 +242,7 @@ def test_sketch_stitch_equals_sequential_over_partitions(values, cuts, k):
         partial = PartialQuantileSketch(offset, k=k)
         partial.add_block(np.array(piece, dtype=np.float64))
         offset += len(piece)
-        partials.append(partial)
+        partials.append(partial.to_parts())
     assert stitch_quantile_sketch(partials) == serial
 
 
@@ -295,25 +264,6 @@ def test_sketch_stitch_survives_json_roundtrip(values, cuts):
 
 
 @settings(max_examples=60, deadline=None)
-@given(service_lists, cut_lists, st.sampled_from([2, 8]))
-def test_sketch_merge_stays_within_joint_rank_bound(values, cuts, k):
-    """Plain ``merge`` (the rank-approximate path) over any grouping:
-    weight is conserved and every rank estimate stays within the
-    merged sketch's self-reported bound."""
-    pieces = _split(values, cuts)
-    merged = QuantileSketch(k=k)
-    for piece in pieces:
-        merged.merge(QuantileSketch(k=k).add_block(
-            np.array(piece, dtype=np.float64)))
-    assert merged.count == len(values)
-    data = sorted(map(float, values))
-    for probe in data[:: max(1, len(data) // 7)]:
-        true_rank = sum(1 for v in data if v <= probe)
-        assert abs(merged.rank(probe) - true_rank) \
-            <= merged.rank_error_bound
-
-
-@settings(max_examples=60, deadline=None)
 @given(service_lists, cut_lists)
 def test_service_aggregate_stitch_equals_sequential(values, cuts):
     """The composite fragment (exact moments + sketch parts) stitches
@@ -331,8 +281,8 @@ def test_service_aggregate_stitch_equals_sequential(values, cuts):
 
 
 def test_stitch_rejects_out_of_order_fragments():
-    a = PartialQuantileSketch(0, k=4).add_block(np.arange(6.0))
-    b = PartialQuantileSketch(6, k=4).add_block(np.arange(3.0))
+    a = PartialQuantileSketch(0, k=4).add_block(np.arange(6.0)).to_parts()
+    b = PartialQuantileSketch(6, k=4).add_block(np.arange(3.0)).to_parts()
     with pytest.raises(ValueError):
         stitch_quantile_sketch([b, a])
     with pytest.raises(ValueError):
@@ -340,7 +290,7 @@ def test_stitch_rejects_out_of_order_fragments():
 
 
 def test_stitch_rejects_mismatched_k():
-    a = PartialQuantileSketch(0, k=4).add_block(np.arange(4.0))
-    b = PartialQuantileSketch(4, k=8).add_block(np.arange(3.0))
+    a = PartialQuantileSketch(0, k=4).add_block(np.arange(4.0)).to_parts()
+    b = PartialQuantileSketch(4, k=8).add_block(np.arange(3.0)).to_parts()
     with pytest.raises(ValueError):
         stitch_quantile_sketch([a, b])

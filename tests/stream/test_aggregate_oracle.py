@@ -3,8 +3,8 @@
 ``ExactSum``, ``QuantileSketch`` and ``PartialQuantileSketch`` fold
 whole blocks with array operations; :mod:`tests.oracles.aggregate`
 keeps the per-buffer Python loops.  Driven through the same random
-chunkings and interleaved merges, the two must hold the same state
-byte for byte — ``repr`` of the exported state, not just equality,
+chunkings (and, for the sums, interleaved merges), the two must hold
+the same state byte for byte — ``repr`` of the exported state, not just equality,
 because ``-0.0 == 0.0`` would hide a reordered signed zero.
 """
 
@@ -32,7 +32,8 @@ atoms = st.lists(st.one_of(st.sampled_from(_EDGE),
 def streams(draw):
     """A value stream with many ties (drawn from a few atoms, so signed
     zeros mix inside one segment) plus the ops to feed it: chunk sizes
-    and, per chunk, whether to merge the side sketch in afterwards."""
+    and, per chunk, whether it feeds the side sum and whether to merge
+    the side sum in afterwards."""
     k = draw(st.sampled_from([2, 4, 256]))
     pool = draw(atoms)
     if draw(st.booleans()):
@@ -56,24 +57,20 @@ def streams(draw):
 @given(streams())
 def test_sketch_and_sum_match_oracle_under_chunking_and_merges(case):
     k, _, chunks = case
-    main = [QuantileSketch(k=k), OracleQuantileSketch(k=k)]
-    side = [QuantileSketch(k=k), OracleQuantileSketch(k=k)]
+    sketches = [QuantileSketch(k=k), OracleQuantileSketch(k=k)]
     sums = [ExactSum(), OracleExactSum()]
     side_sums = [ExactSum(), OracleExactSum()]
     for chunk, to_side, merge_after in chunks:
-        for twin in (side if to_side else main):
+        for twin in sketches:
             twin.add_block(chunk)
         for total in (side_sums if to_side else sums):
             total.add_block(chunk)
         if merge_after:
-            # Merged levels carry odd leftovers into the next fill.
-            for ours, other in ((main, side), (sums, side_sums)):
-                for twin, spare in zip(ours, other):
-                    twin.merge(spare)
-            side = [QuantileSketch(k=k), OracleQuantileSketch(k=k)]
+            for twin, spare in zip(sums, side_sums):
+                twin.merge(spare)
             side_sums = [ExactSum(), OracleExactSum()]
-        assert repr(main[0].to_state()) == repr(main[1].to_state())
-        assert repr(side[0].to_state()) == repr(side[1].to_state())
+        assert repr(sketches[0].to_state()) \
+            == repr(sketches[1].to_state())
         assert sums[0].units == sums[1].units
         assert side_sums[0].units == side_sums[1].units
 
@@ -93,7 +90,8 @@ def test_partial_sketch_and_stitch_match_oracle(case, start):
     offset = 0
     parts = []
     for chunk, _, _ in chunks:
-        parts.append(PartialQuantileSketch(offset, k=k).add_block(chunk))
+        parts.append(PartialQuantileSketch(offset, k=k)
+                     .add_block(chunk).to_parts())
         offset += chunk.size
     if parts:
         serial = OracleQuantileSketch(k=k).add_block(values)

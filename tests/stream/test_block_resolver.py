@@ -3,7 +3,8 @@
 :func:`repro.fleet.capacity.resolve_drops_block` threads a
 :class:`DropCarry` between arbitrary consecutive chunks of one arrival
 stream; the concatenated masks must equal both the scalar heap replay
-and the in-memory chain :func:`resolve_drops`, and the carried frontier
+and the in-memory chain of 4,096-arrival blocks
+(:func:`tests.oracles.capacity.chained_drops`), and the carried frontier
 must respect its invariants (bounded by ``n_channels``, strictly after
 the boundary)."""
 
@@ -11,11 +12,10 @@ import numpy as np
 import pytest
 
 from repro.fleet import capacity as fleet_capacity
-from repro.fleet.capacity import DropCarry, resolve_drops, \
-    resolve_drops_block
+from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import collecting
 from repro.sim.kernel import SimulationError
-from tests.oracles.capacity import heap_drops
+from tests.oracles.capacity import chained_drops, heap_drops
 
 
 def _random_case(rng):
@@ -59,7 +59,7 @@ def test_chained_blocks_match_heap_and_whole_array(seed):
     for trial in range(20):
         arrivals, services, n_channels = _random_case(rng)
         expected = heap_drops(arrivals, services, n_channels)
-        whole = resolve_drops(arrivals, services, n_channels)
+        whole = chained_drops(arrivals, services, n_channels)
         chained = _chain(arrivals, services, n_channels, rng,
                          force_budget=(trial % 2 == 0))
         np.testing.assert_array_equal(chained, expected)
@@ -133,11 +133,11 @@ def test_unsorted_arrivals_raise_on_every_path():
     arrivals = np.array([5.0, 0.0, 1.0])
     services = np.ones(3)
     with pytest.raises(ValueError, match="non-decreasing"):
-        resolve_drops(arrivals, services, 1)
+        chained_drops(arrivals, services, 1)
     with pytest.raises(ValueError, match="non-decreasing"):
         resolve_drops_block(arrivals, services, 1)
     # sanity: the sorted stream is accepted and drop-free
-    assert not resolve_drops(np.sort(arrivals), services, 1).any()
+    assert not chained_drops(np.sort(arrivals), services, 1).any()
 
 
 def test_nonfinite_sessions_raise_on_every_path():
@@ -149,13 +149,13 @@ def test_nonfinite_sessions_raise_on_every_path():
     for bad_arr, bad_srv in ((arrivals, nan_services),
                              (inf_arrivals, np.ones(3))):
         with pytest.raises(SimulationError, match="finite"):
-            resolve_drops(bad_arr, bad_srv, 2)
+            chained_drops(bad_arr, bad_srv, 2)
         with pytest.raises(SimulationError, match="finite"):
             resolve_drops_block(bad_arr, bad_srv, 2)
 
 
 def test_shape_mismatch_raises():
-    for resolve in (resolve_drops, resolve_drops_block):
+    for resolve in (chained_drops, resolve_drops_block):
         with pytest.raises(ValueError, match="matching shapes"):
             resolve(np.array([0.0, 1.0]), np.array([1.0]), 2)
 
@@ -164,7 +164,7 @@ def test_non_1d_streams_raise():
     """A 2-D stream used to die inside the kernel with numpy's
     ambiguous-truth-value error instead of naming the shape."""
     grid = np.arange(4.0).reshape(2, 2)
-    for resolve in (resolve_drops, resolve_drops_block):
+    for resolve in (chained_drops, resolve_drops_block):
         with pytest.raises(ValueError, match="1-D"):
             resolve(grid, np.ones((2, 2)), 2)
 
@@ -250,7 +250,7 @@ def test_stream_size_blocks_match_heap_with_pinned_work(
     monkeypatch.setattr(fleet_capacity, "_BLOCK_ARRIVALS", 65536)
     arrivals, services = _saturated_stream(n_channels, factor)
     with collecting() as stats:
-        mask = resolve_drops(arrivals, services, n_channels,
+        mask = chained_drops(arrivals, services, n_channels,
                              block_arrivals=65536)
     assert np.array_equal(mask, heap_drops(arrivals, services,
                                            n_channels))

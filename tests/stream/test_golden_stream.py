@@ -1,10 +1,10 @@
 """Golden equivalence: the streamed stream-sweep must be byte-identical
-to the materialised path.
+to the materialised reference.
 
-Both execution paths of :func:`repro.stream.sweep.run_stream_sweep`
-feed the same block resolver; the report text and the JSON payload
-must match exactly.  The CLI test runs in subprocesses to cover a
-work-dir resume end to end.
+:func:`repro.stream.sweep.run_stream_sweep` and the whole-array sweep
+of ``tests/oracles/capacity.py`` feed the same block resolver; the
+report text and the JSON payload must match exactly.  The CLI test
+runs in subprocesses to cover a work-dir resume end to end.
 """
 
 import json
@@ -17,19 +17,18 @@ from repro.capacity.simulator import CapacityConfig
 from repro.runtime.observability import collecting
 from repro.stream.sweep import (default_user_counts, lognormal_pool,
                                 run_stream_sweep)
+from tests.oracles.capacity import in_memory_sweep
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def test_stream_sweep_report_and_json_identical():
     """The stream-sweep points — including the report JSON — match
-    between the block pipeline and the materialised path."""
+    between the block loop and the materialised reference."""
     pool = lognormal_pool()
     config = CapacityConfig(n_channels=60, horizon=1200.0, seed=5)
-    streamed, in_memory = (
-        run_stream_sweep(pool, [80, 100, 120], config, seed=9,
-                         stream=stream)
-        for stream in (True, False))
+    streamed = run_stream_sweep(pool, [80, 100, 120], config, seed=9)
+    in_memory = in_memory_sweep(pool, [80, 100, 120], config, seed=9)
     assert streamed.report() == in_memory.report()
     assert json.dumps(streamed.to_dict(), sort_keys=True) \
         == json.dumps(in_memory.to_dict(), sort_keys=True)
@@ -43,10 +42,8 @@ def test_streamed_equals_in_memory_at_10x_fig11():
     config = CapacityConfig(n_channels=2000, horizon=900.0, seed=7)
     counts = default_user_counts(config, float(pool.mean()))
     with collecting() as window:
-        streamed = run_stream_sweep(pool, counts, config, seed=7,
-                                    stream=True)
-    in_memory = run_stream_sweep(pool, counts, config, seed=7,
-                                 stream=False)
+        streamed = run_stream_sweep(pool, counts, config, seed=7)
+    in_memory = in_memory_sweep(pool, counts, config, seed=7)
     assert streamed.points == in_memory.points
     assert sum(point.dropped for point in streamed.points) > 0
     counters = window.snapshot()

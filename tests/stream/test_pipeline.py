@@ -1,5 +1,6 @@
-"""The streamed block loop of ``sweep_point`` vs the in-memory path and
-``CapacitySimulator.run``: identical results, honest counters."""
+"""The block loop of ``sweep_point`` vs the whole-array reference
+(``tests/oracles/capacity.py``) and ``CapacitySimulator.run``:
+identical results, honest counters."""
 
 from contextlib import nullcontext
 
@@ -10,6 +11,7 @@ from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime.observability import collecting
 from repro.stream.aggregate import ServiceAggregate
 from repro.stream.sweep import StreamPoint, sweep_point
+from tests.oracles.capacity import draw, in_memory_point
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +34,8 @@ def test_matches_in_memory_run(simulator, block_arrivals, counted):
         point_seed = simulator.config.seed if seed is None else seed
         with collecting() if counted else nullcontext() as stats:
             streamed = sweep_point(simulator, n_users, point_seed,
-                                   stream=True,
                                    block_arrivals=block_arrivals)
-        in_memory = sweep_point(simulator, n_users, point_seed,
-                                stream=False)
+        in_memory = in_memory_point(simulator, n_users, point_seed)
         assert streamed == in_memory
         assert (streamed.sessions, streamed.dropped) \
             == (reference.sessions, reference.dropped)
@@ -56,19 +56,18 @@ def test_aggregate_equals_materialised_fold(simulator, monkeypatch):
                           aggregate)
 
     monkeypatch.setattr(StreamPoint, "from_parts", classmethod(spy))
-    sweep_point(simulator, 120, 99, stream=True, block_arrivals=1000)
-    _, services = simulator.draw(120, np.random.default_rng(99))
+    sweep_point(simulator, 120, 99, block_arrivals=1000)
+    _, services = draw(simulator.service_times, 120, simulator.config, 99)
     assert folded == [ServiceAggregate().add_block(services)]
 
 
 def test_counters_report_blocks_and_spills(simulator):
     with collecting() as stats:
-        point = sweep_point(simulator, 80, 3, stream=True,
-                            block_arrivals=1000)
+        point = sweep_point(simulator, 80, 3, block_arrivals=1000)
     snapshot = stats.snapshot()
     expected_blocks = -(-point.sessions // 1000)
     assert snapshot.stream_blocks == expected_blocks
-    # The serial streamed path keeps nothing on disk.
+    # The serial sweep keeps nothing on disk.
     assert snapshot.stream_spills == 0
     assert snapshot.stream_shard_bytes == 0
     assert snapshot.stream_peak_carried_bytes > 0
@@ -82,6 +81,6 @@ def test_counters_report_blocks_and_spills(simulator):
 
 def test_validation(simulator):
     with pytest.raises(ValueError):
-        sweep_point(simulator, 0, 5, stream=True)
+        sweep_point(simulator, 0, 5)
     with pytest.raises(ValueError):
-        sweep_point(simulator, 10, 5, stream=True, block_arrivals=0)
+        sweep_point(simulator, 10, 5, block_arrivals=0)

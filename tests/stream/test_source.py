@@ -1,13 +1,14 @@
 """The chunked source must be draw-for-draw identical to the
-materialised arrays — same values, same RNG consumption, any chunking."""
+whole-array draw of ``tests/oracles/capacity.py`` — same values, same
+RNG consumption, any chunking."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-from repro.stream.source import ArrivalBlockSource
+from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
+from tests.oracles.capacity import draw
 
 
 @pytest.fixture(scope="module")
@@ -16,19 +17,9 @@ def pool():
     return rng.lognormal(np.log(14.0), 0.5, size=400)
 
 
-def _materialised(pool, n_users, config, seed):
-    simulator = CapacitySimulator(pool, config)
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    return simulator.draw(n_users, rng)
-
-
-@pytest.mark.parametrize("block_arrivals", [1, 7, 1000, 65536])
-@pytest.mark.parametrize("n_users,seed", [(40, 3), (120, None)])
-def test_blocks_concatenate_to_materialised_draw(pool, n_users, seed,
-                                                 block_arrivals):
-    config = CapacityConfig(n_channels=50, horizon=1800.0, seed=11)
-    ref_arrivals, ref_services = _materialised(pool, n_users, config,
-                                               seed)
+def _assert_blocks_equal_draw(pool, n_users, config, seed,
+                              block_arrivals):
+    ref_arrivals, ref_services = draw(pool, n_users, config, seed)
     source = ArrivalBlockSource(pool, n_users, config=config, seed=seed,
                                 block_arrivals=block_arrivals)
     chunks = list(source.blocks())
@@ -39,6 +30,29 @@ def test_blocks_concatenate_to_materialised_draw(pool, n_users, seed,
     assert source.n_sessions == ref_arrivals.size
     assert all(a.size == s.size for a, s in chunks)
     assert max(a.size for a, _ in chunks) <= block_arrivals
+
+
+# 4,096 is the block every CapacitySimulator run and search probe
+# streams; 65,536 is the sweep default.
+@pytest.mark.parametrize("block_arrivals", [1, 7, 1000, 4096, 65536])
+@pytest.mark.parametrize("n_users,seed", [(40, 3), (120, None)])
+def test_blocks_concatenate_to_materialised_draw(pool, n_users, seed,
+                                                 block_arrivals):
+    config = CapacityConfig(n_channels=50, horizon=1800.0, seed=11)
+    _assert_blocks_equal_draw(pool, n_users, config, seed,
+                              block_arrivals)
+
+
+@pytest.mark.parametrize("block_arrivals", [1, 7, 4096, 65536])
+@pytest.mark.parametrize("pool_size", [20, 2])
+def test_small_pools_concatenate_to_materialised_draw(pool, pool_size,
+                                                      block_arrivals):
+    """The pools the benchmark chain (20 page loads) and the serving
+    layer's hold pools (2 values) draw services from, over a stream
+    of several 4,096-arrival blocks."""
+    config = CapacityConfig(n_channels=50, horizon=1800.0, seed=11)
+    _assert_blocks_equal_draw(pool[:pool_size], 300, config, 5,
+                              block_arrivals)
 
 
 def test_state_roundtrips_through_json_and_resumes(pool):
