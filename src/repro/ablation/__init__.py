@@ -16,8 +16,7 @@ from repro.ablation.components import (Component, ComponentRegistry,
                                        STOCK_SETUP, VariantSetup,
                                        default_registry)
 from repro.ablation.engine import (KIND_ABLATE, MatrixResult, MatrixRun,
-                                   run_matrix, run_specs, spec_seed,
-                                   warm_process)
+                                   run_matrix, run_specs, spec_seed)
 from repro.ablation.matrix import (GENERATORS, RunSpec, generate,
                                    spec_run_id)
 from repro.ablation.objective import (PopulationSpec, Scenario,
@@ -42,5 +41,5 @@ __all__ = [
     "grid_search", "halving_search", "load_cache_stats",
     "load_projection", "promote", "random_search", "rank_components",
     "reset_load_cache", "run_matrix", "run_specs", "spec_run_id",
-    "spec_seed", "variant_hold_pool", "warm_process", "write_ranking",
+    "spec_seed", "variant_hold_pool", "write_ranking",
 ]

@@ -1,10 +1,12 @@
 """Cached, parallel execution of ablation run matrices.
 
-The execution contract mirrors :mod:`repro.runtime.parallel` exactly —
-fan cells across a process pool, serve repeats from the content-addressed
-:class:`~repro.runtime.cache.ResultCache`, return results in canonical
-matrix order whatever order the workers finished in — with one
-ablation-specific twist required by the determinism story:
+Cells run through :func:`repro.runtime.parallel.run_cached`, the same
+cache-then-pool fan-out the suite runner uses: repeats are served from
+the content-addressed :class:`~repro.runtime.cache.ResultCache`, the
+misses run as one batched pass (or as one-cell pool tasks of that same
+batched evaluator), and results come back in canonical matrix order
+whatever order the workers finished in — with one ablation-specific
+twist required by the determinism story:
 
 **every run's seed is spawned off its run ID** (not its position, not a
 submission counter).  Killing a matrix half-way and re-running it, or
@@ -20,9 +22,9 @@ studies like any other experiment.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -32,12 +34,9 @@ import numpy as np
 from repro.ablation.components import ComponentRegistry, VariantSetup, \
     default_registry
 from repro.ablation.matrix import RunSpec, generate
-from repro.ablation.objective import (Scenario, evaluate_setup,
-                                      evaluate_setups)
-from repro.runtime.cache import ResultCache, cache_key, code_version_hash
-
-#: Task kind under which matrix studies appear in ``runtime.parallel``.
-KIND_ABLATE = "ablate"
+from repro.ablation.objective import Scenario, evaluate_setups
+from repro.runtime.cache import ResultCache, code_version_hash
+from repro.runtime.parallel import KIND_ABLATE, run_cached
 
 #: Metric columns, in report/CSV order.  ``drop_probability`` joins when
 #: the scenario carries a population.
@@ -119,45 +118,22 @@ def _setup_for_spec(registry: ComponentRegistry,
     return setup
 
 
-def _execute_spec(registry_name: str, spec: RunSpec, scenario: Scenario,
-                  seed: int,
-                  cache_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Worker entry point: evaluate one cell, return its payload.
+def _execute_specs_batched(registry_name: str, scenario: Scenario,
+                           cache_dir: Optional[str],
+                           specs: Sequence[RunSpec],
+                           seeds: Mapping[str, int]
+                           ) -> List[Dict[str, Any]]:
+    """Evaluate cells in one unit-grid pass: a whole serial batch, or
+    one pool task's single cell.
 
     ``cache_dir`` points pool workers at the matrix's on-disk cache so
     memoised page loads (keyed by the load-relevant projection) are
-    shared across processes, not just within one.
-    """
-    registry = registry_by_name(registry_name)
-    setup = _setup_for_spec(registry, spec)
-    load_cache = ResultCache(cache_dir) if cache_dir is not None else None
-    # Legacy global stream, for any stray np.random user on the path.
-    np.random.seed(seed % (2 ** 32))
-    started = _time.perf_counter()
-    metrics = evaluate_setup(setup, scenario, seed,
-                             load_cache=load_cache)
-    return {
-        "run_id": spec.run_id,
-        "seed": seed,
-        "metrics": metrics,
-        "wall_time": _time.perf_counter() - started,
-    }
-
-
-def _execute_specs_batched(registry_name: str, specs: Sequence[RunSpec],
-                           scenario: Scenario, seeds: Mapping[str, int],
-                           cache_dir: Optional[str] = None
-                           ) -> List[Dict[str, Any]]:
-    """Evaluate cells in one unit-grid pass: every single-process
-    evaluation, one pending cell or many.
-
-    Nothing on the evaluation path reads the legacy global np.random
-    stream (predictor and capacity draws use explicit ``eval_seed``
-    generators), so skipping the per-spec ``np.random.seed`` of
-    :func:`_execute_spec` cannot change metrics — the golden tests
-    compare this path against per-spec execution byte for byte.
-    Per-cell wall time is an equal share of the batch (runtime summary
-    only; it never reaches a deterministic report).
+    shared across processes, not just within one.  Nothing on the
+    evaluation path reads the legacy global np.random stream (predictor
+    and capacity draws use explicit ``eval_seed`` generators), so the
+    batch size cannot change metrics.  Per-cell wall time is an equal
+    share of the batch (runtime summary only; it never reaches a
+    deterministic report).
     """
     registry = registry_by_name(registry_name)
     load_cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -173,20 +149,6 @@ def _execute_specs_batched(registry_name: str, specs: Sequence[RunSpec],
         "metrics": metrics,
         "wall_time": share,
     } for spec, metrics in zip(specs, metrics_list)]
-
-
-def warm_process() -> None:
-    """Pre-generate the corpus into this process's caches.
-
-    Pool workers run this as their initializer; the serving layer runs
-    it at startup so no request pays page generation mid-latency-
-    window.  Warming is deterministic and idempotent — it only moves
-    *when* the cost is paid, never what any evaluation returns.
-    """
-    from repro.webpages.corpus import warm_corpus
-
-    warm_corpus()
-
 
 
 @dataclass
@@ -290,8 +252,6 @@ def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
     Results come back in the order ``specs`` were given — for generator
     output that is canonical content-addressed order.
     """
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
     seen = set()
     for spec in specs:
         if spec.run_id in seen:
@@ -299,54 +259,20 @@ def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
         seen.add(spec.run_id)
 
     started = _time.perf_counter()
-    code_version = code_version_hash()
-    seeds = {spec.run_id: spec_seed(spec.run_id) for spec in specs}
-
-    results: Dict[str, MatrixRun] = {}
-    pending: List[RunSpec] = []
-    keys: Dict[str, str] = {}
-    for spec in specs:
-        if cache is not None:
-            key = cache_key(KIND_ABLATE, spec.run_id,
-                            {"seed": seeds[spec.run_id]}, code_version)
-            keys[spec.run_id] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[spec.run_id] = MatrixRun(
-                    spec=spec, seed=hit["seed"],
-                    metrics=dict(hit["metrics"]),
-                    wall_time=hit["wall_time"], cached=True)
-                continue
-        pending.append(spec)
-
-    if pending:
-        cache_dir = str(cache.root) if cache is not None else None
-        if processes == 1 or len(pending) == 1:
-            payloads = _execute_specs_batched(registry_name, pending,
-                                              scenario, seeds, cache_dir)
-        else:
-            workers = min(processes, len(pending))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=warm_process) as pool:
-                futures = [pool.submit(_execute_spec, registry_name,
-                                       spec, scenario,
-                                       seeds[spec.run_id], cache_dir)
-                           for spec in pending]
-                payloads = [future.result() for future in futures]
-        by_id = {spec.run_id: spec for spec in pending}
-        for payload in payloads:
-            run_id = payload["run_id"]
-            if cache is not None:
-                cache.put(keys[run_id], payload)
-            results[run_id] = MatrixRun(
-                spec=by_id[run_id], seed=payload["seed"],
-                metrics=dict(payload["metrics"]),
-                wall_time=payload["wall_time"])
-
+    cache_dir = str(cache.root) if cache is not None else None
+    outcomes = run_cached(
+        KIND_ABLATE, {spec.run_id: spec for spec in specs},
+        {spec.run_id: spec_seed(spec.run_id) for spec in specs},
+        functools.partial(_execute_specs_batched, registry_name, scenario,
+                          cache_dir),
+        processes, cache)
     return MatrixResult(
         registry_name=registry_name,
         scenario=scenario,
-        runs=[results[spec.run_id] for spec in specs],
+        runs=[MatrixRun(spec=spec, seed=payload["seed"],
+                        metrics=dict(payload["metrics"]),
+                        wall_time=payload["wall_time"], cached=cached)
+              for spec, (payload, cached) in zip(specs, outcomes)],
         processes=processes,
         total_wall_time=_time.perf_counter() - started)
 

@@ -64,6 +64,7 @@ from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.core.session import browse_and_read
 from repro.faults.injector import FaultPlan
 from repro.faults.profiles import get_profile
+from repro.fleet.policy import switch_decisions
 from repro.rrc.states import RrcState
 from repro.rrc.tail import (
     STATE_IDLE,
@@ -455,9 +456,9 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
         span = slice(base, base + n_units)
         if setup.fast_dormancy:
             predicted = _predictions(setup, readings_np, eval_seed)
-            threshold = setup.tp if setup.mode == "power" else setup.td
             switch[span] = ((readings_np > setup.alpha)
-                            & (predicted > threshold))
+                            & switch_decisions(predicted, setup.mode,
+                                               setup.tp, setup.td))
         reading[span] = readings_np
         alpha[span] = setup.alpha
         released = setup.reorganisation and setup.fast_dormancy

@@ -81,36 +81,14 @@ def _run_suite(kind: str, ids: List[str],
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    # Imported here, not at module top: the experiment suite (and scipy,
-    # via fig07) must stay out of every other subcommand's start-up.
-    from repro.experiments.runner import ALL_EXPERIMENTS
-
-    known = {experiment_id for experiment_id, _, _ in ALL_EXPERIMENTS}
-    unknown = set(args.ids) - known
-    if unknown:
-        print(f"unknown experiment ids: {sorted(unknown)}; "
-              f"known: {sorted(known)}", file=sys.stderr)
-        return 2
     return _run_suite(runtime_parallel.KIND_EXPERIMENT, args.ids, args)
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.experiments.ablations import ALL_ABLATIONS
-
-    unknown = set(args.names) - set(ALL_ABLATIONS)
-    if unknown:
-        print(f"unknown ablations: {sorted(unknown)}; "
-              f"known: {sorted(ALL_ABLATIONS)}", file=sys.stderr)
-        return 2
     return _run_suite(runtime_parallel.KIND_ABLATION, args.names, args)
 
 
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
-    unknown = set(args.profiles) - set(PROFILES)
-    if unknown:
-        print(f"unknown channel profiles: {sorted(unknown)}; "
-              f"known: {sorted(PROFILES)}", file=sys.stderr)
-        return 2
     return _run_suite(runtime_parallel.KIND_FAULTS, args.profiles, args)
 
 

@@ -30,7 +30,8 @@ from repro.browser.energy_aware import EnergyAwareEngine
 from repro.browser.original import OriginalEngine
 from repro.core.config import ExperimentConfig, PolicyConfig
 from repro.core.session import browse_and_read
-from repro.fleet.policy import switch_decisions
+# Unused here: bench/trace.py wraps policy_eval.switch_decisions by name.
+from repro.fleet.policy import switch_decisions  # noqa: F401
 from repro.prediction.policy import (
     AlwaysOffPolicy,
     OraclePolicy,
@@ -80,6 +81,25 @@ class CaseResult:
     switch_rate: float
 
 
+class _SharedPrediction:
+    """The predictor as predict-9 and predict-20 see it: both ask about
+    the same evaluation matrix, so the one ``predict`` pass over it is
+    kept (keyed on the matrix object, which the evaluator never
+    mutates)."""
+
+    def __init__(self, predictor: ReadingTimePredictor) -> None:
+        self._predictor = predictor
+        self._last: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        if self._last is None or self._last[0] is not features:
+            self._last = (features, self._predictor.predict(features))
+        return self._last[1]
+
+    def predict_one(self, features) -> float:
+        return self._predictor.predict_one(features)
+
+
 class PolicyEvaluator:
     """Replays a trace under the six switching policies."""
 
@@ -108,14 +128,12 @@ class PolicyEvaluator:
             interest_threshold=self.config.policy.interest_threshold)
         self._predictor.fit(self.train_set)
 
-        # Batched-policy caches: the evaluation records' feature matrix
-        # and reading times (flattened in session order), plus one
-        # prediction vector per predictor — predict-9 and predict-20
-        # share a predictor and therefore share the predictions.
+        # The evaluation records' feature matrix and reading times,
+        # flattened in session order; predict-9 and predict-20 share
+        # one prediction pass over the matrix.
         self._eval_features: Optional[np.ndarray] = None
         self._eval_readings: Optional[np.ndarray] = None
-        self._prediction_cache: Optional[
-            Tuple[ReadingTimePredictor, np.ndarray]] = None
+        self._shared_predictor = _SharedPrediction(self._predictor)
 
     # ------------------------------------------------------------------
     # Page profiles
@@ -193,37 +211,6 @@ class PolicyEvaluator:
             self._eval_readings = np.asarray(readings, dtype=float)
         return self._eval_features, self._eval_readings
 
-    def _batched_switches(self, policy: SwitchPolicy
-                          ) -> Optional[np.ndarray]:
-        """Every record's raw switch decision as one boolean vector.
-
-        The three concrete policy families are pure functions of the
-        feature matrix / reading-time vector, so the whole evaluation
-        set resolves in one predictor pass plus array comparisons.
-        ``predict(X)[i]`` is bitwise ``predict_one(X[i])`` — both
-        accumulate ``init + Σ lr·leaf`` in tree order — so the vector
-        decisions equal the scalar ones element for element.  Unknown
-        policy subclasses return ``None``: the caller falls back to
-        per-record ``decide``.
-        """
-        features, readings = self._eval_arrays()
-        if isinstance(policy, PredictivePolicy):
-            predictor = policy.predictor
-            if (self._prediction_cache is None
-                    or self._prediction_cache[0] is not predictor):
-                self._prediction_cache = (predictor,
-                                          predictor.predict(features))
-            config = policy.config
-            return switch_decisions(self._prediction_cache[1],
-                                    config.mode,
-                                    config.power_threshold,
-                                    config.delay_threshold)
-        if isinstance(policy, OraclePolicy):
-            return readings > policy.threshold
-        if isinstance(policy, AlwaysOffPolicy):
-            return np.ones(readings.size, dtype=bool)
-        return None
-
     def _run_case(self, name: str, engine: str,
                   policy: Optional[SwitchPolicy],
                   switch_delay: float) -> Tuple[float, float, float]:
@@ -236,7 +223,7 @@ class PolicyEvaluator:
         count = 0
         switch_flags: Optional[np.ndarray] = None
         if policy is not None:
-            switch_flags = self._batched_switches(policy)
+            switch_flags = policy.switches(*self._eval_arrays())
         for session in self.eval_set.sessions():
             state = RrcState.IDLE  # sessions start after a long gap
             for record in session.records:
@@ -245,18 +232,12 @@ class PolicyEvaluator:
                 count += 1
 
                 switch_at: Optional[float] = None
-                if policy is not None:
-                    if switch_flags is not None:
-                        wants_switch = bool(switch_flags[count - 1])
-                    else:
-                        wants_switch = policy.decide(
-                            record.feature_vector(), reading
-                        ).switch_to_idle
-                    # Algorithm 2 waits for the interest threshold before
-                    # deciding; a user who already left cannot be helped.
-                    if wants_switch and reading > switch_delay:
-                        switch_at = switch_delay
-                        switches += 1
+                # Algorithm 2 waits for the interest threshold before
+                # deciding; a user who already left cannot be helped.
+                if (switch_flags is not None and switch_flags[count - 1]
+                        and reading > switch_delay):
+                    switch_at = switch_delay
+                    switches += 1
 
                 if engine == "original":
                     read_energy, next_state = self._reading_original(
@@ -279,12 +260,12 @@ class PolicyEvaluator:
         policy_cfg = self.config.policy
         alpha = policy_cfg.interest_threshold
         predict_9 = PredictivePolicy(
-            self._predictor,
+            self._shared_predictor,
             PolicyConfig(interest_threshold=alpha, mode="power",
                          power_threshold=policy_cfg.power_threshold,
                          delay_threshold=policy_cfg.delay_threshold))
         predict_20 = PredictivePolicy(
-            self._predictor,
+            self._shared_predictor,
             PolicyConfig(interest_threshold=alpha, mode="delay",
                          power_threshold=policy_cfg.power_threshold,
                          delay_threshold=policy_cfg.delay_threshold))

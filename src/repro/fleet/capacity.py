@@ -109,7 +109,7 @@ def _require_valid_stream(arrivals, services,
             "arrivals must be non-decreasing (documented contract); "
             "an unsorted stream returns a plausible-looking wrong "
             "drop mask instead of failing")
-    if lower is not None and bool(arrivals[0] < lower):
+    if lower is not None and arrivals.size and bool(arrivals[0] < lower):
         raise ValueError(
             f"block arrivals start at {float(arrivals[0])!r}, before "
             f"the carried boundary {lower!r}; blocks must continue "
@@ -239,10 +239,10 @@ def resolve_drops_block(arrivals: np.ndarray, services: np.ndarray,
     """
     if carry is None:
         carry = DropCarry.empty()
+    _require_valid_stream(arrivals, services, lower=carry.boundary)
     m = int(arrivals.size)
     if m == 0:
         return np.zeros(0, dtype=bool), carry
-    _require_valid_stream(arrivals, services, lower=carry.boundary)
     dropped = np.empty(m, dtype=bool)
     for start in range(0, m, _BLOCK_ARRIVALS):
         blk = slice(start, start + _BLOCK_ARRIVALS)

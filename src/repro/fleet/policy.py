@@ -1,19 +1,18 @@
-"""Batched Algorithm-2 switching decisions and CDF anchors.
+"""Algorithm 2's switching rule over whole vectors, and CDF anchors.
 
-The scalar policies in :mod:`repro.prediction.policy` answer one
-pageview at a time; evaluating Table 6 asks the same question for every
-record of the evaluation trace.  Algorithm 2's rule is a pure threshold
-comparison on the predicted reading time,
+Algorithm 2's rule is a pure threshold comparison on the reading time,
 
     switch  ⇔  Tr > Td  OR  (mode == power AND Tr > Tp),
 
-so a whole prediction vector resolves in two array comparisons.  The
-results are bit-for-bit those of the scalar rule: each element sees the
-same float compared against the same thresholds.
+so a whole vector of reading times resolves in two array comparisons.
+:func:`switch_decisions` is the rule's one implementation: every
+policy in :mod:`repro.prediction.policy` (one pageview or the whole
+Table-6 evaluation set) and the ablation objective call it.  The scalar
+rule lives on as a test oracle in ``tests/oracles/policy.py``.
 
 This module deliberately knows nothing about policies, predictors, or
-configs — it takes plain arrays and floats, so :mod:`repro.core.
-policy_eval` can depend on it without an import cycle.
+configs — it takes plain arrays and floats, so the policies can depend
+on it without an import cycle.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from repro.runtime.observability import KERNEL_STATS
 def switch_decisions(predicted: np.ndarray, mode: str,
                      power_threshold: float,
                      delay_threshold: float) -> np.ndarray:
-    """Vectorised Algorithm 2 over a vector of predicted reading times.
+    """Vectorised Algorithm 2 over a vector of reading times.
 
     Returns a boolean array: ``True`` where the radio should be forced
-    to IDLE.  Matches ``PredictivePolicy.decide`` element for element.
+    to IDLE.
     """
     predicted = np.asarray(predicted, dtype=float)
     switch = predicted > delay_threshold

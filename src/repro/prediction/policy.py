@@ -7,11 +7,17 @@ radio be forced to IDLE?  Algorithm 2's rule:
     switch  ⇔  Tr > Td  OR  (Tr > Tp AND mode == power)
 
 where Tr is the predicted reading time, Td = T1 + T2 = 20 s (never any
-delay penalty) and Tp = 9 s (energy break-even, Fig. 3).  The six cases
-of Table 6 map to: :class:`PredictivePolicy` (Predict-9 / Predict-20),
-:class:`OraclePolicy` (Accurate-9 / Accurate-20 — the upper bound using
-the true reading time from the trace), and :class:`AlwaysOffPolicy`
-(the two Always-off rows; the engine choice is made by the evaluator).
+delay penalty) and Tp = 9 s (energy break-even, Fig. 3).  The rule is
+written once, as :func:`repro.fleet.policy.switch_decisions`.  The six
+cases of Table 6 map to: :class:`PredictivePolicy` (Predict-9 /
+Predict-20), :class:`OraclePolicy` (Accurate-9 / Accurate-20 — the
+upper bound using the true reading time from the trace), and
+:class:`AlwaysOffPolicy` (the two Always-off rows; the engine choice is
+made by the evaluator).
+
+Every policy answers for a whole matrix of pageviews at once
+(:meth:`SwitchPolicy.switches`); :meth:`SwitchPolicy.decide` is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.config import PolicyConfig
+from repro.fleet.policy import switch_decisions
 from repro.prediction.predictor import ReadingTimePredictor
 
 
@@ -39,13 +48,37 @@ class SwitchPolicy(abc.ABC):
     name = "base"
 
     @abc.abstractmethod
+    def switches(self, features: np.ndarray,
+                 readings: np.ndarray) -> np.ndarray:
+        """Every pageview's decision: ``True`` where the radio should be
+        forced to IDLE.
+
+        ``features`` is an ``(n, k)`` matrix of Table-1 vectors collected
+        while opening each page; ``readings`` holds the ``n`` true
+        reading times, which only the oracle consults.
+        """
+
+    def estimates(self, features: np.ndarray,
+                  readings: np.ndarray) -> Optional[np.ndarray]:
+        """The reading time each decision compares with its thresholds,
+        or ``None`` for a policy that compares none."""
+        return None
+
+    def reason(self, estimate: Optional[float]) -> str:
+        """One line on why a single decision came out as it did."""
+        return self.name
+
     def decide(self, features: Sequence[float],
                true_reading_time: float) -> PolicyDecision:
-        """Decide for one pageview.
-
-        ``features`` is the Table-1 vector collected while opening the
-        page; ``true_reading_time`` is only consulted by the oracle.
-        """
+        """Decide for one pageview: the one-row case of :meth:`switches`."""
+        row = np.asarray(features, dtype=float).reshape(1, -1)
+        reading = np.array([true_reading_time], dtype=float)
+        estimates = self.estimates(row, reading)
+        estimate = None if estimates is None else float(estimates[0])
+        return PolicyDecision(
+            switch_to_idle=bool(self.switches(row, reading)[0]),
+            predicted_reading_time=estimate,
+            reason=self.reason(estimate))
 
 
 class PredictivePolicy(SwitchPolicy):
@@ -55,32 +88,31 @@ class PredictivePolicy(SwitchPolicy):
                  config: Optional[PolicyConfig] = None):
         self._predictor = predictor
         self.config = config or PolicyConfig()
-        self.name = f"predict-{int(self._threshold())}"
+        threshold = (self.config.power_threshold
+                     if self.config.mode == "power"
+                     else self.config.delay_threshold)
+        self.name = f"predict-{int(threshold)}"
 
-    def _threshold(self) -> float:
-        if self.config.mode == "power":
-            return self.config.power_threshold
-        return self.config.delay_threshold
+    def estimates(self, features: np.ndarray,
+                  readings: np.ndarray) -> np.ndarray:
+        # One pageview takes the on-phone traversal Table 7 times; a
+        # matrix takes one batched pass.  Both give Tr to the last bit.
+        if len(features) == 1:
+            return np.array([self._predictor.predict_one(features[0])])
+        return self._predictor.predict(features)
 
-    @property
-    def predictor(self) -> ReadingTimePredictor:
-        """The underlying model (the batched evaluator predicts whole
-        feature matrices through it instead of calling :meth:`decide`)."""
-        return self._predictor
-
-    def decide(self, features: Sequence[float],
-               true_reading_time: float) -> PolicyDecision:
-        predicted = self._predictor.predict_one(features)
+    def switches(self, features: np.ndarray,
+                 readings: np.ndarray) -> np.ndarray:
         config = self.config
-        switch = predicted > config.delay_threshold or (
-            config.mode == "power"
-            and predicted > config.power_threshold)
-        reason = (f"Tr={predicted:.1f}s vs "
-                  f"Td={config.delay_threshold:.0f}/"
-                  f"Tp={config.power_threshold:.0f} ({config.mode})")
-        return PolicyDecision(switch_to_idle=switch,
-                              predicted_reading_time=predicted,
-                              reason=reason)
+        return switch_decisions(self.estimates(features, readings),
+                                config.mode, config.power_threshold,
+                                config.delay_threshold)
+
+    def reason(self, estimate: Optional[float]) -> str:
+        config = self.config
+        return (f"Tr={estimate:.1f}s vs "
+                f"Td={config.delay_threshold:.0f}/"
+                f"Tp={config.power_threshold:.0f} ({config.mode})")
 
 
 class OraclePolicy(SwitchPolicy):
@@ -94,13 +126,18 @@ class OraclePolicy(SwitchPolicy):
         self.threshold = threshold
         self.name = f"accurate-{int(threshold)}"
 
-    def decide(self, features: Sequence[float],
-               true_reading_time: float) -> PolicyDecision:
-        switch = true_reading_time > self.threshold
-        return PolicyDecision(switch_to_idle=switch,
-                              predicted_reading_time=true_reading_time,
-                              reason=f"oracle R={true_reading_time:.1f}s "
-                                     f"vs {self.threshold:.0f}s")
+    def estimates(self, features: np.ndarray,
+                  readings: np.ndarray) -> np.ndarray:
+        return readings
+
+    def switches(self, features: np.ndarray,
+                 readings: np.ndarray) -> np.ndarray:
+        # Algorithm 2 in delay mode with Td = the oracle's threshold.
+        return switch_decisions(readings, "delay", self.threshold,
+                                self.threshold)
+
+    def reason(self, estimate: Optional[float]) -> str:
+        return f"oracle R={estimate:.1f}s vs {self.threshold:.0f}s"
 
 
 class AlwaysOffPolicy(SwitchPolicy):
@@ -108,11 +145,12 @@ class AlwaysOffPolicy(SwitchPolicy):
 
     name = "always-off"
 
-    def decide(self, features: Sequence[float],
-               true_reading_time: float) -> PolicyDecision:
-        return PolicyDecision(switch_to_idle=True,
-                              predicted_reading_time=None,
-                              reason="always off")
+    def switches(self, features: np.ndarray,
+                 readings: np.ndarray) -> np.ndarray:
+        return np.ones(len(readings), dtype=bool)
+
+    def reason(self, estimate: Optional[float]) -> str:
+        return "always off"
 
 
 class NeverOffPolicy(SwitchPolicy):
@@ -120,8 +158,9 @@ class NeverOffPolicy(SwitchPolicy):
 
     name = "never-off"
 
-    def decide(self, features: Sequence[float],
-               true_reading_time: float) -> PolicyDecision:
-        return PolicyDecision(switch_to_idle=False,
-                              predicted_reading_time=None,
-                              reason="timers only")
+    def switches(self, features: np.ndarray,
+                 readings: np.ndarray) -> np.ndarray:
+        return np.zeros(len(readings), dtype=bool)
+
+    def reason(self, estimate: Optional[float]) -> str:
+        return "timers only"

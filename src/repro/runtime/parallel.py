@@ -1,4 +1,4 @@
-"""Process-pool experiment runner with caching and kernel observability.
+"""Process-pool task runner with caching and kernel observability.
 
 ``ALL_EXPERIMENTS`` is embarrassingly parallel — every figure/table
 builds its own handsets and traces — yet the sequential runner serialises
@@ -16,14 +16,21 @@ processes while keeping three guarantees:
 - **attribution**: every task reports kernel counters (events processed,
   cancellations, peak queue depth) and the wall-clock/sim-time ratio,
   collected via :mod:`repro.runtime.observability`.
+
+:func:`run_cached` is the one cache-then-pool fan-out: :func:`run_tasks`
+and the ablation engine's :func:`repro.ablation.engine.run_specs` both
+run their misses through it, and :func:`warm_process` is the one
+warm-up its pool workers (and ``repro serve``) run.
 """
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -74,7 +81,7 @@ _REGISTRIES = {
 
 
 def registry_for(kind: str) -> "Dict[str, Tuple[str, Callable]]":
-    """Public registry lookup (used by the profiling harness)."""
+    """Public registry lookup."""
     return _REGISTRIES[kind]()
 
 
@@ -171,17 +178,71 @@ class SuiteReport:
         }
 
 
-def _warm_worker() -> None:
-    """Pool-worker initializer: pre-generate the page corpus.
+def warm_process() -> None:
+    """Pre-generate the page corpus into this process's caches.
 
-    Every experiment/ablation/faults task starts from the Table 3 pages;
-    warming the process-local corpus memo at worker startup (overlapping
-    with pool spin-up) means no task pays page generation mid-run, and a
-    worker's second task never regenerates what its first one built.
+    Pool workers run this as their initializer; the serving layer runs
+    it at startup.  Every experiment/ablation/faults task and every
+    matrix cell starts from the Table 3 pages, so no task (or request)
+    pays page generation mid-run, and a worker's second task never
+    regenerates what its first one built.  Warming is deterministic and
+    idempotent — it only moves *when* the cost is paid.
     """
     from repro.webpages.corpus import warm_corpus
 
     warm_corpus()
+
+
+def run_cached(kind: str, items: Mapping[str, Any],
+               seeds: Mapping[str, int],
+               execute: Callable[[List[Any], Dict[str, int]],
+                                 List[Dict[str, Any]]],
+               processes: int = 1,
+               cache: Optional[ResultCache] = None
+               ) -> List[Tuple[Dict[str, Any], bool]]:
+    """Serve ``items`` from ``cache``, run the misses, return payloads.
+
+    ``items`` maps each id to what ``execute`` takes for it, in result
+    order; ``execute(items, seeds)`` returns one payload per item, in
+    order.  Misses run as one serial ``execute`` call, or — with
+    ``processes > 1`` and more than one miss — as one-item tasks on a
+    pool of :func:`warm_process`-initialised workers, so ``execute``
+    and its bound arguments must pickle.  Returns ``(payload, cached)``
+    per id, in ``items`` order.
+    """
+    if processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
+    code_version = code_version_hash()
+    keys = {item_id: cache_key(kind, item_id, {"seed": seeds[item_id]},
+                               code_version)
+            for item_id in items}
+    found: Dict[str, Tuple[Dict[str, Any], bool]] = {}
+    pending: List[str] = []
+    for item_id in items:
+        hit = cache.get(keys[item_id]) if cache is not None else None
+        if hit is not None:
+            found[item_id] = (hit, True)
+        else:
+            pending.append(item_id)
+
+    if pending:
+        if processes == 1 or len(pending) == 1:
+            payloads = execute([items[item_id] for item_id in pending],
+                               {item_id: seeds[item_id]
+                                for item_id in pending})
+        else:
+            workers = min(processes, len(pending))
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=warm_process) as pool:
+                futures = [pool.submit(execute, [items[item_id]],
+                                       {item_id: seeds[item_id]})
+                           for item_id in pending]
+                payloads = [future.result()[0] for future in futures]
+        for item_id, payload in zip(pending, payloads):
+            if cache is not None:
+                cache.put(keys[item_id], payload)
+            found[item_id] = (payload, False)
+    return [found[item_id] for item_id in items]
 
 
 def _execute_task(kind: str, task_id: str, seed: int) -> Dict[str, Any]:
@@ -219,8 +280,30 @@ def _execute_task(kind: str, task_id: str, seed: int) -> Dict[str, Any]:
     return payload
 
 
-def _task_params(seed: int) -> Dict[str, Any]:
-    return {"seed": seed}
+def _execute_tasks(kind: str, task_ids: List[str],
+                   seeds: Dict[str, int]) -> List[Dict[str, Any]]:
+    """:func:`_execute_task` for each id: :func:`run_cached`'s shape."""
+    return [_execute_task(kind, task_id, seeds[task_id])
+            for task_id in task_ids]
+
+
+def select_tasks(kind: str,
+                 ids: Optional[Sequence[str]] = None) -> List[str]:
+    """The registered ``kind`` ids to run, in canonical registry order.
+
+    ``ids=None`` (or empty) means every task; duplicates collapse.
+    Unknown ids raise one ``KeyError`` naming them and the known ids —
+    the boundary check for every suite command and ``repro profile``.
+    """
+    registry = registry_for(kind)
+    if not ids:
+        return list(registry)
+    unknown = [task_id for task_id in ids if task_id not in registry]
+    if unknown:
+        raise KeyError(f"unknown {kind} ids: {sorted(unknown)}; "
+                       f"known: {sorted(registry)}")
+    requested = set(ids)
+    return [task_id for task_id in registry if task_id in requested]
 
 
 def run_tasks(kind: str,
@@ -235,65 +318,19 @@ def run_tasks(kind: str,
     workers finish in.  Unknown ids raise ``KeyError`` before any work
     starts.
     """
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    registry = _REGISTRIES[kind]()
-    if ids is None or not ids:
-        selected = list(registry)
-    else:
-        unknown = [task_id for task_id in ids if task_id not in registry]
-        if unknown:
-            raise KeyError(
-                f"unknown {kind} ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}")
-        # Canonical order + dedup, whatever order the caller typed.
-        requested = set(ids)
-        selected = [task_id for task_id in registry
-                    if task_id in requested]
-
+    selected = select_tasks(kind, ids)
     started = _time.perf_counter()
-    code_version = code_version_hash()
     seeds = {task_id: task_seed(root_seed, f"{kind}:{task_id}")
              for task_id in selected}
-
-    results: Dict[str, TaskResult] = {}
-    pending: List[str] = []
-    keys: Dict[str, str] = {}
-    for task_id in selected:
-        if cache is not None:
-            key = cache_key(kind, task_id, _task_params(seeds[task_id]),
-                            code_version)
-            keys[task_id] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[task_id] = TaskResult.from_dict(hit, cached=True)
-                continue
-        pending.append(task_id)
-
-    if pending:
-        if processes == 1 or len(pending) == 1:
-            payloads = [_execute_task(kind, task_id, seeds[task_id])
-                        for task_id in pending]
-        else:
-            workers = min(processes, len(pending))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_warm_worker) as pool:
-                futures = [pool.submit(_execute_task, kind, task_id,
-                                       seeds[task_id])
-                           for task_id in pending]
-                payloads = [future.result() for future in futures]
-        for payload in payloads:
-            task_id = payload["task_id"]
-            if cache is not None:
-                cache.put(keys[task_id], payload)
-            results[task_id] = TaskResult.from_dict(payload)
-
+    outcomes = run_cached(kind, {task_id: task_id for task_id in selected},
+                          seeds, functools.partial(_execute_tasks, kind),
+                          processes, cache)
     return SuiteReport(
-        results=[results[task_id] for task_id in selected],
+        results=[TaskResult.from_dict(payload, cached=cached)
+                 for payload, cached in outcomes],
         processes=processes,
         root_seed=root_seed,
-        total_wall_time=_time.perf_counter() - started,
-        code_version=code_version)
+        total_wall_time=_time.perf_counter() - started)
 
 
 def run_experiments(ids: Optional[Sequence[str]] = None,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cProfile
 import pstats
-import time as _time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -41,48 +40,32 @@ def profile_task(kind: str, task_id: str, seed: Optional[int] = None,
                  sort: str = "cumulative") -> Dict[str, Any]:
     """Run one registered task under cProfile; return a report payload.
 
-    Seeding matches :func:`repro.runtime.parallel.run_tasks` exactly, so
-    a profiled run reproduces the same work the suite runner would do.
+    The profiled call is the suite runner's own
+    :func:`repro.runtime.parallel._execute_task` under the seed
+    :func:`repro.runtime.parallel.run_tasks` derives, so a profiled run
+    does exactly the work the suite runner would do.
     """
-    import numpy as np
-
-    from repro.runtime import parallel as runtime_parallel
-    from repro.runtime.observability import collecting
+    from repro.runtime.observability import SimRunStats
+    from repro.runtime.parallel import _execute_task, select_tasks
     from repro.runtime.seeding import DEFAULT_ROOT_SEED, task_seed
 
-    registry = runtime_parallel.registry_for(kind)
-    if task_id not in registry:
-        raise KeyError(f"unknown {kind} id {task_id!r}; "
-                       f"known: {sorted(registry)}")
-    title, runner = registry[task_id]
+    select_tasks(kind, [task_id])
     root_seed = DEFAULT_ROOT_SEED if seed is None else seed
-    derived = task_seed(root_seed, f"{kind}:{task_id}")
-    np.random.seed(derived % (2 ** 32))
-
     profiler = cProfile.Profile()
-    started = _time.perf_counter()
-    with collecting() as collector:
-        profiler.enable()
-        if getattr(runner, "needs_seed", False):
-            report = runner(seed=derived).report()
-        else:
-            report = runner().report()
-        profiler.disable()
-    wall_time = _time.perf_counter() - started
+    payload = profiler.runcall(_execute_task, kind, task_id,
+                               task_seed(root_seed, f"{kind}:{task_id}"))
     stats = pstats.Stats(profiler)
-
-    payload: Dict[str, Any] = {
+    return {
         "kind": kind,
         "task_id": task_id,
-        "title": title,
-        "seed": derived,
-        "wall_time": wall_time,
+        "title": payload["title"],
+        "seed": payload["seed"],
+        "wall_time": payload["wall_time"],
         "total_calls": stats.total_calls,
-        "report": report,
+        "report": payload["report"],
         "hotspots": _hotspots(stats, top_n, sort),
-        "kernel": collector.snapshot().to_dict(),
+        "kernel": SimRunStats.from_dict(payload).to_dict(),
     }
-    return payload
 
 
 def render_profile(payload: Dict[str, Any]) -> str:

@@ -26,12 +26,13 @@ import time
 from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
-from repro.ablation.engine import spec_seed, warm_process
+from repro.ablation.engine import spec_seed
 from repro.ablation.objective import (capacity_seed, evaluate_setups,
                                       variant_hold_pool)
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime.cache import ResultCache
 from repro.runtime.observability import KERNEL_STATS
+from repro.runtime.parallel import warm_process
 from repro.serve.batcher import (DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH,
                                  MicroBatcher)
 from repro.serve.metrics import ServeMetrics

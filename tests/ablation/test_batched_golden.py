@@ -55,8 +55,6 @@ def fresh_state():
 def _slow(monkeypatch) -> None:
     """Route the engine through the scalar oracle with all memoised
     state dropped, so the slow pass recomputes everything from scratch."""
-    monkeypatch.setattr(engine_module, "evaluate_setup",
-                        oracle.evaluate_setup)
     monkeypatch.setattr(engine_module, "evaluate_setups",
                         oracle.evaluate_setups)
     reset_load_cache()

@@ -68,11 +68,18 @@ def test_warm_loo_matrix_is_fully_cached_and_report_identical(tmp_path):
 
 
 def test_partial_cache_reruns_only_the_missing_cells(tmp_path):
+    """One hit and two misses, serially and through the pool (two
+    one-cell tasks of the same batched evaluator): same report."""
     specs = tiny_specs()
-    cache = ResultCache(tmp_path / "cache")
-    run_specs(specs[:2], TINY, cache=cache)
-    mixed = run_specs(specs, TINY, cache=cache)
-    assert mixed.n_cached == 2
+    assert len(specs) == 3
+    reports = []
+    for processes in (1, 2):
+        cache = ResultCache(tmp_path / f"cache-{processes}")
+        run_specs(specs[:1], TINY, cache=cache)
+        mixed = run_specs(specs, TINY, processes=processes, cache=cache)
+        assert [run.cached for run in mixed.runs] == [True, False, False]
+        reports.append(mixed.report())
+    assert reports[0] == reports[1] == run_specs(specs, TINY).report()
 
 
 def test_parallel_report_matches_serial():

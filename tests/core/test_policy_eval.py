@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.policy_eval import PolicyEvaluator
+from repro.prediction.predictor import ReadingTimePredictor
 from repro.traces.generator import TraceConfig
 
 
@@ -141,3 +142,20 @@ def test_analytic_accounting_matches_event_driven_replay(evaluator):
     measured = device.accountant.total_energy(0.0, open_end + reading)
 
     assert measured == pytest.approx(analytic, rel=0.05)
+
+
+def test_evaluate_makes_one_predict_pass(monkeypatch):
+    """predict-9 and predict-20 share one pass over the eval matrix."""
+    config = TraceConfig(n_users=10, mean_views_per_user=60,
+                         catalog_size=16, seed=77)
+    fresh = PolicyEvaluator(trace_config=config, train_fraction=0.6)
+    predict = ReadingTimePredictor.predict
+    calls = []
+
+    def counting(self, x):
+        calls.append(len(x))
+        return predict(self, x)
+
+    monkeypatch.setattr(ReadingTimePredictor, "predict", counting)
+    fresh.evaluate()
+    assert calls == [len(fresh.eval_set)]

@@ -15,7 +15,8 @@ import repro.capacity.simulator as capacity_simulator
 import repro.core.comparison as comparison
 import repro.experiments.fig07_reading_cdf as fig07_module
 import repro.ml.tree as tree_module
-from repro.core.policy_eval import PolicyEvaluator
+import repro.prediction.policy as prediction_policy
+from repro.prediction.predictor import ReadingTimePredictor
 from repro.runtime.singleflight import SingleFlight
 from repro.sim.kernel import Simulator
 from tests import golden
@@ -43,12 +44,15 @@ def slow_kernel(monkeypatch):
 
 @pytest.fixture
 def slow_fleet(monkeypatch):
-    """The per-session heap, per-record ``decide`` and per-anchor means
-    in place of the batched fleet paths."""
+    """The per-session heap, the per-record Algorithm-2 rule and tree
+    traversal, and per-anchor means in place of the batched fleet
+    paths."""
     monkeypatch.setattr(capacity_simulator, "resolve_drops_block",
                         capacity.resolve_drops_block)
-    monkeypatch.setattr(PolicyEvaluator, "_batched_switches",
-                        lambda self, policy: None)
+    monkeypatch.setattr(prediction_policy, "switch_decisions",
+                        policy.switch_decisions)
+    monkeypatch.setattr(ReadingTimePredictor, "predict",
+                        policy.predict_rows)
     monkeypatch.setattr(fig07_module, "threshold_fractions",
                         policy.threshold_fractions)
 
@@ -82,8 +86,9 @@ def test_fig07_report_identical_on_slow_fleet(slow_fleet):
 
 
 def test_policy_eval_identical_on_slow_fleet(slow_fleet):
-    """Whole-vector Algorithm 2 vs per-record ``decide`` — every
-    Table-6 case's energy/delay/switch-rate must match exactly."""
+    """Whole-vector Algorithm 2 vs the per-record scalar rule on
+    per-record predictions — every Table-6 case's energy/delay/
+    switch-rate must match exactly."""
     _assert_golden("policy_eval.txt")
 
 

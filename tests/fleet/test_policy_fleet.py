@@ -1,10 +1,13 @@
-"""Batched Algorithm-2 decisions vs the scalar policies — bitwise."""
+"""Every policy's Algorithm-2 decisions vs the scalar rule — bitwise."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PolicyConfig
 from repro.fleet.policy import switch_decisions, threshold_fractions
-from repro.prediction.policy import PredictivePolicy
+from repro.prediction.policy import (AlwaysOffPolicy, NeverOffPolicy,
+                                     OraclePolicy, PredictivePolicy)
 from repro.prediction.predictor import ReadingTimePredictor
 from tests.oracles import policy as oracle
 
@@ -28,19 +31,67 @@ def test_batched_prediction_bitwise_equals_scalar_traversal():
         assert batched[i] == predictor.predict_one(x[i])
 
 
-def test_switch_decisions_match_policy_decide():
-    predictor, x = _trained_predictor(seed=5)
-    predictions = predictor.predict(x)
-    for mode in ("power", "delay"):
-        config = PolicyConfig(mode=mode, power_threshold=9.0,
-                              delay_threshold=20.0)
-        policy = PredictivePolicy(predictor, config)
-        batched = switch_decisions(predictions, mode,
-                                   config.power_threshold,
-                                   config.delay_threshold)
-        for i in range(x.shape[0]):
-            assert bool(batched[i]) == policy.decide(x[i], 0.0) \
-                .switch_to_idle
+class _TableScorer:
+    """A predictor that reads row ``i``'s Tr off a drawn vector: the
+    feature matrix is one column of row indices."""
+
+    def __init__(self, predicted):
+        self.predicted = np.asarray(predicted, dtype=float)
+
+    def predict(self, x):
+        return self.predicted[np.asarray(x, dtype=int)[:, 0]]
+
+    def predict_one(self, row):
+        return float(self.predicted[int(row[0])])
+
+
+def _unchecked_config(mode, power_threshold, delay_threshold):
+    """A PolicyConfig that skips ``Tp <= Td`` validation, so the rule
+    is exercised on both threshold orders."""
+    config = object.__new__(PolicyConfig)
+    for name, value in (("interest_threshold", 2.0), ("mode", mode),
+                        ("power_threshold", power_threshold),
+                        ("delay_threshold", delay_threshold)):
+        object.__setattr__(config, name, value)
+    return config
+
+
+@st.composite
+def policy_case(draw):
+    thresholds = st.floats(0.5, 60.0)
+    tp, td = draw(thresholds), draw(thresholds)
+    # Half the values sit exactly on a threshold: the rule is strict.
+    values = st.one_of(st.sampled_from([tp, td]), st.floats(0.0, 100.0))
+    n = draw(st.integers(1, 12))
+    predicted = draw(st.lists(values, min_size=n, max_size=n))
+    readings = draw(st.lists(values, min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["power", "delay"]))
+    return mode, tp, td, predicted, readings
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy_case())
+@example(("power", 9.0, 20.0, [9.0, 20.0, 9.5], [9.0, 20.0, 21.0]))
+@example(("power", 20.0, 9.0, [9.0, 15.0, 20.0], [9.0, 20.0, 25.0]))
+@example(("delay", 20.0, 9.0, [9.0, 15.0, 20.0], [9.0, 20.0, 25.0]))
+def test_every_policy_matches_the_scalar_rule(case):
+    mode, tp, td, predicted, readings = case
+    features = np.arange(len(predicted), dtype=float).reshape(-1, 1)
+    reading_vec = np.asarray(readings, dtype=float)
+    expected = {
+        PredictivePolicy(_TableScorer(predicted),
+                         _unchecked_config(mode, tp, td)):
+            [oracle.switch(t, mode, tp, td) for t in predicted],
+        # Accurate-T: the rule fed the true reading time, Td = T.
+        OraclePolicy(tp): [oracle.switch(r, "delay", tp, tp)
+                           for r in readings],
+        AlwaysOffPolicy(): [True] * len(readings),
+        NeverOffPolicy(): [False] * len(readings),
+    }
+    for policy, want in expected.items():
+        assert policy.switches(features, reading_vec).tolist() == want
+        assert [policy.decide(features[i], readings[i]).switch_to_idle
+                for i in range(len(readings))] == want
 
 
 def test_threshold_fractions_bitwise_equal_scalar_means():

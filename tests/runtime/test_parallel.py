@@ -50,19 +50,25 @@ def test_zero_processes_rejected():
 
 
 def test_warm_cache_skips_completed_experiments(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    cold = run_experiments(FAST_IDS, processes=1, cache=cache)
-    assert [r.cached for r in cold.results] == [False, False]
-    assert len(cache) == 2
+    """Serially and through the pool: the cold run puts both tasks, the
+    warm rerun serves both from disk, and every report is the same."""
+    renders = []
+    for processes in (1, 2):
+        cache = ResultCache(tmp_path / f"cache-{processes}")
+        cold = run_experiments(FAST_IDS, processes=processes, cache=cache)
+        assert [r.cached for r in cold.results] == [False, False]
+        assert len(cache) == 2
 
-    warm = run_experiments(FAST_IDS, processes=1, cache=cache)
-    assert [r.cached for r in warm.results] == [True, True]
-    assert warm.n_cached == 2
-    assert warm.render() == cold.render()
-    # Cached results keep their recorded metrics.
-    for result in warm.results:
-        assert result.kernel.events_processed > 0
-        assert result.wall_time > 0.0
+        warm = run_experiments(FAST_IDS, processes=processes, cache=cache)
+        assert [r.cached for r in warm.results] == [True, True]
+        assert warm.n_cached == 2
+        assert warm.render() == cold.render()
+        # Cached results keep their recorded metrics.
+        for result in warm.results:
+            assert result.kernel.events_processed > 0
+            assert result.wall_time > 0.0
+        renders.append(warm.render())
+    assert renders[0] == renders[1]
 
 
 def test_cache_respects_root_seed(tmp_path):

@@ -158,6 +158,9 @@ def test_shape_mismatch_raises():
     for resolve in (chained_drops, resolve_drops_block):
         with pytest.raises(ValueError, match="matching shapes"):
             resolve(np.array([0.0, 1.0]), np.array([1.0]), 2)
+    # An empty block is validated too, not returned before the check.
+    with pytest.raises(ValueError, match="matching shapes"):
+        resolve_drops_block(np.empty(0), np.ones(3), 2)
 
 
 def test_non_1d_streams_raise():

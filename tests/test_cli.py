@@ -30,6 +30,14 @@ def test_ablations_unknown_name(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_faults_sweep_unknown_profile(capsys):
+    assert main(["faults-sweep", "nowhere"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and "nowhere" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_trace_train_predict_pipeline(tmp_path, capsys):
     trace_path = str(tmp_path / "trace.csv")
     model_path = str(tmp_path / "model.json")
