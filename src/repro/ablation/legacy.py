@@ -170,7 +170,7 @@ def _extract_timers(level: str, overrides: Mapping[str, Any],
     from repro.core.session import browse_and_read
     from repro.experiments.ablations import TimerRow
     from repro.rrc.config import RrcConfig
-    from repro.rrc.tail import promotion_latency, tail_state_after_tx
+    from repro.rrc.tail import promotion_latency_grid, tail_state_grid
 
     t1, t2 = float(overrides["t1"]), float(overrides["t2"])
     reading_time = ctx["reading_time"]
@@ -181,9 +181,10 @@ def _extract_timers(level: str, overrides: Mapping[str, Any],
     last_byte = max(t.completed_at for t in session.load.transfers)
     load_end = session.load.started_at + session.load.load_complete_time
     offset = load_end - last_byte + reading_time
-    state = tail_state_after_tx(offset, rrc)
+    state = tail_state_grid(np.asarray(offset), rrc.t1, rrc.t1 + rrc.t2)
     return TimerRow(t1=t1, t2=t2, total_energy=session.total_energy,
-                    next_click_delay=promotion_latency(state, rrc))
+                    next_click_delay=float(promotion_latency_grid(state,
+                                                                  rrc)))
 
 
 def _fold_timers(rows: List, params: Mapping[str, Any]):

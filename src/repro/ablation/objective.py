@@ -5,10 +5,10 @@ set, and a grid of reading times.  For each page the variant engine
 loads the page once with the full discrete-event simulator (under the
 scenario's seeded :class:`~repro.faults.injector.FaultPlan`, common
 random numbers across variants so comparisons are fair), and each
-(page, reading-time) unit is then scored with the analytic radio-tail
-math of :mod:`repro.rrc.tail` — the same closed forms the Fig. 16 policy
-evaluation uses — including the next click's promotion latency and
-signalling energy, which is what makes eager switching pay a price.
+(page, reading-time) unit is then scored with the closed-form reading
+phase of :func:`repro.rrc.tail.reading_phase_grid` — the one the Fig. 16
+policy evaluation uses — including the next click's promotion latency
+and signalling energy, which is what makes eager switching pay a price.
 
 Metrics per run:
 
@@ -43,10 +43,11 @@ thresholds runs its simulations once, not once per trial.  The channel
 is :func:`load_channel`'s ``(profile, page_seed)``; on the fault-free
 ``ideal`` channel it carries no seed, since there the seed never
 reaches the load.  Scoring then runs over the whole (trials × pages ×
-readings) unit grid through the ``*_grid`` array forms of
-:mod:`repro.rrc.tail`.  The scalar per-unit
-evaluator it replaced lives on as ``tests/oracles/ablation.py``; the
-two are gated byte-identical (``tests/ablation/test_batched_golden.py``).
+readings) unit grid in one :func:`_unit_scores` call, which the stock
+reference (:func:`reference_metrics`) goes through too.  The scalar
+per-unit evaluator it replaced lives on as ``tests/oracles/ablation.py``;
+the two are gated byte-identical
+(``tests/ablation/test_batched_golden.py``).
 """
 
 from __future__ import annotations
@@ -65,19 +66,10 @@ from repro.core.session import browse_and_read
 from repro.faults.injector import FaultPlan
 from repro.faults.profiles import get_profile
 from repro.fleet.policy import switch_decisions
-from repro.rrc.states import RrcState
 from repro.rrc.tail import (
-    STATE_IDLE,
-    promotion_energy,
     promotion_energy_grid,
-    promotion_latency,
     promotion_latency_grid,
-    tail_energy_after_release,
-    tail_energy_after_tx,
-    tail_energy_grid,
-    tail_state_after_release,
-    tail_state_after_tx,
-    tail_state_grid,
+    reading_phase_grid,
 )
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.observability import KERNEL_STATS
@@ -375,33 +367,6 @@ def _predictions(setup: VariantSetup, readings: np.ndarray,
     return readings * np.exp(noise)
 
 
-def _reading_phase(setup: VariantSetup, load: _PageLoad, reading: float,
-                   switch: bool, rrc) -> Tuple[float, RrcState]:
-    """Closed-form reading energy and the radio state at the next click.
-
-    Anchored at the channel release when the variant released (energy-
-    aware engine with fast dormancy), at the last transmission otherwise
-    — exactly the Fig. 16 evaluator's accounting.  A switching unit cuts
-    the tail at α and idles for the rest of the reading period.
-    ``rrc`` is the setup's radio config, built once per setup by the
-    caller rather than per unit.
-    """
-    released = setup.reorganisation and setup.fast_dormancy
-    if released:
-        start = load.release_offset
-        energy_fn, state_fn = tail_energy_after_release, \
-            tail_state_after_release
-    else:
-        start = load.tail_offset
-        energy_fn, state_fn = tail_energy_after_tx, tail_state_after_tx
-    if not switch or reading <= setup.alpha:
-        energy = energy_fn(start, start + reading, rrc)
-        return energy, state_fn(start + reading, rrc)
-    energy = energy_fn(start, start + setup.alpha, rrc)
-    energy += rrc.power.idle * (reading - setup.alpha)
-    return energy, RrcState.IDLE
-
-
 def capacity_seed(eval_seed: int) -> int:
     """Seed of the M/G/N run behind ``drop_probability``: the
     ``spawn_key=(1,)`` child of the evaluation seed (the capacity
@@ -423,6 +388,52 @@ def _drop_probability(pool: np.ndarray, population: PopulationSpec,
     ).drop_probability
 
 
+def _unit_scores(setups: Sequence[VariantSetup],
+                 loads_per_trial: Sequence[Sequence[_PageLoad]],
+                 readings: np.ndarray, switch: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-unit energy (load + reading phase + next-click promotion)
+    and next-click delay over the flat (trials × pages × readings)
+    grid, trial-major: slice ``t`` is trial ``t``'s units in page-major
+    order.  ``readings`` is one trial's page-major reading times;
+    ``switch`` marks the units where Algorithm 2 cuts the tail at α.
+
+    The reading phase is anchored at the channel release when the
+    variant released (energy-aware engine with fast dormancy), at the
+    last transmission otherwise — exactly the Fig. 16 evaluator's
+    accounting.
+    """
+    n_units = readings.size
+    n_read = n_units // len(loads_per_trial[0])
+    total = len(setups) * n_units
+    start = np.empty(total)
+    b1 = np.empty(total)
+    b2 = np.empty(total)
+    loading = np.empty(total)
+    alpha = np.empty(total)
+    for t, setup in enumerate(setups):
+        span = slice(t * n_units, (t + 1) * n_units)
+        alpha[span] = setup.alpha
+        released = setup.reorganisation and setup.fast_dormancy
+        b1[span] = 0.0 if released else setup.t1
+        b2[span] = setup.t2 if released else setup.t1 + setup.t2
+        for p, load in enumerate(loads_per_trial[t]):
+            cell = slice(t * n_units + p * n_read,
+                         t * n_units + (p + 1) * n_read)
+            start[cell] = (load.release_offset if released
+                           else load.tail_offset)
+            loading[cell] = load.loading_energy
+
+    # Power/promotion constants never vary across trials (VariantSetup
+    # only moves the timers, which ride in b1/b2), so one config covers
+    # the whole grid.
+    rrc = setups[0].to_config().rrc
+    read_energy, states = reading_phase_grid(
+        start, np.tile(readings, len(setups)), alpha, switch, b1, b2, rrc)
+    energies = (loading + read_energy) + promotion_energy_grid(states, rrc)
+    return energies, promotion_latency_grid(states, rrc)
+
+
 def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
                     scenario: Scenario,
                     load_cache: Optional[ResultCache] = None
@@ -441,49 +452,17 @@ def _evaluate_batch(pairs: Sequence[Tuple[VariantSetup, int]],
          for name, page_seed in zip(scenario.pages, page_seeds)]
         for setup, _ in pairs]
 
-    # Flat (trials × pages × readings) grid, trial-major — slice t is
-    # elementwise what the scalar loop computes for trial t.
-    total = len(pairs) * n_units
-    start = np.empty(total)
-    b1 = np.empty(total)
-    b2 = np.empty(total)
-    loading = np.empty(total)
-    alpha = np.empty(total)
-    reading = np.empty(total)
-    switch = np.zeros(total, dtype=bool)
+    switch = np.zeros(len(pairs) * n_units, dtype=bool)
     for t, (setup, eval_seed) in enumerate(pairs):
-        base = t * n_units
-        span = slice(base, base + n_units)
         if setup.fast_dormancy:
             predicted = _predictions(setup, readings_np, eval_seed)
-            switch[span] = ((readings_np > setup.alpha)
-                            & switch_decisions(predicted, setup.mode,
-                                               setup.tp, setup.td))
-        reading[span] = readings_np
-        alpha[span] = setup.alpha
-        released = setup.reorganisation and setup.fast_dormancy
-        b1[span] = 0.0 if released else setup.t1
-        b2[span] = setup.t2 if released else setup.t1 + setup.t2
-        for p, load in enumerate(loads_per_trial[t]):
-            cell = slice(base + p * n_read, base + (p + 1) * n_read)
-            start[cell] = (load.release_offset if released
-                           else load.tail_offset)
-            loading[cell] = load.loading_energy
-
-    # Power/promotion constants never vary across trials (VariantSetup
-    # only moves the timers, which ride in b1/b2), so one config covers
-    # the whole grid.
-    rrc = pairs[0][0].to_config().rrc
-
-    end_full = start + reading
-    e_full = tail_energy_grid(start, end_full, b1, b2, rrc)
-    e_cut = (tail_energy_grid(start, start + alpha, b1, b2, rrc)
-             + rrc.power.idle * (reading - alpha))
-    read_energy = np.where(switch, e_cut, e_full)
-    states = np.where(switch, STATE_IDLE, tail_state_grid(end_full, b1, b2))
-    energies = (loading + read_energy) + promotion_energy_grid(states, rrc)
-    delays = promotion_latency_grid(states, rrc)
-    KERNEL_STATS.add(work_units=total)
+            switch[t * n_units:(t + 1) * n_units] = (
+                (readings_np > setup.alpha)
+                & switch_decisions(predicted, setup.mode, setup.tp,
+                                   setup.td))
+    energies, delays = _unit_scores([setup for setup, _ in pairs],
+                                    loads_per_trial, readings_np, switch)
+    KERNEL_STATS.add(work_units=switch.size)
 
     drops: Optional[List[float]] = None
     if scenario.population is not None:
@@ -558,17 +537,12 @@ def reference_metrics(scenario: Scenario,
         loads = [_load_page_cached(name, STOCK_SETUP, reference.profile,
                                    page_seed, load_cache)
                  for name, page_seed in zip(reference.pages, page_seeds)]
-        rrc = STOCK_SETUP.to_config().rrc
-        energies: List[float] = []
-        delays: List[float] = []
-        for load in loads:
-            for reading in reference.reading_times:
-                read_energy, state = _reading_phase(STOCK_SETUP, load,
-                                                    float(reading),
-                                                    False, rrc)
-                energies.append(load.loading_energy + read_energy
-                                + promotion_energy(state, rrc))
-                delays.append(promotion_latency(state, rrc))
+        readings = np.asarray(
+            [r for _ in reference.pages for r in reference.reading_times],
+            dtype=float)
+        energies, delays = _unit_scores(
+            [STOCK_SETUP], [loads], readings,
+            np.zeros(readings.size, dtype=bool))
         return {
             "energy": float(np.mean(energies)),
             "delay": float(np.mean(delays)),

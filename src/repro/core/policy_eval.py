@@ -9,12 +9,17 @@ it combines
   IDLE→DCH promotion stripped (promotions are accounted at click time,
   where the radio state is policy-dependent);
 - the *reading period* — analytic radio-tail energy from
-  :mod:`repro.rrc.tail`, anchored at the last transmission (original
-  engine) or at the channel release (energy-aware engine), cut short if
-  the policy switches the radio to IDLE;
+  :func:`repro.rrc.tail.reading_phase_grid`, anchored at the last
+  transmission (original engine) or at the channel release
+  (energy-aware engine), cut short if the policy switches the radio to
+  IDLE;
 - the *next-click cost* — promotion latency and signalling energy
-  determined by the radio state the policy left behind.
+  determined by the radio state the policy left behind: IDLE at a
+  session's first click, else the state the previous reading ended in.
 
+Each case is one array pass over the evaluation records, flattened in
+session order; its totals are left folds in record order, bitwise the
+per-record loop it replaced (``tests/oracles/policy.py::run_case``).
 Power and delay savings are reported relative to the original browser
 with no switching, exactly as in Section 5.6.2.
 """
@@ -39,14 +44,11 @@ from repro.prediction.policy import (
     SwitchPolicy,
 )
 from repro.prediction.predictor import ReadingTimePredictor
-from repro.rrc.states import RrcState
 from repro.rrc.tail import (
-    promotion_energy,
-    promotion_latency,
-    tail_energy_after_release,
-    tail_energy_after_tx,
-    tail_state_after_release,
-    tail_state_after_tx,
+    STATE_IDLE,
+    promotion_energy_grid,
+    promotion_latency_grid,
+    reading_phase_grid,
 )
 from repro.traces.generator import TraceConfig, build_catalog, generate_trace
 from repro.traces.records import TraceDataset
@@ -123,16 +125,26 @@ class PolicyEvaluator:
             [r for r in self._dataset if r.user_id < n_train])
         self.eval_set = TraceDataset(
             [r for r in self._dataset if r.user_id >= n_train])
+        if not (len(self.train_set) and len(self.eval_set)):
+            n_users = self.trace_config.n_users
+            raise ValueError(
+                f"n_users={n_users} at train_fraction={train_fraction} "
+                f"splits into {n_train} training users "
+                f"({len(self.train_set)} records) and "
+                f"{n_users - n_train} evaluation users "
+                f"({len(self.eval_set)} records); both must be non-empty")
 
         self._predictor = ReadingTimePredictor(
             interest_threshold=self.config.policy.interest_threshold)
         self._predictor.fit(self.train_set)
 
-        # The evaluation records' feature matrix and reading times,
-        # flattened in session order; predict-9 and predict-20 share
-        # one prediction pass over the matrix.
+        # The evaluation records flattened in session order (filled by
+        # _eval_arrays); predict-9 and predict-20 share one prediction
+        # pass over the feature matrix.
         self._eval_features: Optional[np.ndarray] = None
         self._eval_readings: Optional[np.ndarray] = None
+        self._eval_pages: List[str] = []
+        self._session_starts: List[bool] = []
         self._shared_predictor = _SharedPrediction(self._predictor)
 
     # ------------------------------------------------------------------
@@ -155,8 +167,7 @@ class PolicyEvaluator:
                 f"{page_name!r}, saw {machine.promotions}")
         rrc = self.config.rrc
         promo_time = rrc.promo_idle_latency
-        promo_energy = (rrc.power.promotion * promo_time
-                        + rrc.promo_idle_signalling_energy)
+        promo_energy = float(promotion_energy_grid(STATE_IDLE, rrc))
         last_byte = max(t.completed_at - load.started_at
                         for t in load.transfers)
         profile = PageProfile(
@@ -169,90 +180,60 @@ class PolicyEvaluator:
         return profile
 
     # ------------------------------------------------------------------
-    # Per-record accounting
+    # Accounting: one array pass over the evaluation records
     # ------------------------------------------------------------------
-    def _reading_original(self, profile: PageProfile, reading: float,
-                          switch_at: Optional[float]
-                          ) -> Tuple[float, RrcState]:
-        """Reading energy and click-time state, original engine anchor."""
-        rrc = self.config.rrc
-        start = profile.tail_offset_at_open
-        if switch_at is None or reading <= switch_at:
-            energy = tail_energy_after_tx(start, start + reading, rrc)
-            return energy, tail_state_after_tx(start + reading, rrc)
-        energy = tail_energy_after_tx(start, start + switch_at, rrc)
-        energy += rrc.power.idle * (reading - switch_at)
-        return energy, RrcState.IDLE
-
-    def _reading_energy_aware(self, profile: PageProfile, reading: float,
-                              switch_at: Optional[float]
-                              ) -> Tuple[float, RrcState]:
-        """Reading energy and click-time state, channel-release anchor."""
-        rrc = self.config.rrc
-        start = profile.release_offset_at_open
-        if switch_at is None or reading <= switch_at:
-            energy = tail_energy_after_release(start, start + reading, rrc)
-            return energy, tail_state_after_release(start + reading, rrc)
-        energy = tail_energy_after_release(start, start + switch_at, rrc)
-        energy += rrc.power.idle * (reading - switch_at)
-        return energy, RrcState.IDLE
-
     def _eval_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluation records as arrays, flattened in session order —
-        the exact order :meth:`_run_case` walks them."""
+        """Evaluation records' feature matrix and reading times,
+        flattened in session order, with each record's page name and
+        whether it opens its session alongside."""
         if self._eval_features is None:
             features: List = []
             readings: List[float] = []
             for session in self.eval_set.sessions():
-                for record in session.records:
+                for seq, record in enumerate(session.records):
                     features.append(record.feature_vector())
                     readings.append(record.reading_time)
+                    self._eval_pages.append(record.page_name)
+                    self._session_starts.append(seq == 0)
             self._eval_features = np.asarray(features, dtype=float)
             self._eval_readings = np.asarray(readings, dtype=float)
         return self._eval_features, self._eval_readings
 
-    def _run_case(self, name: str, engine: str,
-                  policy: Optional[SwitchPolicy],
+    def _run_case(self, engine: str, policy: Optional[SwitchPolicy],
                   switch_delay: float) -> Tuple[float, float, float]:
         """Total (energy, delay, switch_rate) of one case over the
         evaluation set."""
         rrc = self.config.rrc
-        total_energy = 0.0
-        total_delay = 0.0
-        switches = 0
-        count = 0
-        switch_flags: Optional[np.ndarray] = None
+        features, readings = self._eval_arrays()
+        profiles = [self._profile(name, engine)
+                    for name in self._eval_pages]
+        if engine == "original":
+            start = [p.tail_offset_at_open for p in profiles]
+            b1, b2 = rrc.t1, rrc.t1 + rrc.t2
+        else:
+            start = [p.release_offset_at_open for p in profiles]
+            b1, b2 = 0.0, rrc.t2
+        switch = np.zeros(readings.shape, dtype=bool)
         if policy is not None:
-            switch_flags = policy.switches(*self._eval_arrays())
-        for session in self.eval_set.sessions():
-            state = RrcState.IDLE  # sessions start after a long gap
-            for record in session.records:
-                profile = self._profile(record.page_name, engine)
-                reading = record.reading_time
-                count += 1
-
-                switch_at: Optional[float] = None
-                # Algorithm 2 waits for the interest threshold before
-                # deciding; a user who already left cannot be helped.
-                if (switch_flags is not None and switch_flags[count - 1]
-                        and reading > switch_delay):
-                    switch_at = switch_delay
-                    switches += 1
-
-                if engine == "original":
-                    read_energy, next_state = self._reading_original(
-                        profile, reading, switch_at)
-                else:
-                    read_energy, next_state = self._reading_energy_aware(
-                        profile, reading, switch_at)
-
-                total_energy += (promotion_energy(state, rrc)
-                                 + profile.loading_energy + read_energy)
-                total_delay += (promotion_latency(state, rrc)
-                                + profile.load_time)
-                state = next_state
-        rate = switches / count if count else 0.0
-        return total_energy, total_delay, rate
+            # Algorithm 2 waits for the interest threshold before
+            # deciding; a user who already left cannot be helped.
+            switch = policy.switches(features, readings) \
+                & (readings > switch_delay)
+        read_energy, next_state = reading_phase_grid(
+            np.asarray(start, dtype=float), readings, switch_delay, switch,
+            b1, b2, rrc)
+        # Sessions start after a long gap, with the radio in IDLE; every
+        # other click finds it where the previous reading left it.
+        state = np.where(self._session_starts, STATE_IDLE,
+                         np.roll(next_state, 1))
+        loading = np.asarray([p.loading_energy for p in profiles])
+        load_time = np.asarray([p.load_time for p in profiles])
+        energy = (promotion_energy_grid(state, rrc) + loading) + read_energy
+        delay = promotion_latency_grid(state, rrc) + load_time
+        # cumsum is a left fold, summed in record order like a running
+        # ``+=``; np.sum's pairwise sum would move the last bits.
+        return (float(np.cumsum(energy)[-1]), float(np.cumsum(delay)[-1]),
+                int(switch.sum()) / switch.size)
 
     # ------------------------------------------------------------------
     def evaluate(self) -> List[CaseResult]:
@@ -286,8 +267,8 @@ class PolicyEvaluator:
         results: List[CaseResult] = []
         base_energy = base_delay = None
         for name, engine, policy, delay in cases:
-            energy, total_delay, rate = self._run_case(name, engine,
-                                                       policy, delay)
+            energy, total_delay, rate = self._run_case(engine, policy,
+                                                       delay)
             if base_energy is None:
                 base_energy, base_delay = energy, total_delay
             results.append(CaseResult(

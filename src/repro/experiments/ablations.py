@@ -192,17 +192,6 @@ def interest_threshold_ablation(trace_config: Optional[TraceConfig] = None,
 # ----------------------------------------------------------------------
 # 5. Does the saving survive other carriers' timer settings?
 # ----------------------------------------------------------------------
-#: RRC inactivity-timer presets seen in the measurement literature
-#: (Qian et al. report per-carrier values in this range; the paper's
-#: T-Mobile network uses 4 s / 15 s).
-CARRIER_PRESETS = (
-    ("t-mobile (paper)", 4.0, 15.0),
-    ("carrier B", 5.0, 12.0),
-    ("aggressive", 2.0, 8.0),
-    ("conservative", 6.0, 20.0),
-)
-
-
 @dataclass
 class CarrierRow:
     carrier: str

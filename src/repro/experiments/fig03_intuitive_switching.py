@@ -19,15 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.tables import format_table
 from repro.rrc.config import RrcConfig
 from repro.rrc.tail import (
-    promotion_energy,
-    promotion_latency,
-    tail_energy_after_tx,
-    tail_state_after_tx,
+    STATE_FACH,
+    STATE_IDLE,
+    promotion_energy_grid,
+    promotion_latency_grid,
+    tail_energy_grid,
+    tail_state_grid,
 )
-from repro.rrc.states import RrcState
 
 #: The paper's x-axis.
 DEFAULT_INTERVALS: Tuple[float, ...] = (
@@ -68,17 +71,19 @@ def run(config: Optional[RrcConfig] = None,
         intervals: Tuple[float, ...] = DEFAULT_INTERVALS) -> Fig03Result:
     """Compute the Fig. 3 curve analytically from the radio model."""
     rrc = config or RrcConfig()
-    points: List[IntervalPoint] = []
-    for interval in intervals:
-        original = (tail_energy_after_tx(0.0, interval, rrc)
-                    + promotion_energy(
-                        tail_state_after_tx(interval, rrc), rrc))
-        intuitive = (rrc.power.idle * interval
-                     + promotion_energy(RrcState.IDLE, rrc))
-        points.append(IntervalPoint(interval, original, intuitive))
+    gaps = np.asarray(intervals, dtype=float)
+    b1, b2 = rrc.t1, rrc.t1 + rrc.t2
+    original = (tail_energy_grid(np.zeros_like(gaps), gaps, b1, b2, rrc)
+                + promotion_energy_grid(tail_state_grid(gaps, b1, b2), rrc))
+    intuitive = (rrc.power.idle * gaps
+                 + promotion_energy_grid(np.full(gaps.shape, STATE_IDLE),
+                                         rrc))
+    points = [IntervalPoint(interval, orig, intu) for interval, orig, intu
+              in zip(intervals, original.tolist(), intuitive.tolist())]
 
     crossover = next((p.interval for p in points if p.saving > 0), None)
-    extra_delay = (promotion_latency(RrcState.IDLE, rrc)
-                   - promotion_latency(RrcState.FACH, rrc))
+    idle, fach = promotion_latency_grid(np.array([STATE_IDLE, STATE_FACH]),
+                                        rrc).tolist()
+    extra_delay = idle - fach
     return Fig03Result(points=points, crossover=crossover,
                        extra_delay=extra_delay)

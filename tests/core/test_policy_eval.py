@@ -1,10 +1,16 @@
 """Fig. 16 policy evaluation machinery."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from repro.core.policy_eval import PolicyEvaluator
 from repro.prediction.predictor import ReadingTimePredictor
 from repro.traces.generator import TraceConfig
+from tests.oracles import policy as oracle
 
 
 @pytest.fixture(scope="module")
@@ -98,26 +104,96 @@ def test_train_fraction_validated():
         PolicyEvaluator(train_fraction=1.0)
 
 
+def test_empty_evaluation_split_rejected():
+    # One user rounds to one training user and no evaluation user.
+    with pytest.raises(ValueError, match=r"n_users=1 at train_fraction=0.7 "
+                       r"splits into 1 training users \(\d+ records\) and "
+                       r"0 evaluation users \(0 records\)"):
+        PolicyEvaluator(TraceConfig(n_users=1))
+
+
+def test_empty_training_split_rejected():
+    with pytest.raises(ValueError, match=r"n_users=2 at train_fraction=0.2 "
+                       r"splits into 0 training users \(0 records\) and "
+                       r"2 evaluation users"):
+        PolicyEvaluator(TraceConfig(n_users=2), train_fraction=0.2)
+
+
+#: A small trace whose evaluation set holds a one-view session.
+ONE_VIEW_SESSION = TraceConfig(n_users=3, mean_views_per_user=8,
+                               catalog_size=6, mean_session_length=1.5,
+                               seed=1)
+
+
+def _small_evaluator(config: TraceConfig, train_fraction: float):
+    try:
+        return PolicyEvaluator(config, train_fraction=train_fraction)
+    except ValueError as error:
+        # An empty split, or a training split with fewer than two
+        # visits past α, which the predictor cannot fit.
+        if not any(reason in str(error) for reason in (
+                "must be non-empty", "dataset is empty",
+                "need at least two training samples")):
+            raise
+        reject()
+
+
+def test_oracle_example_holds_a_one_view_session():
+    evaluator = PolicyEvaluator(ONE_VIEW_SESSION, train_fraction=0.5)
+    lengths = [len(s.records) for s in evaluator.eval_set.sessions()]
+    assert 1 in lengths and max(lengths) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_users=st.integers(min_value=2, max_value=6),
+       views=st.integers(min_value=1, max_value=12),
+       session_length=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       seed=st.integers(min_value=0, max_value=10_000),
+       train_fraction=st.floats(min_value=0.2, max_value=0.8))
+@example(n_users=3, views=8, session_length=1.5, seed=1,
+         train_fraction=0.5)
+def test_array_pass_matches_per_record_loop(n_users, views, session_length,
+                                            seed, train_fraction):
+    """All seven Table-6 cases, scored by the one array pass and by the
+    per-record loop it replaced, agree exactly: totals, delays and
+    switch rates (and so the savings)."""
+    config = TraceConfig(n_users=n_users, mean_views_per_user=views,
+                         catalog_size=6, mean_session_length=session_length,
+                         seed=seed)
+    evaluator = _small_evaluator(config, train_fraction)
+    cases = evaluator.evaluate()
+    with mock.patch.object(PolicyEvaluator, "_run_case", oracle.run_case):
+        reference = evaluator.evaluate()
+    assert [c.name for c in cases] == [c.name for c in reference]
+    for case, twin in zip(cases, reference):
+        assert case.total_energy == twin.total_energy, case.name
+        assert case.total_delay == twin.total_delay, case.name
+        assert case.switch_rate == twin.switch_rate, case.name
+        assert type(case.total_energy) is float
+
+
 def test_analytic_accounting_matches_event_driven_replay(evaluator):
     """Validation: the per-record analytic accounting (profiles + tail
     math) agrees with a full discrete-event replay of the same pageview
     within a small tolerance (RIL hop latency, sampling edges)."""
     from repro.browser.energy_aware import EnergyAwareEngine
-    from repro.rrc.states import RrcState
-    from repro.rrc.tail import promotion_energy
+    from repro.rrc.tail import (STATE_IDLE, promotion_energy_grid,
+                                reading_phase_grid)
 
     record = next(r for r in evaluator.eval_set if r.reading_time > 25.0)
     reading = min(record.reading_time, 60.0)
     alpha = evaluator.config.policy.interest_threshold
     profile = evaluator._profile(record.page_name, "energy-aware")
+    rrc = evaluator.config.rrc
 
     # Analytic: IDLE-start promotion + stripped load + reading with a
-    # switch at alpha.
-    read_energy, state = evaluator._reading_energy_aware(
-        profile, reading, switch_at=alpha)
-    analytic = (promotion_energy(RrcState.IDLE, evaluator.config.rrc)
-                + profile.loading_energy + read_energy)
-    assert state is RrcState.IDLE
+    # switch at alpha, anchored at the channel release.
+    read_energy, state = reading_phase_grid(
+        np.array([profile.release_offset_at_open]), np.array([reading]),
+        alpha, np.array([True]), 0.0, rrc.t2, rrc)
+    analytic = (float(promotion_energy_grid(STATE_IDLE, rrc))
+                + profile.loading_energy + float(read_energy[0]))
+    assert state[0] == STATE_IDLE
 
     # Event-driven replay: real engine, real radio, real RIL, with the
     # dormancy request scheduled exactly alpha after the page opens.

@@ -2,8 +2,8 @@
 
 One full discrete-event load per page per call — no load memo, no disk
 cache, no grid scoring — then every (page, reading-time) unit scored
-with the scalar :mod:`repro.rrc.tail` closed forms, and the population
-objective through a whole ``CapacitySimulator.run``.  The batched
+with the scalar tail twins of ``tests/oracles/tail.py``, and the
+population objective through a whole ``CapacitySimulator.run``.  The batched
 ``repro.ablation.objective.evaluate_setups`` must match it byte for
 byte (``tests/ablation/test_batched_golden.py``).
 """
@@ -15,11 +15,18 @@ import numpy as np
 
 from repro.ablation.components import STOCK_SETUP, VariantSetup
 from repro.ablation.objective import (PopulationSpec, Scenario,
-                                      _load_page, _predictions,
-                                      _reading_phase)
+                                      _load_page, _predictions)
 from repro.capacity.simulator import CapacityConfig, CapacitySimulator
-from repro.rrc.tail import promotion_energy, promotion_latency
+from repro.rrc.states import RrcState
 from repro.runtime.seeding import spawn_seeds
+from tests.oracles.tail import (
+    promotion_energy,
+    promotion_latency,
+    tail_energy_after_release,
+    tail_energy_after_tx,
+    tail_state_after_release,
+    tail_state_after_tx,
+)
 
 
 def wants_switch(setup: VariantSetup, reading: float,
@@ -31,6 +38,31 @@ def wants_switch(setup: VariantSetup, reading: float,
         return False
     threshold = setup.tp if setup.mode == "power" else setup.td
     return predicted > threshold
+
+
+def _reading_phase(setup: VariantSetup, load, reading: float,
+                   switch: bool, rrc) -> Tuple[float, RrcState]:
+    """Closed-form reading energy and the radio state at the next click.
+
+    Anchored at the channel release when the variant released (energy-
+    aware engine with fast dormancy), at the last transmission
+    otherwise.  A switching unit cuts the tail at α and idles for the
+    rest of the reading period.
+    """
+    released = setup.reorganisation and setup.fast_dormancy
+    if released:
+        start = load.release_offset
+        energy_fn, state_fn = tail_energy_after_release, \
+            tail_state_after_release
+    else:
+        start = load.tail_offset
+        energy_fn, state_fn = tail_energy_after_tx, tail_state_after_tx
+    if not switch or reading <= setup.alpha:
+        energy = energy_fn(start, start + reading, rrc)
+        return energy, state_fn(start + reading, rrc)
+    energy = energy_fn(start, start + setup.alpha, rrc)
+    energy += rrc.power.idle * (reading - setup.alpha)
+    return energy, RrcState.IDLE
 
 
 def drop_probability(holds: List[float], population: PopulationSpec,

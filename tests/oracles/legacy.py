@@ -17,7 +17,6 @@ from repro.core.comparison import compare_engines, mean
 from repro.core.config import ExperimentConfig
 from repro.core.session import browse_and_read
 from repro.experiments.ablations import (
-    CARRIER_PRESETS,
     AlphaAblation,
     AlphaRow,
     CarrierAblation,
@@ -34,9 +33,19 @@ from repro.ml.metrics import threshold_accuracy
 from repro.ml.validation import train_test_split
 from repro.prediction.predictor import ReadingTimePredictor
 from repro.rrc.config import RrcConfig
-from repro.rrc.tail import promotion_latency, tail_state_after_tx
 from repro.traces.generator import TraceConfig, generate_trace
 from repro.webpages.corpus import benchmark_pages, find_page
+from tests.oracles.tail import promotion_latency, tail_state_after_tx
+
+#: RRC inactivity-timer presets seen in the measurement literature
+#: (Qian et al. report per-carrier values in this range; the paper's
+#: T-Mobile network uses 4 s / 15 s).
+CARRIER_PRESETS = (
+    ("t-mobile (paper)", 4.0, 15.0),
+    ("carrier B", 5.0, 12.0),
+    ("aggressive", 2.0, 8.0),
+    ("conservative", 6.0, 20.0),
+)
 
 
 def reorganisation_ablation(config: Optional[ExperimentConfig] = None
