@@ -61,7 +61,7 @@ stream-sweep:
 	python -m repro stream-sweep --work-dir stream-work
 
 experiments:
-	python -m repro.experiments.runner
+	python -m repro experiments
 
 experiments-parallel:
 	python -m repro experiments --parallel $(N) --cache

@@ -19,7 +19,7 @@ Typical entry points::
         generate_trace().filter_reading_time())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record; ``python -m repro.experiments.runner``
+paper-vs-measured record; ``python -m repro experiments``
 regenerates every result.
 """
 

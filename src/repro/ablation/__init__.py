@@ -8,8 +8,8 @@ parallel **engine** evaluates them (:mod:`~repro.ablation.engine` over
 :mod:`~repro.ablation.objective`), a **ranker** folds results into
 per-component importance (:mod:`~repro.ablation.rank`), and a **search**
 layer tunes T1/T2 and α/Tp/Td per channel profile under constraints
-(:mod:`~repro.ablation.search`).  The five legacy ad-hoc studies live on
-in :mod:`~repro.ablation.legacy`, ported onto the same registry.
+(:mod:`~repro.ablation.search`).  The five single-factor studies of
+:mod:`repro.experiments.ablations` are plain loops and do not use it.
 """
 
 from repro.ablation.components import (Component, ComponentRegistry,

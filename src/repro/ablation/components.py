@@ -226,8 +226,9 @@ class ComponentRegistry:
 # The paper's components, declared once.
 # ----------------------------------------------------------------------
 
-#: Carrier T1/T2 presets from the measurement literature (the legacy
-#: carrier ablation's table), as levels of the ``timers`` component.
+#: Carrier T1/T2 presets from the measurement literature (the values
+#: of the carrier study in :mod:`repro.experiments.ablations`), as
+#: levels of the ``timers`` component.
 TIMER_LEVELS: Tuple[Tuple[str, Mapping[str, object]], ...] = (
     ("t-mobile", {"t1": 4.0, "t2": 15.0}),
     ("carrier-b", {"t1": 5.0, "t2": 12.0}),

@@ -54,16 +54,6 @@ REGISTRY_FACTORIES: Dict[str, Callable[[], ComponentRegistry]] = {
 }
 
 
-def register_registry(name: str,
-                      factory: Callable[[], ComponentRegistry]) -> None:
-    """Expose a registry factory to worker processes under ``name``."""
-    existing = REGISTRY_FACTORIES.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"registry {name!r} already bound to a "
-                         f"different factory")
-    REGISTRY_FACTORIES[name] = factory
-
-
 def registry_by_name(name: str) -> ComponentRegistry:
     try:
         factory = REGISTRY_FACTORIES[name]

@@ -125,17 +125,22 @@ class PolicyEvaluator:
             [r for r in self._dataset if r.user_id < n_train])
         self.eval_set = TraceDataset(
             [r for r in self._dataset if r.user_id >= n_train])
-        if not (len(self.train_set) and len(self.eval_set)):
+        # The predictor trains only on the records past α.
+        alpha = self.config.policy.interest_threshold
+        n_fit = len(self.train_set.exclude_quick_bounces(alpha))
+        if n_fit < 2 or not len(self.eval_set):
             n_users = self.trace_config.n_users
             raise ValueError(
                 f"n_users={n_users} at train_fraction={train_fraction} "
                 f"splits into {n_train} training users "
                 f"({len(self.train_set)} records) and "
                 f"{n_users - n_train} evaluation users "
-                f"({len(self.eval_set)} records); both must be non-empty")
+                f"({len(self.eval_set)} records); the evaluation split "
+                f"must be non-empty and the training split needs at "
+                f"least two records past the interest threshold "
+                f"alpha={alpha:g} s, it has {n_fit}")
 
-        self._predictor = ReadingTimePredictor(
-            interest_threshold=self.config.policy.interest_threshold)
+        self._predictor = ReadingTimePredictor(interest_threshold=alpha)
         self._predictor.fit(self.train_set)
 
         # The evaluation records flattened in session order (filled by

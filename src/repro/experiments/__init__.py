@@ -3,10 +3,11 @@
 Every module exposes ``run(...)`` returning a result object with the
 measured series/rows plus a ``report()`` string that prints the same
 rows the paper plots, alongside the paper's own numbers for comparison.
-``repro.experiments.runner`` executes the whole suite and renders the
-paper-vs-measured record used in EXPERIMENTS.md.
+``repro.experiments.runner`` holds the suite's table, which
+``repro experiments`` runs to render the paper-vs-measured record used
+in EXPERIMENTS.md.
 """
 
-from repro.experiments.runner import ALL_EXPERIMENTS, run_all
+from repro.experiments.runner import ALL_EXPERIMENTS
 
-__all__ = ["ALL_EXPERIMENTS", "run_all"]
+__all__ = ["ALL_EXPERIMENTS"]

@@ -18,16 +18,36 @@ which tests one of its design arguments:
   interest threshold and watch the accuracy/coverage trade-off.
 - :func:`carrier_ablation` — robustness: the savings are not an artefact
   of T-Mobile's particular T1/T2 values.
+
+Each study is one loop over its level table, one result row per level,
+in table order.  ``tests/ablation/test_legacy_golden.py`` pins every
+study to the bodies as first written (``tests/oracles/legacy.py``); the
+declarative matrix engine in :mod:`repro.ablation` is a separate tool
+with its own registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
+import numpy as np
+
 from repro.analysis.tables import format_table
+from repro.browser.config import BrowserConfig
+from repro.browser.energy_aware import EnergyAwareEngine
+from repro.browser.original import OriginalEngine
+from repro.core.comparison import compare_engines, mean
 from repro.core.config import ExperimentConfig
-from repro.traces.generator import TraceConfig
+from repro.core.session import browse_and_read
+from repro.ml.linear import LinearRegressor
+from repro.ml.metrics import threshold_accuracy
+from repro.ml.validation import train_test_split
+from repro.prediction.predictor import ReadingTimePredictor
+from repro.rrc.config import RrcConfig
+from repro.rrc.tail import promotion_latency_grid, tail_state_grid
+from repro.traces.generator import TraceConfig, generate_trace
+from repro.webpages.corpus import benchmark_pages, find_page
 
 
 # ----------------------------------------------------------------------
@@ -64,15 +84,30 @@ class ReorganisationAblation:
 
 def reorganisation_ablation(config: Optional[ExperimentConfig] = None
                             ) -> ReorganisationAblation:
-    """Original vs reorganisation-only vs full energy-aware browser.
-
-    Delegates to the declarative registry port
-    (:mod:`repro.ablation.legacy`); ``tests/oracles/legacy.py`` keeps
-    the original implementation for the golden equivalence test.
-    """
-    from repro.ablation.legacy import run_legacy
-
-    return run_legacy("reorganisation", config=config)
+    """Original vs reorganisation-only vs full energy-aware browser."""
+    base = config or ExperimentConfig()
+    variants = (
+        ("original", OriginalEngine, base),
+        ("reorganised, no release", EnergyAwareEngine,
+         replace(base, browser=BrowserConfig(dormancy_after_tx=False))),
+        ("reorganised, no intermediate display", EnergyAwareEngine,
+         replace(base, browser=BrowserConfig(intermediate_display=False))),
+        ("energy-aware (full)", EnergyAwareEngine, base),
+    )
+    pages = benchmark_pages(mobile=False)
+    rows: List[ReorganisationRow] = []
+    for variant, engine_cls, variant_config in variants:
+        sessions = [browse_and_read(page, engine_cls, reading_time=0.0,
+                                    config=variant_config)
+                    for page in pages]
+        rows.append(ReorganisationRow(
+            variant=variant,
+            tx_time=mean([s.load.data_transmission_time
+                          for s in sessions]),
+            load_time=mean([s.load.load_complete_time for s in sessions]),
+            loading_energy=mean([s.loading_energy.total
+                                 for s in sessions])))
+    return ReorganisationAblation(rows=rows)
 
 
 # ----------------------------------------------------------------------
@@ -107,10 +142,25 @@ class TimerAblation:
 def timer_ablation(reading_time: float = 10.0,
                    page_name: str = "www.motors.ebay.com") -> TimerAblation:
     """Sweep T1/T2 under the stock browser on one full-version page."""
-    from repro.ablation.legacy import run_legacy
-
-    return run_legacy("timers", reading_time=reading_time,
-                      page_name=page_name)
+    page = find_page(page_name)
+    rows: List[TimerRow] = []
+    for t1, t2 in ((1.0, 5.0), (2.0, 10.0), (4.0, 15.0), (8.0, 15.0)):
+        rrc = RrcConfig(t1=t1, t2=t2)
+        config = replace(ExperimentConfig(), rrc=rrc)
+        session = browse_and_read(page, OriginalEngine, reading_time,
+                                  config=config)
+        last_byte = max(t.completed_at for t in session.load.transfers)
+        load_end = (session.load.started_at
+                    + session.load.load_complete_time)
+        # The next click lands `reading_time` after the page finished;
+        # the tail is anchored at the last byte.
+        offset = load_end - last_byte + reading_time
+        state = tail_state_grid(np.asarray(offset), rrc.t1,
+                                rrc.t1 + rrc.t2)
+        rows.append(TimerRow(
+            t1=t1, t2=t2, total_energy=session.total_energy,
+            next_click_delay=float(promotion_latency_grid(state, rrc))))
+    return TimerAblation(rows=rows, reading_time=reading_time)
 
 
 # ----------------------------------------------------------------------
@@ -147,10 +197,28 @@ class PredictorAblation:
 def predictor_ablation(trace_config: Optional[TraceConfig] = None,
                        split_seed: int = 7) -> PredictorAblation:
     """Linear baseline vs GBRT at several boosting budgets."""
-    from repro.ablation.legacy import run_legacy
-
-    return run_legacy("predictor", trace_config=trace_config,
-                      split_seed=split_seed)
+    dataset = generate_trace(trace_config).filter_reading_time() \
+        .exclude_quick_bounces(2.0)
+    x, y = dataset.to_arrays()
+    x_train, x_test, y_train, y_test = train_test_split(
+        x, y, test_fraction=0.3, random_state=split_seed)
+    rows: List[PredictorRow] = []
+    for model, n_estimators in (("linear (ridge)", None),
+                                ("GBRT M=25", 25), ("GBRT M=100", 100),
+                                ("GBRT M=300", 300)):
+        if n_estimators is None:
+            linear = LinearRegressor().fit(x_train, np.log1p(y_train))
+            predicted = np.expm1(linear.predict(x_test))
+        else:
+            predictor = ReadingTimePredictor(n_estimators=n_estimators,
+                                             interest_threshold=None)
+            predictor.fit_arrays(x_train, y_train)
+            predicted = predictor.predict(x_test)
+        rows.append(PredictorRow(
+            model=model,
+            accuracy_tp=threshold_accuracy(y_test, predicted, 9.0),
+            accuracy_td=threshold_accuracy(y_test, predicted, 20.0)))
+    return PredictorAblation(rows=rows)
 
 
 # ----------------------------------------------------------------------
@@ -183,10 +251,23 @@ class AlphaAblation:
 def interest_threshold_ablation(trace_config: Optional[TraceConfig] = None,
                                 split_seed: int = 7) -> AlphaAblation:
     """Sweep α and measure the accuracy/coverage trade-off."""
-    from repro.ablation.legacy import run_legacy
-
-    return run_legacy("alpha", trace_config=trace_config,
-                      split_seed=split_seed)
+    dataset = generate_trace(trace_config).filter_reading_time()
+    rows: List[AlphaRow] = []
+    for alpha in (0.0, 1.0, 2.0, 4.0, 8.0):
+        kept = dataset.exclude_quick_bounces(alpha) if alpha > 0 \
+            else dataset
+        x, y = kept.to_arrays()
+        x_train, x_test, y_train, y_test = train_test_split(
+            x, y, test_fraction=0.3, random_state=split_seed)
+        predictor = ReadingTimePredictor(n_estimators=150,
+                                         interest_threshold=None)
+        predictor.fit_arrays(x_train, y_train)
+        rows.append(AlphaRow(
+            alpha=alpha,
+            accuracy_tp=threshold_accuracy(
+                y_test, predictor.predict(x_test), 9.0),
+            coverage=len(kept) / len(dataset)))
+    return AlphaAblation(rows=rows)
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +302,21 @@ def carrier_ablation(reading_time: float = 20.0,
                      page_name: str = "espn.go.com/sports"
                      ) -> CarrierAblation:
     """Energy saving of the full system under different RRC timers."""
-    from repro.ablation.legacy import run_legacy
-
-    return run_legacy("carriers", reading_time=reading_time,
-                      page_name=page_name)
+    page = find_page(page_name)
+    rows: List[CarrierRow] = []
+    # RRC inactivity-timer presets seen in the measurement literature
+    # (Qian et al. report per-carrier values in this range; the paper's
+    # T-Mobile network uses 4 s / 15 s).
+    for carrier, t1, t2 in (("t-mobile (paper)", 4.0, 15.0),
+                            ("carrier B", 5.0, 12.0),
+                            ("aggressive", 2.0, 8.0),
+                            ("conservative", 6.0, 20.0)):
+        config = replace(ExperimentConfig(), rrc=RrcConfig(t1=t1, t2=t2))
+        comparison = compare_engines(page, reading_time=reading_time,
+                                     config=config)
+        rows.append(CarrierRow(carrier=carrier, t1=t1, t2=t2,
+                               energy_saving=comparison.energy_saving))
+    return CarrierAblation(rows=rows, reading_time=reading_time)
 
 
 #: Canonical name → zero-argument runner registry, shared by the CLI and

@@ -1,18 +1,17 @@
-"""Run every reproduced table and figure and render the full record.
+"""The table of every reproduced table and figure.
 
-``python -m repro.experiments.runner`` prints each experiment's report;
+:data:`ALL_EXPERIMENTS` is the registry ``repro experiments`` runs
+(through :func:`repro.runtime.parallel.run_experiments`);
 ``tests/experiments/`` checks the same entry points against the
-paper's shapes.  ``--parallel N`` delegates to the process-pool runner
-in :mod:`repro.runtime.parallel` (the ``repro experiments`` subcommand
-exposes the full option set: caching, report export, seeding).
+paper's shapes.  ``python -m repro.experiments.runner [ids...]`` is
+kept as a shorthand for ``python -m repro experiments [ids...]`` and
+takes the same options.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.experiments import (
     fig01_power_states,
@@ -55,56 +54,12 @@ ALL_EXPERIMENTS: Tuple[Tuple[str, str, Callable], ...] = (
 )
 
 
-@dataclass
-class SuiteRun:
-    reports: Dict[str, str]
-
-    def render(self) -> str:
-        blocks: List[str] = []
-        for experiment_id, title, _ in ALL_EXPERIMENTS:
-            if experiment_id not in self.reports:
-                continue
-            blocks.append(f"== {experiment_id}: {title} ==")
-            blocks.append(self.reports[experiment_id])
-            blocks.append("")
-        return "\n".join(blocks)
-
-
-def run_all(only: Tuple[str, ...] = ()) -> SuiteRun:
-    """Execute all (or selected) experiments; returns rendered reports."""
-    reports: Dict[str, str] = {}
-    for experiment_id, _, runner in ALL_EXPERIMENTS:
-        if only and experiment_id not in only:
-            continue
-        reports[experiment_id] = runner().report()
-    return SuiteRun(reports=reports)
-
-
 def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="regenerate the paper's tables and figures")
-    parser.add_argument("ids", nargs="*",
-                        help="experiment ids (default: all)")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1, sequential)")
-    args = parser.parse_args(argv[1:])
-    only = tuple(args.ids)
-    if args.parallel > 1:
-        # Imported here: repro.runtime.parallel imports this module.
-        from repro.runtime.parallel import run_experiments
+    # Imported here so that importing the experiment table does not
+    # load the whole CLI.
+    from repro.cli import main as cli_main
 
-        suite = run_experiments(only or None, processes=args.parallel)
-        print(suite.render())
-        print(suite.render_summary())
-        return 0
-    suite = run_all(only=only)
-    for experiment_id, title, _ in ALL_EXPERIMENTS:
-        if experiment_id in suite.reports:
-            print(f"== {experiment_id}: {title} ==")
-            print(suite.reports[experiment_id])
-            print()
-    return 0
+    return cli_main(["experiments", *argv[1:]])
 
 
 if __name__ == "__main__":

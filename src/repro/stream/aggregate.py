@@ -406,6 +406,20 @@ class QuantileSketch:
     __hash__ = None
 
 
+def _push_node(nodes: List[List], height: int, start_seg: int,
+               values: List[float]) -> None:
+    """Push one dyadic node ``[height, start_seg, values]`` onto the
+    binary counter ``nodes``, carrying while the top two share a height
+    and the lower one starts a node of the next height
+    (``combine(a, b) = sorted(a + b)[1::2]``)."""
+    nodes.append([height, start_seg, values])
+    while len(nodes) >= 2 and nodes[-1][0] == nodes[-2][0] \
+            and nodes[-2][1] % (1 << (nodes[-2][0] + 1)) == 0:
+        _, _, right = nodes.pop()
+        h, s, left = nodes.pop()
+        nodes.append([h + 1, s, sorted(left + right)[1::2]])
+
+
 class PartialQuantileSketch:
     """Exact sketch fragment over elements ``[start, start+count)`` of
     a globally-ordered stream.
@@ -473,26 +487,15 @@ class PartialQuantileSketch:
             self._buf.extend(x[i:i + take].tolist())
             i += take
             if len(self._buf) == k:
-                self._push_node(0, (pos + i) // k - 1,
-                                sorted(self._buf)[1::2])
+                _push_node(self._nodes, 0, (pos + i) // k - 1,
+                           sorted(self._buf)[1::2])
                 self._buf = []
         rows = _fold_segments(x[i:], k)
         for offset, row in enumerate(rows.tolist()):
-            self._push_node(0, (pos + i) // k + offset, row)
+            _push_node(self._nodes, 0, (pos + i) // k + offset, row)
         self._buf.extend(x[i + len(rows) * k:].tolist())
         self._count += int(x.size)
         return self
-
-    def _push_node(self, height: int, start_seg: int,
-                   values: List[float]) -> None:
-        self._nodes.append([height, start_seg, values])
-        while len(self._nodes) >= 2 \
-                and self._nodes[-1][0] == self._nodes[-2][0] \
-                and self._nodes[-2][1] % (1 << (self._nodes[-2][0] + 1)) \
-                == 0:
-            _, _, right = self._nodes.pop()
-            h, s, left = self._nodes.pop()
-            self._nodes.append([h + 1, s, sorted(left + right)[1::2]])
 
     def to_parts(self) -> dict:
         """JSON-safe fragment (floats round-trip exactly via repr)."""
@@ -526,13 +529,8 @@ def stitch_quantile_sketch(parts_seq: Sequence[dict]) -> QuantileSketch:
 
     def push(height: int, values: List[float]) -> None:
         nonlocal seg_cursor
-        stack.append([height, seg_cursor, list(values)])
+        _push_node(stack, height, seg_cursor, values)
         seg_cursor += 1 << height
-        while len(stack) >= 2 and stack[-1][0] == stack[-2][0] \
-                and stack[-2][1] % (1 << (stack[-2][0] + 1)) == 0:
-            _, _, right = stack.pop()
-            h, s, left = stack.pop()
-            stack.append([h + 1, s, sorted(left + right)[1::2]])
 
     def feed_raws(values: List[float]) -> None:
         take = min(-len(carry) % k, len(values))

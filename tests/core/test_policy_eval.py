@@ -119,6 +119,20 @@ def test_empty_training_split_rejected():
         PolicyEvaluator(TraceConfig(n_users=2), train_fraction=0.2)
 
 
+@pytest.mark.parametrize("config", [
+    # Training records, none past alpha.
+    TraceConfig(n_users=2, mean_views_per_user=1, catalog_size=6,
+                seed=180),
+    # Training records, one past alpha.
+    TraceConfig(n_users=3, mean_views_per_user=1, mean_session_length=1.0,
+                catalog_size=6, seed=1),
+], ids=["none-past-alpha", "one-past-alpha"])
+def test_training_split_with_under_two_records_past_alpha_rejected(config):
+    with pytest.raises(ValueError, match=r"at least two records past the "
+                       r"interest threshold alpha=2 s, it has [01]$"):
+        PolicyEvaluator(config, train_fraction=0.5)
+
+
 #: A small trace whose evaluation set holds a one-view session.
 ONE_VIEW_SESSION = TraceConfig(n_users=3, mean_views_per_user=8,
                                catalog_size=6, mean_session_length=1.5,
@@ -129,11 +143,9 @@ def _small_evaluator(config: TraceConfig, train_fraction: float):
     try:
         return PolicyEvaluator(config, train_fraction=train_fraction)
     except ValueError as error:
-        # An empty split, or a training split with fewer than two
-        # visits past α, which the predictor cannot fit.
-        if not any(reason in str(error) for reason in (
-                "must be non-empty", "dataset is empty",
-                "need at least two training samples")):
+        # An empty evaluation split, or a training split with fewer
+        # than two visits past α, which the predictor cannot fit.
+        if "the evaluation split must be non-empty" not in str(error):
             raise
         reject()
 

@@ -8,8 +8,9 @@ from repro.experiments import (
     fig15_prediction_accuracy,
     fig16_six_cases,
 )
-from repro.experiments.runner import ALL_EXPERIMENTS, run_all
+from repro.experiments.runner import ALL_EXPERIMENTS
 from repro.prediction.predictor import ReadingTimePredictor
+from repro.runtime.parallel import run_experiments
 from repro.traces.generator import TraceConfig
 from repro.units import hours
 
@@ -83,6 +84,6 @@ def test_runner_registry_covers_every_table_and_figure():
 
 
 def test_runner_selected_subset():
-    suite = run_all(only=("fig03",))
-    assert set(suite.reports) == {"fig03"}
+    suite = run_experiments(("fig03",))
+    assert [result.task_id for result in suite.results] == ["fig03"]
     assert "break-even" in suite.render()

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.stream.aggregate import (_UNIT_EXP, ExactSum,
                                     PartialQuantileSketch, QuantileSketch,
-                                    _require_finite)
+                                    _push_node, _require_finite)
 
 #: int64 chunk length for mantissa partial sums: 512 * 2^53 < 2^63.
 _SUM_CHUNK = 512
@@ -96,6 +96,6 @@ class OraclePartialQuantileSketch(PartialQuantileSketch):
             i += take
             if len(self._buf) == k:
                 seg = (self._start + self._count) // k - 1
-                self._push_node(0, seg, sorted(self._buf)[1::2])
+                _push_node(self._nodes, 0, seg, sorted(self._buf)[1::2])
                 self._buf = []
         return self

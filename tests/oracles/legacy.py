@@ -1,8 +1,8 @@
-"""The five ablation studies as first written, before the registry port.
+"""The five ablation studies as first written.
 
-``repro.experiments.ablations`` delegates each study to
-:mod:`repro.ablation.legacy`; these bodies are the originals the port
-must reproduce bit for bit (``tests/ablation/test_legacy_golden.py``).
+``repro.experiments.ablations`` must reproduce these bodies bit for bit
+(``tests/ablation/test_legacy_golden.py``).  The timer study here still
+scores through the scalar tail twins of ``tests/oracles/tail.py``.
 """
 
 from dataclasses import replace
