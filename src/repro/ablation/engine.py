@@ -44,25 +44,6 @@ METRIC_COLUMNS = ("energy", "energy_saving", "delay", "load_time",
                   "tx_time", "switch_rate", "drop_probability")
 
 
-# ----------------------------------------------------------------------
-# Registries by name — workers rebuild them locally, so nothing but
-# strings and frozen dataclasses ever crosses a process boundary.
-# ----------------------------------------------------------------------
-
-REGISTRY_FACTORIES: Dict[str, Callable[[], ComponentRegistry]] = {
-    "default": default_registry,
-}
-
-
-def registry_by_name(name: str) -> ComponentRegistry:
-    try:
-        factory = REGISTRY_FACTORIES[name]
-    except KeyError:
-        raise KeyError(f"unknown component registry {name!r}; known: "
-                       f"{sorted(REGISTRY_FACTORIES)}") from None
-    return factory()
-
-
 def spec_seed(run_id: str) -> int:
     """The run's seed, spawned off its content-addressed identity.
 
@@ -108,7 +89,7 @@ def _setup_for_spec(registry: ComponentRegistry,
     return setup
 
 
-def _execute_specs_batched(registry_name: str, scenario: Scenario,
+def _execute_specs_batched(scenario: Scenario,
                            cache_dir: Optional[str],
                            specs: Sequence[RunSpec],
                            seeds: Mapping[str, int]
@@ -116,6 +97,8 @@ def _execute_specs_batched(registry_name: str, scenario: Scenario,
     """Evaluate cells in one unit-grid pass: a whole serial batch, or
     one pool task's single cell.
 
+    Workers build the component registry locally, so nothing but
+    specs, seeds and the frozen scenario crosses a process boundary.
     ``cache_dir`` points pool workers at the matrix's on-disk cache so
     memoised page loads (keyed by the load-relevant projection) are
     shared across processes, not just within one.  Nothing on the
@@ -125,7 +108,7 @@ def _execute_specs_batched(registry_name: str, scenario: Scenario,
     share of the batch (runtime summary only; it never reaches a
     deterministic report).
     """
-    registry = registry_by_name(registry_name)
+    registry = default_registry()
     load_cache = ResultCache(cache_dir) if cache_dir is not None else None
     pairs = [(_setup_for_spec(registry, spec), seeds[spec.run_id])
              for spec in specs]
@@ -151,7 +134,6 @@ class MatrixResult:
     :meth:`render_summary`, exactly the split ``SuiteReport`` uses.
     """
 
-    registry_name: str
     scenario: Scenario
     runs: List[MatrixRun]
     processes: int = 1
@@ -166,7 +148,7 @@ class MatrixResult:
         return self.n_cached / len(self.runs) if self.runs else 0.0
 
     def registry(self) -> ComponentRegistry:
-        return registry_by_name(self.registry_name)
+        return default_registry()
 
     def run_for(self, run_id: str) -> MatrixRun:
         for run in self.runs:
@@ -219,7 +201,6 @@ class MatrixResult:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "matrix": {
-                "registry": self.registry_name,
                 "scenario": self.scenario.fingerprint(),
                 "n_runs": len(self.runs),
                 "n_cached": self.n_cached,
@@ -233,7 +214,7 @@ class MatrixResult:
 
 
 def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
-              registry_name: str = "default", processes: int = 1,
+              processes: int = 1,
               cache: Optional[ResultCache] = None) -> MatrixResult:
     """Evaluate ``specs`` under ``scenario``, possibly in parallel.
 
@@ -253,11 +234,9 @@ def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
     outcomes = run_cached(
         KIND_ABLATE, {spec.run_id: spec for spec in specs},
         {spec.run_id: spec_seed(spec.run_id) for spec in specs},
-        functools.partial(_execute_specs_batched, registry_name, scenario,
-                          cache_dir),
+        functools.partial(_execute_specs_batched, scenario, cache_dir),
         processes, cache)
     return MatrixResult(
-        registry_name=registry_name,
         scenario=scenario,
         runs=[MatrixRun(spec=spec, seed=payload["seed"],
                         metrics=dict(payload["metrics"]),
@@ -268,19 +247,18 @@ def run_specs(specs: Sequence[RunSpec], scenario: Scenario,
 
 
 def run_matrix(kind: str, scenario: Scenario,
-               registry_name: str = "default",
                components: Optional[Sequence[str]] = None,
                fraction: Optional[int] = None,
                processes: int = 1,
                cache: Optional[ResultCache] = None) -> MatrixResult:
-    """Generate a ``kind`` matrix for the named registry and run it."""
-    registry = registry_by_name(registry_name)
+    """Generate a ``kind`` matrix over the component registry (or its
+    ``components`` subset) and run it."""
+    registry = default_registry()
     if components:
         registry = registry.subset(components)
     specs = generate(kind, registry, context=scenario.fingerprint(),
                      fraction=fraction)
-    return run_specs(specs, scenario, registry_name=registry_name,
-                     processes=processes, cache=cache)
+    return run_specs(specs, scenario, processes=processes, cache=cache)
 
 
 # ----------------------------------------------------------------------
@@ -291,16 +269,12 @@ def run_matrix(kind: str, scenario: Scenario,
 class MatrixStudy:
     """A named, zero-argument matrix study (the task-registry shape)."""
 
-    def __init__(self, kind: str, profile: str,
-                 registry_name: str = "default") -> None:
+    def __init__(self, kind: str, profile: str) -> None:
         self.kind = kind
         self.profile = profile
-        self.registry_name = registry_name
 
     def __call__(self) -> MatrixResult:
-        scenario = Scenario(profile=self.profile)
-        return run_matrix(self.kind, scenario,
-                          registry_name=self.registry_name)
+        return run_matrix(self.kind, Scenario(profile=self.profile))
 
 
 #: ``(name, matrix kind, channel profile)`` for the standard studies.

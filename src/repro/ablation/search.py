@@ -41,7 +41,8 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from repro.ablation.engine import MatrixResult, registry_by_name, run_specs
+from repro.ablation.components import default_registry
+from repro.ablation.engine import MatrixResult, run_specs
 from repro.ablation.matrix import RunSpec, canonical_json, content_id
 from repro.ablation.objective import Scenario
 from repro.runtime.cache import ResultCache
@@ -364,15 +365,14 @@ class SearchResult:
 class _Evaluator:
     """Shared trial machinery: spec building, caching, trace replay."""
 
-    def __init__(self, scenario: Scenario, registry_name: str,
+    def __init__(self, scenario: Scenario,
                  constraints: Sequence[Constraint], objective: str,
                  trace: SearchTrace, processes: int,
                  cache: Optional[ResultCache]):
         self.scenario = scenario
-        self.registry_name = registry_name
-        self.registry = registry_by_name(registry_name)
-        self.base_assignment = self.registry.baseline_assignment()
-        self.base_setup = self.registry.setup_for(self.base_assignment)
+        registry = default_registry()
+        self.base_assignment = registry.baseline_assignment()
+        self.base_setup = registry.setup_for(self.base_assignment)
         self.constraints = tuple(constraints)
         self.objective = objective
         self.trace = trace
@@ -427,7 +427,6 @@ class _Evaluator:
         matrix: Optional[MatrixResult] = None
         if to_run:
             matrix = run_specs(to_run, fidelity_scenario,
-                               registry_name=self.registry_name,
                                processes=self.processes,
                                cache=self.cache)
             self.total_wall_time += matrix.total_wall_time
@@ -466,7 +465,6 @@ class _Evaluator:
         spec = RunSpec.make(self.base_assignment,
                             context=self.scenario.fingerprint())
         matrix = run_specs([spec], self.scenario,
-                           registry_name=self.registry_name,
                            processes=1, cache=self.cache)
         self.total_wall_time += matrix.total_wall_time
         return dict(matrix.runs[0].metrics)
@@ -516,7 +514,6 @@ def grid_search(scenario: Scenario,
                 constraints: Sequence[Constraint] = (),
                 objective: str = DEFAULT_OBJECTIVE,
                 points: int = 3,
-                registry_name: str = "default",
                 processes: int = 1,
                 cache: Optional[ResultCache] = None,
                 trace_path: Optional[Path] = None) -> SearchResult:
@@ -525,8 +522,8 @@ def grid_search(scenario: Scenario,
     header = _search_header("grid", scenario, space, constraints,
                             objective, {"points": points})
     trace = SearchTrace(trace_path, header)
-    evaluator = _Evaluator(scenario, registry_name, constraints,
-                           objective, trace, processes, cache)
+    evaluator = _Evaluator(scenario, constraints, objective, trace,
+                           processes, cache)
     axes = [parameter.grid_values(points)
             for parameter in space.parameters]
     names = [parameter.name for parameter in space.parameters]
@@ -565,7 +562,6 @@ def random_search(scenario: Scenario,
                   objective: str = DEFAULT_OBJECTIVE,
                   n_trials: int = 20,
                   seed: int = DEFAULT_ROOT_SEED,
-                  registry_name: str = "default",
                   processes: int = 1,
                   cache: Optional[ResultCache] = None,
                   trace_path: Optional[Path] = None) -> SearchResult:
@@ -577,8 +573,8 @@ def random_search(scenario: Scenario,
                             objective,
                             {"n_trials": n_trials, "seed": seed})
     trace = SearchTrace(trace_path, header)
-    evaluator = _Evaluator(scenario, registry_name, constraints,
-                           objective, trace, processes, cache)
+    evaluator = _Evaluator(scenario, constraints, objective, trace,
+                           processes, cache)
     draws = _sample(space, n_trials, seed, header["fingerprint"])
     evaluator.run_batch(0, list(enumerate(draws)), scenario)
     reference = evaluator.reference_metrics()
@@ -613,7 +609,6 @@ def halving_search(scenario: Scenario,
                    n_trials: int = 16,
                    eta: int = 2,
                    seed: int = DEFAULT_ROOT_SEED,
-                   registry_name: str = "default",
                    processes: int = 1,
                    cache: Optional[ResultCache] = None,
                    trace_path: Optional[Path] = None) -> SearchResult:
@@ -625,8 +620,8 @@ def halving_search(scenario: Scenario,
                             objective, {"n_trials": n_trials,
                                         "eta": eta, "seed": seed})
     trace = SearchTrace(trace_path, header)
-    evaluator = _Evaluator(scenario, registry_name, constraints,
-                           objective, trace, processes, cache)
+    evaluator = _Evaluator(scenario, constraints, objective, trace,
+                           processes, cache)
     draws = _sample(space, n_trials, seed, header["fingerprint"])
     rungs = halving_rungs(len(scenario.reading_times), n_trials, eta)
 

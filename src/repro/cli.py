@@ -120,7 +120,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     try:
         scenario = _ablation_scenario(args)
         result = run_matrix(args.matrix, scenario,
-                            registry_name=args.registry,
                             components=args.components or None,
                             fraction=args.fraction,
                             processes=args.parallel, cache=cache)
@@ -560,9 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument(
         "--components", nargs="*", metavar="NAME",
         help="restrict to these declared components (default: all)")
-    ablate.add_argument(
-        "--registry", default="default",
-        help="component registry name (default: default)")
     ablate.add_argument(
         "--metric", default="energy",
         help="metric the importance ranking folds (default: energy)")

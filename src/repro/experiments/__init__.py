@@ -3,11 +3,9 @@
 Every module exposes ``run(...)`` returning a result object with the
 measured series/rows plus a ``report()`` string that prints the same
 rows the paper plots, alongside the paper's own numbers for comparison.
-``repro.experiments.runner`` holds the suite's table, which
-``repro experiments`` runs to render the paper-vs-measured record used
-in EXPERIMENTS.md.
+``repro.experiments.runner`` holds the suite's table,
+``ALL_EXPERIMENTS``, which ``repro experiments`` runs to render the
+paper-vs-measured record used in EXPERIMENTS.md.  The package
+re-exports nothing, so ``python -m repro.experiments.runner`` imports
+the runner only once, as ``__main__``.
 """
-
-from repro.experiments.runner import ALL_EXPERIMENTS
-
-__all__ = ["ALL_EXPERIMENTS"]

@@ -93,8 +93,7 @@ def spec_payload(pool: np.ndarray,
                  config: Optional[CapacityConfig] = None, *,
                  seed: Optional[int] = None,
                  block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
-                 unit_blocks: int = DEFAULT_UNIT_BLOCKS,
-                 quantile_k: int = 256) -> dict:
+                 unit_blocks: int = DEFAULT_UNIT_BLOCKS) -> dict:
     """Build the JSON spec for one distributed sweep.
 
     Per-point seeds are derived exactly as the serial sweep derives
@@ -120,7 +119,6 @@ def spec_payload(pool: np.ndarray,
         "seeds": seeds,
         "block_arrivals": int(block_arrivals),
         "unit_blocks": int(unit_blocks),
-        "quantile_k": int(quantile_k),
     }
     payload["fingerprint"] = params_fingerprint(payload)
     return payload
@@ -190,7 +188,6 @@ class _WorkDir:
         self.seeds = [int(s) for s in spec["seeds"]]
         self.block_arrivals = int(spec["block_arrivals"])
         self.unit_blocks = int(spec["unit_blocks"])
-        self.quantile_k = int(spec["quantile_k"])
         self.tasks = self.root / "tasks"
         self.tasks.mkdir(parents=True, exist_ok=True)
 
@@ -208,7 +205,6 @@ class _WorkDir:
             "point": point_fingerprint(self.pool, self.config, n_users,
                                        seed, self.block_arrivals),
             "unit_blocks": self.unit_blocks,
-            "quantile_k": self.quantile_k,
         })
         return ShardStore(self.root / "shards"
                           / f"point-{n_users}-{seed}", fingerprint)
@@ -321,8 +317,7 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
 
     def _run_unit(point: int, plan: PointPlan, unit_index: int) -> None:
         arrays, meta = run_unit(wd.pool, plan, plan.units[unit_index],
-                                config=wd.config,
-                                quantile_k=wd.quantile_k)
+                                config=wd.config)
         wd.open_store(point).put(_unit_key(unit_index), arrays, meta)
 
     def _run_stitch(point: int, plan: PointPlan) -> None:
@@ -508,7 +503,6 @@ def run_distributed_sweep(pool: np.ndarray,
                           processes: int = 1,
                           block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
                           unit_blocks: int = DEFAULT_UNIT_BLOCKS,
-                          quantile_k: int = 256,
                           poll: float = 0.05,
                           heartbeat_interval: float = 1.0,
                           stale_after: float = 10.0
@@ -531,8 +525,7 @@ def run_distributed_sweep(pool: np.ndarray,
     """
     payload = spec_payload(pool, user_counts, config, seed=seed,
                            block_arrivals=block_arrivals,
-                           unit_blocks=unit_blocks,
-                           quantile_k=quantile_k)
+                           unit_blocks=unit_blocks)
     options = dict(poll=poll, heartbeat_interval=heartbeat_interval,
                    stale_after=stale_after)
     first = worker_index * processes

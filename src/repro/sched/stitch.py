@@ -21,8 +21,8 @@ fast path, not a correctness assumption.
 
 The aggregates need no replay at all — every service value enters the
 aggregate regardless of the drop mask, so the per-unit fragments
-reassemble via :func:`~repro.stream.aggregate.
-stitch_service_aggregates` into the byte-exact sequential aggregate.
+reassemble via :meth:`~repro.stream.aggregate.ServiceAggregate.
+stitch` into the byte-exact whole-stream aggregate.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
 from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import KERNEL_STATS
-from repro.stream.aggregate import stitch_service_aggregates
+from repro.stream.aggregate import ServiceAggregate
 from repro.stream.sweep import StreamPoint
 from repro.sched.units import PointPlan
 from repro.sched.worker import frontier_digest
@@ -91,7 +91,7 @@ def stitch_point(pool: np.ndarray, plan: PointPlan,
         # matched on the last block, or never: the replayed carry and
         # counts already are the true serial ones.
     KERNEL_STATS.add(sched_replay_blocks=replayed)
-    aggregate = stitch_service_aggregates(
+    aggregate = ServiceAggregate.stitch(
         [meta["aggregate"] for _arrays, meta in unit_results])
     return StreamPoint.from_parts(plan.n_users, plan.seed,
                                   plan.n_sessions, dropped, aggregate)

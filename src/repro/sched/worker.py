@@ -16,10 +16,10 @@ wholesale.
 
 Service aggregation has no such chain: every service value enters the
 aggregate whether or not its session was dropped, so each unit folds
-its values into a :class:`~repro.stream.aggregate.
-PartialServiceAggregate` fragment anchored at the unit's global
-element offset, and the stitch reassembles the byte-exact sequential
-aggregate.
+its values into a :class:`~repro.stream.aggregate.ServiceAggregate`
+anchored at the unit's global element offset, and the stitch
+reassembles the byte-exact whole-stream aggregate from those
+fragments.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from repro.capacity.simulator import ArrivalBlockSource, CapacityConfig
 from repro.fleet.capacity import DropCarry, resolve_drops_block
 from repro.runtime.observability import KERNEL_STATS
-from repro.stream.aggregate import PartialServiceAggregate
+from repro.stream.aggregate import ServiceAggregate
 from repro.sched.units import PointPlan, UnitDescriptor
 
 
@@ -57,8 +57,7 @@ def frontier_digest(carry: DropCarry) -> str:
 
 
 def run_unit(pool: np.ndarray, plan: PointPlan, unit: UnitDescriptor, *,
-             config: Optional[CapacityConfig] = None,
-             quantile_k: int = 256
+             config: Optional[CapacityConfig] = None
              ) -> Tuple[Dict[str, np.ndarray], dict]:
     """Execute one unit; returns ``(arrays, meta)`` shaped for
     :meth:`~repro.stream.shard.ShardStore.put`.
@@ -73,8 +72,7 @@ def run_unit(pool: np.ndarray, plan: PointPlan, unit: UnitDescriptor, *,
                                 block_arrivals=plan.block_arrivals)
     source.restore(unit.source_state)
     carry = DropCarry.empty()
-    aggregate = PartialServiceAggregate(unit.start_offset,
-                                        quantile_k=quantile_k)
+    aggregate = ServiceAggregate(unit.start_offset)
     dropped_blocks = []
     digests = []
     for arrivals, services in islice(source.blocks(), unit.n_blocks):

@@ -3,7 +3,7 @@
 ``GET /metrics`` answers from one :class:`ServeMetrics` instance shared
 by every request thread.  Latency quantiles come from the streaming
 layer's deterministic MRL :class:`~repro.stream.aggregate.
-QuantileSketch` — the same mergeable sketch the sweep points use — so
+QuantileSketch` — the one sketch every sweep point uses — so
 the p50/p99 the load harness gates on and the p50/p99 the server
 reports are computed by one implementation.
 """
@@ -26,9 +26,8 @@ LATENCY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 class ServeMetrics:
     """Thread-safe request/latency/error accounting for one server."""
 
-    def __init__(self, quantile_k: int = 256):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._quantile_k = int(quantile_k)
         self._requests: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
         self._sketches: Dict[str, QuantileSketch] = {}
@@ -44,8 +43,7 @@ class ServeMetrics:
                     self._errors.get(endpoint, 0) + 1
             sketch = self._sketches.get(endpoint)
             if sketch is None:
-                sketch = self._sketches[endpoint] = QuantileSketch(
-                    k=self._quantile_k)
+                sketch = self._sketches[endpoint] = QuantileSketch()
             sketch.add_block([float(seconds) * 1000.0])
 
     def snapshot(self) -> dict:

@@ -277,12 +277,11 @@ class SweepRequest:
     pool_seed: int = 7
     block_arrivals: int = DEFAULT_BLOCK_ARRIVALS
     unit_blocks: int = DEFAULT_UNIT_BLOCKS
-    quantile_k: int = 256
 
     _FIELDS = ("users", "n_channels", "mean_interval", "horizon",
                "config_seed", "seed", "pool_size", "pool_median",
                "pool_sigma", "pool_seed", "block_arrivals",
-               "unit_blocks", "quantile_k")
+               "unit_blocks")
 
     @classmethod
     def from_payload(cls, payload) -> "SweepRequest":
@@ -326,9 +325,7 @@ class SweepRequest:
                                       DEFAULT_BLOCK_ARRIVALS,
                                       minimum=1),
             unit_blocks=_int_field(payload, "unit_blocks",
-                                   DEFAULT_UNIT_BLOCKS, minimum=1),
-            quantile_k=_int_field(payload, "quantile_k", 256,
-                                  minimum=8))
+                                   DEFAULT_UNIT_BLOCKS, minimum=1))
 
     def pool(self) -> np.ndarray:
         return lognormal_pool(size=self.pool_size,
@@ -347,8 +344,7 @@ class SweepRequest:
         return spec_payload(self.pool(), list(self.users),
                             self.config(), seed=self.seed,
                             block_arrivals=self.block_arrivals,
-                            unit_blocks=self.unit_blocks,
-                            quantile_k=self.quantile_k)
+                            unit_blocks=self.unit_blocks)
 
     def to_dict(self) -> dict:
         out = asdict(self)

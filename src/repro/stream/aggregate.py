@@ -22,15 +22,22 @@ op), so mean and population variance are correctly rounded rationals —
 strictly stronger than Welford, at a cost that is negligible next to
 the simulation producing the blocks.
 
-**QuantileSketch** is a deterministic MRL-style compactor: level ``l``
-holds up to ``k`` values of weight ``2^l``; a full level sorts and
-promotes every second element.  Because level 0 compacts at *exact
-element counts* — independent of block boundaries — feeding a sequence
-in any chunking yields the identical sketch state.  Each compaction of
-weight-w items perturbs any rank by at most w, and the sketch tracks
-the accumulated bound itself (:attr:`QuantileSketch.rank_error_bound`).
-Per-unit fragments (:class:`PartialQuantileSketch`) stitch back into
-the sequential sketch byte for byte.
+**QuantileSketch** is a deterministic MRL-style compactor kept as a
+binary counter of dyadic nodes: every ``K``-segment of the stream (at
+a global multiple of ``K``) folds to ``sorted(seg)[1::2]``, and two
+adjacent equal-height nodes fold the same way into one of the next
+height.  Segments close at *exact global positions* — independent of
+block boundaries — so feeding a sequence in any chunking yields the
+identical sketch state, and each fold of weight-w items perturbs any
+rank by at most w (:attr:`QuantileSketch.rank_error_bound`).  Merging
+two sketches node by node would be rank-correct but not byte-identical
+to one sequential fill (it would fold different buffers), so a
+:mod:`repro.sched` unit keeps a sketch anchored at its global start
+instead — the raws before its first aligned boundary, its dyadic
+nodes, its open segment — and :meth:`QuantileSketch.stitch` replays
+the fragments through the same fill and the same counter into the
+whole-stream sketch, byte for byte.  **ServiceAggregate** bundles
+moments, extrema and the sketch, and stitches the same way.
 """
 from __future__ import annotations
 
@@ -61,10 +68,10 @@ def _require_finite(x: np.ndarray) -> None:
 
 def _fold_segments(x: np.ndarray, k: int) -> np.ndarray:
     """``sorted(seg)[1::2]`` of every full ``k``-segment of ``x``, one
-    row per segment: the values a level-0 compaction promotes.
+    row per segment: the height-0 node each segment folds to.
 
     Equal doubles are bitwise identical except ``-0.0 == 0.0``, the one
-    tie whose order shows in the promoted values, so the sort is stable
+    tie whose order shows in the folded values, so the sort is stable
     (the order ``sorted`` keeps) whenever the segments hold a zero.
     """
     segments = x[:x.size // k * k].reshape(-1, k)
@@ -283,129 +290,6 @@ class MinMax:
     __hash__ = None
 
 
-class QuantileSketch:
-    """Deterministic compacting quantile sketch (MRL/KLL family).
-
-    ``add_block`` is *chunking-invariant*: the sketch state after
-    feeding a sequence depends only on the sequence, because level 0
-    fills and compacts at exact element counts.  The worst-case
-    weighted rank error accumulated by compactions is tracked in
-    :attr:`rank_error_bound` (each compaction at level ``l`` moves any
-    rank by at most ``2^l``).
-    """
-
-    __slots__ = ("_k", "_levels", "_count", "_error")
-
-    def __init__(self, k: int = 256):
-        if k < 2 or k % 2:
-            raise ValueError(f"k must be even and >= 2, got {k}")
-        self._k = int(k)
-        self._levels: List[List[float]] = [[]]
-        self._count = 0
-        self._error = 0
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    @property
-    def count(self) -> int:
-        """Total weighted items fed in (weights always sum to this)."""
-        return self._count
-
-    @property
-    def rank_error_bound(self) -> int:
-        """Worst-case |estimated rank - true rank| accumulated so far."""
-        return self._error
-
-    def add_block(self, values) -> "QuantileSketch":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
-        k = self._k
-        # Top up a partly filled level 0 first; every later full
-        # segment compacts straight from an empty level 0, so its
-        # promoted half is one row of the segment fold.
-        head = min(-len(self._levels[0]) % k, x.size)
-        if head:
-            self._levels[0].extend(x[:head].tolist())
-            if len(self._levels[0]) >= k:
-                self._compact(0)
-        rows = _fold_segments(x[head:], k)
-        if len(rows) and len(self._levels) == 1:
-            self._levels.append([])
-        for row in rows.tolist():
-            self._levels[1].extend(row)
-            self._error += 1
-            if len(self._levels[1]) >= k:
-                self._compact(1)
-        self._levels[0].extend(x[head + len(rows) * k:].tolist())
-        self._count += int(x.size)
-        return self
-
-    def _compact(self, level: int) -> None:
-        """Sort a full level, promote every second element one level up.
-
-        Levels fill one value (level 0) or ``k/2`` promoted values at a
-        time and compact at exactly ``k`` values, ``k`` even, so the
-        whole level empties into its promoted half: total weight — and
-        hence ``count`` — is invariant, and any rank moves by at most
-        the level weight ``2^level``.
-        """
-        if level + 1 == len(self._levels):
-            self._levels.append([])
-        buf = sorted(self._levels[level])
-        self._levels[level] = []
-        self._levels[level + 1].extend(buf[1::2])
-        self._error += 1 << level
-        if len(self._levels[level + 1]) >= self._k:
-            self._compact(level + 1)
-
-    def quantiles(self, qs) -> Dict[str, float]:
-        """Several quantiles in one pass, keyed ``"p50"``-style.
-
-        One sort of the level buffers serves every requested ``q`` —
-        the serving layer's ``/metrics`` endpoint reads p50/p99 from
-        its latency sketch on every scrape, so the per-call sort of
-        :meth:`quantile` would otherwise run once per quantile.
-        """
-        for q in qs:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"q must be in [0, 1], got {q}")
-        keys = [f"p{round(q * 100):d}" if (q * 100) == round(q * 100)
-                else f"p{q * 100:g}" for q in qs]
-        if self._count == 0:
-            return {key: float("nan") for key in keys}
-        items: List[Tuple[float, int]] = sorted(
-            (v, 1 << level)
-            for level, buf in enumerate(self._levels) for v in buf)
-        out: Dict[str, float] = {}
-        for key, q in zip(keys, qs):
-            target = max(1, math.ceil(q * self._count))
-            cumulative = 0
-            value = items[-1][0]
-            for candidate, weight in items:
-                cumulative += weight
-                if cumulative >= target:
-                    value = candidate
-                    break
-            out[key] = value
-        return out
-
-    def to_state(self) -> dict:
-        return {"k": self._k, "count": self._count, "error": self._error,
-                "levels": [list(buf) for buf in self._levels]}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QuantileSketch)
-                and self._k == other._k and self._count == other._count
-                and self._error == other._error
-                and self._levels == other._levels)
-
-    __hash__ = None
-
-
 def _push_node(nodes: List[List], height: int, start_seg: int,
                values: List[float]) -> None:
     """Push one dyadic node ``[height, start_seg, values]`` onto the
@@ -420,166 +304,197 @@ def _push_node(nodes: List[List], height: int, start_seg: int,
         nodes.append([h + 1, s, sorted(left + right)[1::2]])
 
 
-class PartialQuantileSketch:
-    """Exact sketch fragment over elements ``[start, start+count)`` of
-    a globally-ordered stream.
+class QuantileSketch:
+    """Deterministic compacting quantile sketch (MRL/KLL family) over
+    elements ``[start, start + count)`` of a globally ordered stream.
 
-    Merging two sketches level by level would be rank-correct but
-    *not* byte-identical to feeding one sequence through ``add_block``
-    — it compacts different buffers than the sequential fill would
-    (k=4, halves of 3+3: a merge compacts six raws at once where the
-    sequential path compacted at element 4).  The distributed sweep
-    needs byte-identity, so a unit records a fragment the stitcher can
-    replay *as if* the stream had been sequential:
+    The stream is cut into ``K``-segments at multiples of ``K``.  A
+    full segment folds to the dyadic node ``sorted(seg)[1::2]`` of
+    height 0, and two adjacent height-``h`` nodes whose left one starts
+    at a multiple of ``2^(h+1)`` segments combine into one of height
+    ``h+1`` (``sorted(a + b)[1::2]``): a binary counter of nodes
+    ``[height, start_seg, values]``, each value of a height-``h`` node
+    weighing ``2^(h+1)``.  Around the counter sit
 
-    - **head** — raw values before the first global ``k``-aligned
-      boundary inside the fragment (they complete a level-0 buffer the
-      previous fragment started);
-    - **nodes** — the aligned middle, decomposed into canonical dyadic
-      nodes: a height-``h`` node covers ``2^h`` consecutive aligned
-      ``k``-segments and holds the ``k/2`` values the sequential sketch
-      would keep for that subtree (``N_0(seg) = sorted(seg)[1::2]``,
-      ``combine(a, b) = sorted(a + b)[1::2]``) — ``O(log)`` nodes per
-      fragment, built with a local binary counter;
-    - **tail** — raw values past the last complete segment (they seed
-      the next fragment's first buffer, or the final level-0 buffer).
+    - **head** — the raws before the first ``K``-aligned boundary,
+      completing a segment an earlier fragment opened (always empty at
+      start 0);
+    - the **open segment** — the raws past the last full segment.
 
-    The sequential sketch state after ``M`` full segments *is* a binary
-    counter over those segments (compaction is eager and exact at
-    ``k``), so :func:`stitch_quantile_sketch` rebuilds it exactly from
-    the fragments' nodes — proven byte-identical property-by-property
-    in ``tests/stream/test_aggregate.py``.
+    Segments close at exact global positions, so the state depends only
+    on the values and ``start``, never on the block boundaries.  A
+    whole stream (start 0) reads its quantiles and error bound straight
+    off the counter; the fragments of a unit partition export
+    :meth:`to_state` and :meth:`stitch` back into it byte for byte.
     """
 
-    __slots__ = ("_k", "_start", "_count", "_head", "_buf", "_nodes")
+    #: Segment length, fixed so that every fragment stitches.
+    K = 256
 
-    def __init__(self, start: int, k: int = 256):
-        if k < 2 or k % 2:
-            raise ValueError(f"k must be even and >= 2, got {k}")
+    __slots__ = ("_start", "_count", "_head", "_open", "_nodes")
+
+    def __init__(self, start: int = 0):
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
-        self._k = int(k)
         self._start = int(start)
         self._count = 0
         self._head: List[float] = []
-        self._buf: List[float] = []
-        self._nodes: List[List] = []  # [height, start_segment, values]
+        self._open: List[float] = []
+        self._nodes: List[List] = []  # [height, start_seg, values]
 
     @property
     def count(self) -> int:
+        """Values fed in (the retained weights always sum to this)."""
         return self._count
 
-    def add_block(self, values) -> "PartialQuantileSketch":
+    @property
+    def rank_error_bound(self) -> int:
+        """Worst-case |estimated rank - true rank| of a whole stream.
+
+        Halving ``2^l`` segments' worth of weight-``2^l`` values (one
+        raw segment at ``l = 0``, two height-``l-1`` nodes above) moves
+        any rank by at most ``2^l``, and ``M`` full segments make
+        ``floor(M / 2^l)`` such folds at each ``l``.
+        """
+        self._require_whole()
+        segments = self._count // self.K
+        return sum((segments >> level) << level
+                   for level in range(segments.bit_length()))
+
+    def _require_whole(self) -> None:
+        if self._start:
+            raise ValueError("a fragment (start > 0) has no quantiles "
+                             "of its own: stitch the fragments first")
+
+    def add_block(self, values) -> "QuantileSketch":
         x = np.asarray(values, dtype=np.float64).ravel()
         if x.size == 0:
             return self
         _require_finite(x)
-        k = self._k
-        # head: global positions before the first k-aligned boundary
-        first_boundary = -(-self._start // k) * k
-        pos = self._start + self._count
-        i = min(max(first_boundary - pos, 0), x.size)
-        self._head.extend(x[:i].tolist())
-        # Top up a partly filled segment; every later full segment is
-        # one row of the segment fold.
-        take = min(-len(self._buf) % k, x.size - i)
-        if take:
-            self._buf.extend(x[i:i + take].tolist())
-            i += take
-            if len(self._buf) == k:
-                _push_node(self._nodes, 0, (pos + i) // k - 1,
-                           sorted(self._buf)[1::2])
-                self._buf = []
-        rows = _fold_segments(x[i:], k)
-        for offset, row in enumerate(rows.tolist()):
-            _push_node(self._nodes, 0, (pos + i) // k + offset, row)
-        self._buf.extend(x[i + len(rows) * k:].tolist())
-        self._count += int(x.size)
+        # head: global positions before the first K-aligned boundary
+        head = min(max(-self._start % self.K - self._count, 0), x.size)
+        self._head.extend(x[:head].tolist())
+        self._count += head
+        self._fill(x[head:])
         return self
 
-    def to_parts(self) -> dict:
-        """JSON-safe fragment (floats round-trip exactly via repr)."""
+    def _fill(self, x: np.ndarray) -> None:
+        """Fold raws at global position ``start + count``, past the
+        head, into the open segment and the counter."""
+        k = self.K
+        pos = self._start + self._count
+        # Top up the open segment; every later full segment is one row
+        # of the segment fold.
+        take = min(-len(self._open) % k, x.size)
+        if take:
+            self._open.extend(x[:take].tolist())
+            if len(self._open) == k:
+                _push_node(self._nodes, 0, (pos + take) // k - 1,
+                           sorted(self._open)[1::2])
+                self._open = []
+        rows = _fold_segments(x[take:], k)
+        first = (pos + take) // k
+        for offset, row in enumerate(rows.tolist()):
+            _push_node(self._nodes, 0, first + offset, row)
+        self._open.extend(x[take + len(rows) * k:].tolist())
+        self._count += int(x.size)
+
+    def quantiles(self, qs) -> Dict[str, float]:
+        """Several quantiles of a whole stream in one pass, keyed
+        ``"p50"``-style.
+
+        One sort of the retained values serves every requested ``q`` —
+        the serving layer's ``/metrics`` endpoint reads p50/p99 from
+        its latency sketch on every scrape.
+        """
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"q must be in [0, 1], got {q}")
+        self._require_whole()
+        keys = [f"p{round(q * 100):d}" if (q * 100) == round(q * 100)
+                else f"p{q * 100:g}" for q in qs]
+        if self._count == 0:
+            return {key: float("nan") for key in keys}
+        # The level compactor's order: the open segment, then the nodes
+        # by increasing height.  Weights differ across nodes, so a
+        # -0.0/0.0 tie is only unresolved inside one node, whose order
+        # the stable sort keeps.
+        weighted = [(self._open, 1)] + [
+            (values, 2 << height)
+            for height, _, values in reversed(self._nodes)]
+        items: List[Tuple[float, int]] = sorted(
+            (v, weight) for values, weight in weighted for v in values)
+        out: Dict[str, float] = {}
+        for key, q in zip(keys, qs):
+            target = max(1, math.ceil(q * self._count))
+            cumulative = 0
+            value = items[-1][0]
+            for candidate, weight in items:
+                cumulative += weight
+                if cumulative >= target:
+                    value = candidate
+                    break
+            out[key] = value
+        return out
+
+    def to_state(self) -> dict:
+        """JSON-safe state (floats round-trip exactly via repr)."""
         return {
-            "k": self._k,
+            "k": self.K,
             "start": self._start,
             "count": self._count,
             "head": list(self._head),
-            "tail": list(self._buf),
+            "tail": list(self._open),
             "nodes": [[h, list(v)] for h, _, v in self._nodes],
         }
 
+    @classmethod
+    def stitch(cls, states: Sequence[dict]) -> "QuantileSketch":
+        """The whole-stream sketch of ordered fragment states tiling
+        ``[0, total)``; byte-identical to ``add_block`` over the
+        concatenated stream.
 
-def stitch_quantile_sketch(parts_seq: Sequence[dict]) -> QuantileSketch:
-    """Rebuild the sequential :class:`QuantileSketch` from ordered
-    fragments tiling ``[0, total)``; byte-identical to ``add_block``
-    over the concatenated stream.
+        Heads and tails go through the one fill, nodes onto the one
+        counter: ``O(K log)`` per fragment boundary plus one segment
+        sort per raw-spillover segment, independent of the stream
+        length the fragments cover.
+        """
+        sketch = cls()
+        k = cls.K
+        for state in states:
+            if int(state["k"]) != k:
+                raise ValueError(
+                    f"fragment k={state['k']} does not match k={k}")
+            if int(state["start"]) != sketch._count:
+                raise ValueError(
+                    f"fragment starts at {state['start']}, expected "
+                    f"{sketch._count}: fragments must tile the stream "
+                    f"in order")
+            end = sketch._count + int(state["count"])
+            sketch._fill(np.asarray(state["head"], dtype=np.float64))
+            if state["nodes"] and sketch._open:
+                raise ValueError("fragment nodes are not aligned with "
+                                 "the stitched prefix")
+            for height, values in state["nodes"]:
+                _push_node(sketch._nodes, int(height), sketch._count // k,
+                           [float(v) for v in values])
+                sketch._count += k << int(height)
+            sketch._fill(np.asarray(state["tail"], dtype=np.float64))
+            if sketch._count != end:
+                raise ValueError(
+                    f"fragment covers {sketch._count - int(state['start'])}"
+                    f" values, not its count {state['count']}")
+        return sketch
 
-    Cost is ``O(k log)`` per fragment boundary plus one segment sort
-    per raw-spillover segment — independent of the stream length the
-    fragments cover, which is what makes the distributed stitch cheap.
-    """
-    parts = list(parts_seq)
-    if not parts:
-        return QuantileSketch()
-    k = int(parts[0]["k"])
-    carry: List[float] = []   # raws awaiting a full segment
-    stack: List[List] = []    # binary counter: [height, start_seg, values]
-    seg_cursor = 0            # global index of the next segment to close
-    expected = 0              # global element index the next part must start at
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, QuantileSketch)
+                and self._start == other._start
+                and self._count == other._count
+                and self._head == other._head
+                and self._open == other._open
+                and self._nodes == other._nodes)
 
-    def push(height: int, values: List[float]) -> None:
-        nonlocal seg_cursor
-        _push_node(stack, height, seg_cursor, values)
-        seg_cursor += 1 << height
-
-    def feed_raws(values: List[float]) -> None:
-        take = min(-len(carry) % k, len(values))
-        carry.extend(values[:take])
-        if len(carry) == k:
-            push(0, sorted(carry)[1::2])
-            del carry[:]
-        rows = _fold_segments(np.asarray(values[take:], dtype=float), k)
-        for row in rows.tolist():
-            push(0, row)
-        carry.extend(values[take + len(rows) * k:])
-
-    for part in parts:
-        if int(part["k"]) != k:
-            raise ValueError(
-                f"fragment k={part['k']} does not match k={k}")
-        if int(part["start"]) != expected:
-            raise ValueError(
-                f"fragment starts at {part['start']}, expected "
-                f"{expected}: fragments must tile the stream in order")
-        feed_raws([float(v) for v in part["head"]])
-        if part["nodes"] and (carry or seg_cursor * k != expected
-                              + len(part["head"])):
-            raise ValueError("fragment nodes are not aligned with the "
-                             "stitched prefix")
-        for height, values in part["nodes"]:
-            push(int(height), [float(v) for v in values])
-        feed_raws([float(v) for v in part["tail"]])
-        expected += int(part["count"])
-
-    total = expected
-    segments = total // k
-    if seg_cursor != segments or len(carry) != total % k:
-        raise ValueError("fragments do not add up to a whole stream")
-    sketch = QuantileSketch(k=k)
-    sketch._count = total
-    levels: List[List[float]] = [list(carry)]
-    if segments:
-        levels.extend([] for _ in range(segments.bit_length()))
-        for height, _, values in stack:
-            levels[height + 1] = list(values)
-        error = 0
-        shift = 0
-        while segments >> shift:
-            error += (segments >> shift) << shift
-            shift += 1
-        sketch._error = error
-    sketch._levels = levels
-    return sketch
+    __hash__ = None
 
 
 #: Quantile anchors reported per sweep point (fig11 CDF anchors).
@@ -587,18 +502,24 @@ SERVICE_QUANTILES = (0.5, 0.9, 0.99)
 
 
 class ServiceAggregate:
-    """Composite per-point aggregate over service times.
+    """Composite aggregate over the service times of stream elements
+    ``[start, start + count)``: exact moments, extrema and the quantile
+    sketch that the stream-sweep report consumes.
 
-    Bundles the exact moments, extrema and the quantile sketch that the
-    stream-sweep report consumes.
+    The serial sweep and ``/predict`` fold a whole stream (start 0).  A
+    :mod:`repro.sched` unit folds its range at the unit's global
+    offset, and :meth:`stitch` folds the ordered fragment states into
+    the exact whole-stream aggregate: moments and extrema merge exactly
+    in any grouping (big-int adds and min/max are associative down to
+    the bit), the sketch stitches.
     """
 
     __slots__ = ("moments", "extrema", "sketch")
 
-    def __init__(self, quantile_k: int = 256):
+    def __init__(self, start: int = 0):
         self.moments = MeanVariance()
         self.extrema = MinMax()
-        self.sketch = QuantileSketch(k=quantile_k)
+        self.sketch = QuantileSketch(start)
 
     def add_block(self, values) -> "ServiceAggregate":
         x = np.asarray(values, dtype=np.float64).ravel()
@@ -609,8 +530,28 @@ class ServiceAggregate:
 
     def state_nbytes(self) -> int:
         """Rough resident footprint (for peak carried-state tracking)."""
-        level_bytes = sum(8 * len(buf) for buf in self.sketch._levels)
-        return level_bytes + 64
+        sketch = self.sketch
+        values = len(sketch._head) + len(sketch._open) + sum(
+            len(node[2]) for node in sketch._nodes)
+        return 8 * values + 64
+
+    def to_state(self) -> dict:
+        return {"moments": self.moments.to_state(),
+                "extrema": self.extrema.to_state(),
+                "sketch": self.sketch.to_state()}
+
+    @classmethod
+    def stitch(cls, states: Sequence[dict]) -> "ServiceAggregate":
+        """Fold ordered :meth:`to_state` fragments into the exact
+        whole-stream aggregate."""
+        states = list(states)
+        aggregate = cls()
+        for state in states:
+            aggregate.moments.merge(MeanVariance.from_state(state["moments"]))
+            aggregate.extrema.merge(MinMax.from_state(state["extrema"]))
+        aggregate.sketch = QuantileSketch.stitch(
+            [state["sketch"] for state in states])
+        return aggregate
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ServiceAggregate)
@@ -619,50 +560,3 @@ class ServiceAggregate:
                 and self.sketch == other.sketch)
 
     __hash__ = None
-
-
-class PartialServiceAggregate:
-    """Per-unit fragment of a :class:`ServiceAggregate`.
-
-    Moments and extrema merge exactly in any grouping (big-int adds and
-    min/max are associative down to the bit), so the fragment simply
-    holds them; the sketch, which has no sequential-equivalent merge,
-    is held as a :class:`PartialQuantileSketch` fragment instead.  :func:`stitch_service_aggregates` folds an ordered run of
-    fragments into the exact ``ServiceAggregate`` the serial streamed
-    sweep would have produced.
-    """
-
-    __slots__ = ("moments", "extrema", "sketch_parts")
-
-    def __init__(self, start: int, quantile_k: int = 256):
-        self.moments = MeanVariance()
-        self.extrema = MinMax()
-        self.sketch_parts = PartialQuantileSketch(start, k=quantile_k)
-
-    def add_block(self, values) -> "PartialServiceAggregate":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        self.moments.add_block(x)
-        self.extrema.add_block(x)
-        self.sketch_parts.add_block(x)
-        return self
-
-    def to_state(self) -> dict:
-        return {"moments": self.moments.to_state(),
-                "extrema": self.extrema.to_state(),
-                "sketch_parts": self.sketch_parts.to_parts()}
-
-
-def stitch_service_aggregates(states: Sequence[dict]
-                              ) -> ServiceAggregate:
-    """Fold ordered :meth:`PartialServiceAggregate.to_state` fragments
-    into the exact sequential :class:`ServiceAggregate`."""
-    states = list(states)
-    aggregate = ServiceAggregate()
-    if not states:
-        return aggregate
-    for state in states:
-        aggregate.moments.merge(MeanVariance.from_state(state["moments"]))
-        aggregate.extrema.merge(MinMax.from_state(state["extrema"]))
-    aggregate.sketch = stitch_quantile_sketch(
-        [state["sketch_parts"] for state in states])
-    return aggregate

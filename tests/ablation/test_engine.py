@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.ablation.components import default_registry
 from repro.ablation.engine import (KIND_ABLATE, STANDARD_STUDIES,
-                                   registry_by_name, run_matrix,
-                                   run_specs, spec_seed)
+                                   run_matrix, run_specs, spec_seed)
 from repro.ablation.matrix import RunSpec, leave_one_out
 from repro.ablation.objective import Scenario
 from repro.runtime.cache import ResultCache
@@ -14,7 +14,7 @@ TINY = Scenario(profile="ideal", pages=("www.motors.ebay.com",),
 
 
 def tiny_specs():
-    registry = registry_by_name("default").subset(
+    registry = default_registry().subset(
         ["fast_dormancy", "timers"])
     return leave_one_out(registry, context=TINY.fingerprint())
 
@@ -97,7 +97,7 @@ def test_run_matrix_with_component_subset():
 
 
 def test_overrides_flow_through_to_the_objective():
-    registry = registry_by_name("default")
+    registry = default_registry()
     base = registry.baseline_assignment()
     plain = RunSpec.make(base, context=TINY.fingerprint())
     tuned = RunSpec.make(base, context=TINY.fingerprint(),

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.ablation.engine import MatrixResult, MatrixRun, registry_by_name
+from repro.ablation.components import default_registry
+from repro.ablation.engine import MatrixResult, MatrixRun
 from repro.ablation.matrix import RunSpec, pairwise_factorial
 from repro.ablation.objective import Scenario
 from repro.ablation.rank import rank_components, write_ranking
@@ -15,7 +16,7 @@ TINY = Scenario(profile="ideal", pages=("www.motors.ebay.com",),
 
 def synthetic_matrix():
     """Hand-assigned energies over a two-component pairs matrix."""
-    registry = registry_by_name("default").subset(
+    registry = default_registry().subset(
         ["fast_dormancy", "reorganisation"])
     specs = pairwise_factorial(registry, context=TINY.fingerprint())
     energies = {}
@@ -32,8 +33,7 @@ def synthetic_matrix():
     runs = [MatrixRun(spec=spec, seed=0,
                       metrics={"energy": energies[spec.run_id]})
             for spec in specs]
-    return MatrixResult(registry_name="default", scenario=TINY,
-                        runs=runs)
+    return MatrixResult(scenario=TINY, runs=runs)
 
 
 def test_ranking_orders_by_magnitude_and_flags_harmful():
@@ -60,7 +60,7 @@ def test_pairwise_interaction_is_the_unexplained_part():
 def test_rank_requires_a_baseline_cell():
     matrix = synthetic_matrix()
     no_baseline = MatrixResult(
-        registry_name="default", scenario=TINY,
+        scenario=TINY,
         runs=[run for run in matrix.runs
               if run.spec.deviations(matrix.registry())])
     with pytest.raises(ValueError):

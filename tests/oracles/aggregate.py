@@ -1,19 +1,24 @@
 """The list-based aggregate folds the numpy segment folds replaced.
 
 ``ExactSum`` summed each exponent's mantissas in 512-element int64
-chunks; both quantile sketches filled a Python list one level-0 buffer
-at a time and sorted every full ``k``-segment with ``sorted()``.  The
-subclasses here keep those loops and inherit everything else
-(compaction, state export), so a differential test can drive an
-oracle and a production aggregate through the same operations and
-compare their states byte for byte.
+chunks (:class:`OracleExactSum`, which inherits everything else).
+
+:class:`LevelSketch` is the level compactor the production
+``QuantileSketch`` replaced, self-contained: level ``l`` holds values
+of weight ``2^l``, level 0 fills one value at a time, and a level that
+reaches ``k`` values sorts and promotes every second one a level up,
+tracking the rank error each compaction adds.  It exports its levels
+in the production counter form — level 0 is the open segment, level
+``h+1`` the height-``h`` node — so a differential test can compare the
+two states byte for byte.
 """
+
+import math
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.stream.aggregate import (_UNIT_EXP, ExactSum,
-                                    PartialQuantileSketch, QuantileSketch,
-                                    _push_node, _require_finite)
+from repro.stream.aggregate import _UNIT_EXP, ExactSum, _require_finite
 
 #: int64 chunk length for mantissa partial sums: 512 * 2^53 < 2^63.
 _SUM_CHUNK = 512
@@ -44,58 +49,63 @@ class OracleExactSum(ExactSum):
         return self
 
 
-class OracleQuantileSketch(QuantileSketch):
-    """:class:`QuantileSketch` filling level 0 one buffer at a time."""
+class LevelSketch:
+    """The MRL level compactor over a whole stream, one value at a time."""
 
-    __slots__ = ()
+    def __init__(self, k: int = 256):
+        self.k = k
+        self.levels: List[List[float]] = [[]]
+        self.count = 0
+        self.error = 0
 
-    def add_block(self, values) -> "OracleQuantileSketch":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
-        data = x.tolist()
-        n = len(data)
-        i = 0
-        while i < n:
-            level0 = self._levels[0]
-            take = min(self._k - len(level0), n - i)
-            level0.extend(data[i:i + take])
-            self._count += take
-            i += take
-            if len(level0) >= self._k:
+    def add_block(self, values) -> "LevelSketch":
+        for value in np.asarray(values, dtype=np.float64).ravel().tolist():
+            self.levels[0].append(value)
+            self.count += 1
+            if len(self.levels[0]) == self.k:
                 self._compact(0)
         return self
 
+    def _compact(self, level: int) -> None:
+        """Sort a full level, promote every second element one level up."""
+        if level + 1 == len(self.levels):
+            self.levels.append([])
+        buf = sorted(self.levels[level])
+        self.levels[level] = []
+        self.levels[level + 1].extend(buf[1::2])
+        self.error += 1 << level
+        if len(self.levels[level + 1]) == self.k:
+            self._compact(level + 1)
 
-class OraclePartialQuantileSketch(PartialQuantileSketch):
-    """:class:`PartialQuantileSketch` sorting each segment with
-    ``sorted()`` as its buffer fills."""
+    def quantiles(self, qs) -> Dict[str, float]:
+        keys = [f"p{round(q * 100):d}" if (q * 100) == round(q * 100)
+                else f"p{q * 100:g}" for q in qs]
+        if self.count == 0:
+            return {key: float("nan") for key in keys}
+        items: List[Tuple[float, int]] = sorted(
+            (v, 1 << level)
+            for level, buf in enumerate(self.levels) for v in buf)
+        out = {}
+        for key, q in zip(keys, qs):
+            target = max(1, math.ceil(q * self.count))
+            cumulative = 0
+            for value, weight in items:
+                cumulative += weight
+                if cumulative >= target:
+                    break
+            out[key] = value
+        return out
 
-    __slots__ = ()
-
-    def add_block(self, values) -> "OraclePartialQuantileSketch":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
-        data = x.tolist()
-        k = self._k
-        i, n = 0, len(data)
-        first_boundary = -(-self._start // k) * k
-        pos = self._start + self._count
-        if pos < first_boundary:
-            take = min(first_boundary - pos, n)
-            self._head.extend(data[:take])
-            self._count += take
-            i = take
-        while i < n:
-            take = min(k - len(self._buf), n - i)
-            self._buf.extend(data[i:i + take])
-            self._count += take
-            i += take
-            if len(self._buf) == k:
-                seg = (self._start + self._count) // k - 1
-                _push_node(self._nodes, 0, seg, sorted(self._buf)[1::2])
-                self._buf = []
-        return self
+    def to_state(self) -> dict:
+        """The production ``QuantileSketch(0).to_state()`` layout: the
+        counter's nodes run from the highest level down."""
+        return {
+            "k": self.k,
+            "start": 0,
+            "count": self.count,
+            "head": [],
+            "tail": list(self.levels[0]),
+            "nodes": [[level - 1, list(buf)]
+                      for level, buf in reversed(
+                          list(enumerate(self.levels))[1:]) if buf],
+        }

@@ -120,10 +120,12 @@ class TestSweepRequest:
                                                field: value})
                 assert caught.value.field == field
 
-    def test_unknown_field_rejected(self):
+    # The sketch size is fixed, so quantile_k is no field either.
+    @pytest.mark.parametrize("field", ["bogus", "quantile_k"])
+    def test_unknown_field_rejected(self, field):
         with pytest.raises(ValidationError) as caught:
-            SweepRequest.from_payload({"users": [5], "bogus": 1})
-        assert caught.value.field == "bogus"
+            SweepRequest.from_payload({"users": [5], field: 9})
+        assert caught.value.field == field
 
     def test_spec_carries_fingerprint_and_is_deterministic(self):
         payload = {"users": [5, 10], "n_channels": 8,

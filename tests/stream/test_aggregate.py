@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream.aggregate import (ExactSum, MeanVariance, MinMax,
-                                    PartialQuantileSketch,
-                                    PartialServiceAggregate,
                                     QuantileSketch, ServiceAggregate,
-                                    _UNIT_EXP, stitch_quantile_sketch,
-                                    stitch_service_aggregates)
+                                    _UNIT_EXP)
+
+K = QuantileSketch.K
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12,
                           allow_nan=False, allow_infinity=False)
@@ -138,9 +137,9 @@ def test_sketch_is_chunking_invariant():
     state — the property that keeps streamed reports byte-identical."""
     rng = np.random.default_rng(5)
     x = rng.exponential(10.0, size=40000)
-    whole = QuantileSketch(k=256).add_block(x)
+    whole = QuantileSketch().add_block(x)
     for trial in range(5):
-        chunked = QuantileSketch(k=256)
+        chunked = QuantileSketch()
         i = 0
         while i < x.size:
             step = int(rng.integers(1, 4000))
@@ -151,15 +150,18 @@ def test_sketch_is_chunking_invariant():
 
 def _sketch_rank(sketch, value):
     """The sketch's weighted count of retained items <= ``value``."""
-    return sum((1 << level) * sum(1 for v in buf if v <= value)
-               for level, buf in enumerate(sketch._levels))
+    state = sketch.to_state()
+    weighted = [(state["tail"], 1)] + [(values, 2 << height)
+                                       for height, values in state["nodes"]]
+    return sum(weight * sum(1 for v in values if v <= value)
+               for values, weight in weighted)
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 10000])
 def test_sketch_rank_within_bound(n):
     rng = np.random.default_rng(n)
     x = rng.exponential(10.0, size=n)
-    sketch = QuantileSketch(k=256).add_block(x)
+    sketch = QuantileSketch().add_block(x)
     assert sketch.count == n
     xs = np.sort(x)
     for value in sketch.quantiles((0.01, 0.5, 0.9, 0.99, 1.0)).values():
@@ -174,21 +176,26 @@ def test_sketch_empty_and_validation():
     with pytest.raises(ValueError):
         sketch.quantiles([1.5])
     with pytest.raises(ValueError):
-        QuantileSketch(k=3)
+        QuantileSketch(-1)
     with pytest.raises(ValueError):
         QuantileSketch().add_block(np.array([np.nan]))
+    # a fragment's statistics exist only once stitched
+    fragment = QuantileSketch(3).add_block(np.arange(5.0))
+    with pytest.raises(ValueError, match="stitch"):
+        fragment.quantiles([0.5])
+    with pytest.raises(ValueError, match="stitch"):
+        fragment.rank_error_bound
 
 
 def test_service_aggregate_state_roundtrips_through_json():
-    """A unit's fragment state, through JSON and the stitch, is the
+    """A whole stream's state, through JSON and the stitch, is the
     aggregate itself — and the stitched copy keeps evolving
     identically."""
     rng = np.random.default_rng(1)
     values = rng.exponential(10.0, size=12345)
     aggregate = ServiceAggregate().add_block(values)
-    state = json.loads(json.dumps(
-        PartialServiceAggregate(0).add_block(values).to_state()))
-    restored = stitch_service_aggregates([state])
+    state = json.loads(json.dumps(aggregate.to_state()))
+    restored = ServiceAggregate.stitch([state])
     assert restored == aggregate
     more = rng.exponential(10.0, size=777)
     assert aggregate.add_block(more) == restored.add_block(more)
@@ -200,9 +207,6 @@ def test_service_aggregate_state_roundtrips_through_json():
 # aggregate layer).
 # ----------------------------------------------------------------------
 
-service_floats = st.floats(min_value=1e-3, max_value=1e6,
-                           allow_nan=False, allow_infinity=False)
-service_lists = st.lists(service_floats, max_size=200)
 cut_lists = st.lists(st.integers(min_value=0), min_size=2, max_size=5)
 
 
@@ -229,68 +233,78 @@ def test_moment_merges_are_order_invariant_over_partitions(values, cuts,
     assert merged[2] == whole[2]
 
 
+@st.composite
+def service_streams(draw):
+    """Service-time-like values, long enough at ``K`` for fragments to
+    carry dyadic nodes of several heights."""
+    n = draw(st.integers(min_value=0, max_value=6 * K + 7))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return np.random.default_rng(seed).lognormal(2.6, 0.5, size=n)
+
+
+def _fragments(values, cuts, cls=QuantileSketch):
+    """One fragment per piece of the partition, each anchored at its
+    global offset."""
+    fragments = []
+    offset = 0
+    for piece in _split(values, cuts):
+        fragments.append(cls(offset).add_block(piece))
+        offset += len(piece)
+    return fragments
+
+
 @settings(max_examples=100, deadline=None)
-@given(service_lists, cut_lists, st.sampled_from([2, 4, 8, 16]))
-def test_sketch_stitch_equals_sequential_over_partitions(values, cuts, k):
+@given(service_streams(), cut_lists)
+def test_sketch_stitch_equals_sequential_over_partitions(values, cuts):
     """The dyadic-fragment stitch rebuilds the *sequential* sketch
     byte-for-byte from any partition of the stream into units."""
-    serial = QuantileSketch(k=k).add_block(
-        np.array(values, dtype=np.float64))
-    offset = 0
-    partials = []
-    for piece in _split(values, cuts):
-        partial = PartialQuantileSketch(offset, k=k)
-        partial.add_block(np.array(piece, dtype=np.float64))
-        offset += len(piece)
-        partials.append(partial.to_parts())
-    assert stitch_quantile_sketch(partials) == serial
+    serial = QuantileSketch().add_block(values)
+    states = [fragment.to_state()
+              for fragment in _fragments(values, cuts)]
+    assert QuantileSketch.stitch(states) == serial
 
 
 @settings(max_examples=60, deadline=None)
-@given(service_lists, cut_lists)
+@given(service_streams(), cut_lists)
 def test_sketch_stitch_survives_json_roundtrip(values, cuts):
     """Fragments ride in shard manifests as JSON; repr round-trips
     floats exactly, so the stitched sketch stays byte-identical."""
-    serial = QuantileSketch(k=4).add_block(
-        np.array(values, dtype=np.float64))
-    offset = 0
-    parts = []
-    for piece in _split(values, cuts):
-        partial = PartialQuantileSketch(offset, k=4)
-        partial.add_block(np.array(piece, dtype=np.float64))
-        offset += len(piece)
-        parts.append(json.loads(json.dumps(partial.to_parts())))
-    assert stitch_quantile_sketch(parts) == serial
+    serial = QuantileSketch().add_block(values)
+    states = [json.loads(json.dumps(fragment.to_state()))
+              for fragment in _fragments(values, cuts)]
+    assert QuantileSketch.stitch(states) == serial
 
 
 @settings(max_examples=60, deadline=None)
-@given(service_lists, cut_lists)
+@given(service_streams(), cut_lists)
 def test_service_aggregate_stitch_equals_sequential(values, cuts):
-    """The composite fragment (exact moments + sketch parts) stitches
-    to the exact sequential ServiceAggregate, JSON round-trip included."""
-    serial = ServiceAggregate().add_block(
-        np.array(values, dtype=np.float64))
-    offset = 0
-    states = []
-    for piece in _split(values, cuts):
-        partial = PartialServiceAggregate(offset)
-        partial.add_block(np.array(piece, dtype=np.float64))
-        offset += len(piece)
-        states.append(json.loads(json.dumps(partial.to_state())))
-    assert stitch_service_aggregates(states) == serial
+    """The composite fragments (exact moments + sketch) stitch to the
+    exact sequential ServiceAggregate, JSON round-trip included."""
+    serial = ServiceAggregate().add_block(values)
+    states = [json.loads(json.dumps(fragment.to_state()))
+              for fragment in _fragments(values, cuts, ServiceAggregate)]
+    assert ServiceAggregate.stitch(states) == serial
 
 
 def test_stitch_rejects_out_of_order_fragments():
-    a = PartialQuantileSketch(0, k=4).add_block(np.arange(6.0)).to_parts()
-    b = PartialQuantileSketch(6, k=4).add_block(np.arange(3.0)).to_parts()
+    a = QuantileSketch(0).add_block(np.arange(600.0)).to_state()
+    b = QuantileSketch(600).add_block(np.arange(300.0)).to_state()
     with pytest.raises(ValueError):
-        stitch_quantile_sketch([b, a])
+        QuantileSketch.stitch([b, a])
     with pytest.raises(ValueError):
-        stitch_quantile_sketch([a, a])
+        QuantileSketch.stitch([a, a])
 
 
 def test_stitch_rejects_mismatched_k():
-    a = PartialQuantileSketch(0, k=4).add_block(np.arange(4.0)).to_parts()
-    b = PartialQuantileSketch(4, k=8).add_block(np.arange(3.0)).to_parts()
-    with pytest.raises(ValueError):
-        stitch_quantile_sketch([a, b])
+    a = QuantileSketch(0).add_block(np.arange(600.0)).to_state()
+    b = QuantileSketch(600).add_block(np.arange(300.0)).to_state()
+    with pytest.raises(ValueError, match="k="):
+        QuantileSketch.stitch([a, dict(b, k=K // 2)])
+
+
+def test_stitch_rejects_a_fragment_that_miscounts():
+    a = QuantileSketch(0).add_block(np.arange(600.0)).to_state()
+    with pytest.raises(ValueError, match="count"):
+        QuantileSketch.stitch([dict(a, count=601)])
+    with pytest.raises(ValueError, match="aligned"):
+        QuantileSketch.stitch([dict(a, head=[1.0])])

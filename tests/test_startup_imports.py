@@ -44,3 +44,16 @@ def test_stream_sweep_runs_without_scipy():
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("Stream sweep: N=200 channels")
     assert "-- streamed runtime:" in result.stdout
+
+
+def test_runner_module_starts_without_a_double_import_warning():
+    """``python -m repro.experiments.runner`` must not find the runner
+    already imported by its own package: runpy would warn that it
+    re-executes a module that is in ``sys.modules``."""
+    result = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m",
+         "repro.experiments.runner", "--help"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr, result.stderr
