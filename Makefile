@@ -18,14 +18,17 @@ test:
 loc:
 	@find src -name '*.py' | xargs cat | wc -l
 
-# Median wall time (ms) of 5 `python -m repro --help` launches: the
-# start-up every CLI command and sweep worker pays before `main`.
+# Median wall time (ms) of 5 launches each: `python -m repro --help`,
+# the start-up every CLI command pays before `main`, and a sweep
+# worker's import set (`repro.cli`, `repro.sched`, `repro.stream.sweep`).
 startup:
 	@PYTHONPATH=src python -c 'import statistics, subprocess, sys, timeit; \
-	cmd = [sys.executable, "-m", "repro", "--help"]; \
-	walls = timeit.repeat(lambda: subprocess.run( \
-	    cmd, stdout=subprocess.DEVNULL, check=True), number=1, repeat=5); \
-	print(f"{1000 * statistics.median(walls):.0f} ms")'
+	median = lambda *args: 1000 * statistics.median(timeit.repeat( \
+	    lambda: subprocess.run([sys.executable, *args], \
+	        stdout=subprocess.DEVNULL, check=True), number=1, repeat=5)); \
+	worker = "import repro.cli, repro.sched, repro.stream.sweep"; \
+	print("--help: %.0f ms" % median("-m", "repro", "--help")); \
+	print("sweep worker imports: %.0f ms" % median("-c", worker))'
 
 # The seeded end-to-end benchmark (bench/): all four workloads, results
 # and the machine fingerprint in bench-e2e.json.

@@ -18,80 +18,52 @@ Typical entry points::
     predictor = ReadingTimePredictor().fit(
         generate_trace().filter_reading_time())
 
+Each top-level name resolves on first access (PEP 562): ``import
+repro`` loads no submodule, and ``from repro import find_page`` imports
+only the webpages stack.  A ``repro stream-sweep`` worker therefore imports the
+sched/stream/capacity stack it runs and never the browser, prediction
+or trace stacks.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record; ``python -m repro experiments``
 regenerates every result.
 """
 
-from repro.browser import (
-    BrowserConfig,
-    BrowserCosts,
-    EnergyAwareEngine,
-    OriginalEngine,
-    PageLoadResult,
-)
-from repro.core import (
-    ExperimentConfig,
-    Handset,
-    SessionResult,
-    browse_and_read,
-    compare_engines,
-    benchmark_comparison,
-    load_page,
-)
-from repro.core.config import PolicyConfig
-from repro.ml import GradientBoostedRegressor
-from repro.network import Link, NetworkConfig
-from repro.prediction import (
-    FEATURE_NAMES,
-    PredictivePolicy,
-    ReadingTimePredictor,
-)
-from repro.rrc import RilLink, RrcConfig, RrcMachine, RrcState
-from repro.traces import TraceConfig, TraceDataset, generate_trace
-from repro.webpages import PageSpec, Webpage, generate_page
-from repro.webpages.corpus import benchmark_pages, find_page
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # browser engines
-    "BrowserConfig",
-    "BrowserCosts",
-    "OriginalEngine",
-    "EnergyAwareEngine",
-    "PageLoadResult",
-    # core sessions and comparisons
-    "ExperimentConfig",
-    "PolicyConfig",
-    "Handset",
-    "SessionResult",
-    "load_page",
-    "browse_and_read",
-    "compare_engines",
-    "benchmark_comparison",
-    # radio
-    "RrcState",
-    "RrcConfig",
-    "RrcMachine",
-    "RilLink",
-    # network
-    "Link",
-    "NetworkConfig",
-    # workloads
-    "Webpage",
-    "PageSpec",
-    "generate_page",
-    "benchmark_pages",
-    "find_page",
-    # prediction
-    "GradientBoostedRegressor",
-    "ReadingTimePredictor",
-    "PredictivePolicy",
-    "FEATURE_NAMES",
-    # traces
-    "TraceConfig",
-    "TraceDataset",
-    "generate_trace",
-]
+#: Home module -> the public names it exports at the top level.
+_EXPORTS = {
+    "repro.browser": ("BrowserConfig", "BrowserCosts", "OriginalEngine",
+                      "EnergyAwareEngine", "PageLoadResult"),
+    "repro.core": ("ExperimentConfig", "Handset", "SessionResult",
+                   "load_page", "browse_and_read", "compare_engines",
+                   "benchmark_comparison"),
+    "repro.core.config": ("PolicyConfig",),
+    "repro.rrc": ("RrcState", "RrcConfig", "RrcMachine", "RilLink"),
+    "repro.network": ("Link", "NetworkConfig"),
+    "repro.webpages": ("Webpage", "PageSpec", "generate_page"),
+    "repro.webpages.corpus": ("benchmark_pages", "find_page"),
+    "repro.ml": ("GradientBoostedRegressor",),
+    "repro.prediction": ("ReadingTimePredictor", "PredictivePolicy",
+                         "FEATURE_NAMES"),
+    "repro.traces": ("TraceConfig", "TraceDataset", "generate_trace"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_HOME[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

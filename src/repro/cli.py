@@ -19,7 +19,9 @@ Subcommands::
     repro session --user 35
     repro serve [--port 8323] [--batch-window 0.005] [--job-dir jobs/]
 
-Also reachable as ``python -m repro``.
+Also reachable as ``python -m repro``.  Each command imports the modules
+it runs, so ``--help`` and a sweep worker never load the browser,
+prediction or trace stacks.
 """
 
 from __future__ import annotations
@@ -30,19 +32,17 @@ import signal
 import sys
 from typing import List, Optional
 
-from repro.core.comparison import compare_engines
 from repro.faults.profiles import PROFILES
-from repro.prediction.predictor import ReadingTimePredictor
 from repro.runtime import parallel as runtime_parallel
 from repro.runtime.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runtime.report import write_report
 from repro.runtime.seeding import DEFAULT_ROOT_SEED
-from repro.traces.generator import TraceConfig, generate_trace
-from repro.traces.records import TraceDataset
-from repro.webpages.corpus import find_page
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.core.comparison import compare_engines
+    from repro.webpages.corpus import find_page
+
     page = find_page(args.page)
     comparison = compare_engines(page, reading_time=args.reading)
     original, ours = comparison.original, comparison.energy_aware
@@ -274,14 +274,21 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
         config, float(pool.mean()))
     with collecting() as stats:
         if sched:
-            from repro.sched import run_distributed_sweep
-            result = run_distributed_sweep(
-                pool, counts, config, seed=args.seed,
-                work_dir=args.work_dir,
-                worker_id=f"w{worker_index}of{n_workers}-{os.getpid()}",
-                worker_index=worker_index, processes=args.parallel,
-                block_arrivals=block, unit_blocks=args.unit_blocks,
-                stale_after=args.stale_after)
+            from repro.sched import WorkDirMismatch, run_distributed_sweep
+            try:
+                result = run_distributed_sweep(
+                    pool, counts, config, seed=args.seed,
+                    work_dir=args.work_dir,
+                    worker_id=f"w{worker_index}of{n_workers}-"
+                              f"{os.getpid()}",
+                    worker_index=worker_index, processes=args.parallel,
+                    block_arrivals=block, unit_blocks=args.unit_blocks,
+                    stale_after=args.stale_after)
+            except WorkDirMismatch as exc:
+                # A work dir built for other parameters is bad input;
+                # the message names its spec file.
+                print(exc, file=sys.stderr)
+                return 2
         else:
             result = run_stream_sweep(pool, counts, config,
                                       seed=args.seed,
@@ -318,6 +325,8 @@ def _cmd_stream_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.traces.generator import TraceConfig, generate_trace
+
     config = TraceConfig(n_users=args.users,
                          mean_views_per_user=args.views,
                          seed=args.seed)
@@ -329,6 +338,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.prediction.predictor import ReadingTimePredictor
+    from repro.traces.records import TraceDataset
+
     dataset = TraceDataset.load_csv(args.trace)
     threshold = None if args.no_interest_threshold else args.alpha
     predictor = ReadingTimePredictor(interest_threshold=threshold)
@@ -340,6 +352,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.prediction.predictor import ReadingTimePredictor
+    from repro.traces.records import TraceDataset
+
     predictor = ReadingTimePredictor.load_json(args.model)
     dataset = TraceDataset.load_csv(args.trace)
     if predictor.interest_threshold is not None:
@@ -358,7 +373,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
     from repro.core.browsing import PageVisit, browse_session
     from repro.core.config import PolicyConfig
     from repro.prediction.policy import PredictivePolicy
-    from repro.traces.generator import build_catalog
+    from repro.prediction.predictor import ReadingTimePredictor
+    from repro.traces.generator import (TraceConfig, build_catalog,
+                                        generate_trace)
     from repro.webpages.generator import generate_page
 
     trace_config = TraceConfig(seed=args.seed)

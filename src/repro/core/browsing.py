@@ -16,15 +16,19 @@ the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Type
 
 from repro.browser.engine import BrowserEngine, PageLoadResult
 from repro.core.config import ExperimentConfig
 from repro.core.session import Handset
 from repro.prediction.features import features_from_load
-from repro.prediction.policy import PolicyDecision, SwitchPolicy
 from repro.units import require_non_negative
 from repro.webpages.page import Webpage
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
+    # prediction.policy imports core.config, so `import repro.prediction`
+    # as a process's first repro import would re-enter it half built.
+    from repro.prediction.policy import PolicyDecision, SwitchPolicy
 
 
 @dataclass

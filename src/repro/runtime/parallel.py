@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -231,6 +230,10 @@ def run_cached(kind: str, items: Mapping[str, Any],
                                {item_id: seeds[item_id]
                                 for item_id in pending})
         else:
+            # Imported here: the CLI reads this module's KIND_* names on
+            # every start, sweep workers included.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(processes, len(pending))
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=warm_process) as pool:

@@ -6,12 +6,18 @@ work dir with a damaged shard still prints the serial table."""
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 ARGS = ["stream-sweep", "--scale", "1", "--horizon", "3600",
         "--users", "2000", "4000"]
@@ -154,3 +160,25 @@ def test_block_zero_is_rejected(capsys):
     assert main(ARGS + ["--block", "0"]) == 2
     err = capsys.readouterr().err
     assert err.strip() == "stream-sweep arguments must be positive: --block"
+
+
+def test_mismatched_work_dir_is_one_line_exit_2(tmp_path):
+    """Rejoining a work dir built for other parameters is bad input:
+    one stderr line naming the dir, exit 2, no traceback."""
+    work_dir = str(tmp_path / "wd")
+    base = ["stream-sweep", "--scale", "1", "--horizon", "600",
+            "--work-dir", work_dir]
+
+    def cli(*users):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *base, "--users", *users],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC})
+
+    assert cli("250").returncode == 0
+    rejoined = cli("300")
+    assert rejoined.returncode == 2
+    assert rejoined.stdout == ""
+    assert "Traceback" not in rejoined.stderr
+    (line,) = rejoined.stderr.splitlines()
+    assert work_dir in line
