@@ -79,7 +79,9 @@ ablate:
 		--report ablation-report.json --rank-out ablation-rank.json
 
 # Constrained timer/threshold search at cell edge: successive halving
-# under a next-click delay budget, with a resumable JSONL trace.
+# under a next-click delay budget.  --cache makes a rerun resume (every
+# finished trial is served from the result cache); --trace writes the
+# finished search's JSONL trace.
 tune-smoke:
 	python -m repro tune --algorithm halving --profile cell_edge \
 		--budget-delay 1.2 --trials 10 --cache \

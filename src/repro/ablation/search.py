@@ -2,10 +2,13 @@
 
 Answers the question the paper never asked: *what (T1, T2, α, Tp)
 minimises energy at this channel profile without violating a delay
-budget?*  Three algorithms share one machinery:
+budget?*  Three algorithms differ only in their candidate list and
+their fidelity ladder, and share one trial loop (:func:`_search`):
 
-- :func:`grid_search` — the cartesian product of per-parameter grids;
-- :func:`random_search` — seeded uniform sampling over the ranges;
+- :func:`grid_search` — the cartesian product of per-parameter grids,
+  one rung at full fidelity;
+- :func:`random_search` — seeded uniform sampling over the ranges, one
+  rung at full fidelity;
 - :func:`halving_search` — successive halving: sample wide, evaluate at
   a cheap fidelity (a prefix of the scenario's reading-time grid),
   promote the best ``1/eta`` per rung, finish at full fidelity.
@@ -16,13 +19,13 @@ are part of its content-addressed run ID, executed through
 :func:`~repro.ablation.engine.run_specs` — so trials cache, and its seed
 is spawned off the run ID, so *when* a trial runs never matters.
 
-Determinism and resume: the search writes a JSONL trace — a header line
-fingerprinting the whole search configuration, then one record per
-trial in a fixed order, each serialised as canonical JSON.  Records are
-only ever appended in that order, so an interrupted search leaves a
-valid prefix; re-running with the same trace path verifies the header,
-replays the prefix (no re-evaluation), and appends the rest.  Killed or
-not, the completed trace is byte-identical.
+Determinism and resume: the result cache is the one resume path.  A
+search rerun on the same :class:`~repro.runtime.cache.ResultCache`
+serves every finished trial from disk and evaluates only the rest.
+:meth:`SearchResult.trace` renders a finished search as a write-only
+JSONL trace — a header line fingerprinting the whole search
+configuration, then one canonical-JSON record per trial in trial
+order — so an interrupted and a clean run write the same bytes.
 
 Infeasible-by-construction samples (a draw with ``Tp > Td``) are
 *recorded*, not redrawn — redrawing would make the trial sequence depend
@@ -33,16 +36,15 @@ that only tighten validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 from typing import (Any, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
 from repro.ablation.components import default_registry
-from repro.ablation.engine import MatrixResult, run_specs
+from repro.ablation.engine import run_specs
 from repro.ablation.matrix import RunSpec, canonical_json, content_id
 from repro.ablation.objective import Scenario
 from repro.runtime.cache import ResultCache
@@ -178,18 +180,6 @@ class Trial:
             "feasible": self.feasible,
         }
 
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "Trial":
-        return cls(index=int(record["trial"]), rung=int(record["rung"]),
-                   overrides=tuple(sorted(
-                       (str(k), float(v))
-                       for k, v in record["overrides"].items())),
-                   run_id=str(record["run_id"]),
-                   seed=int(record["seed"]),
-                   metrics=dict(record["metrics"]),
-                   valid=bool(record["valid"]),
-                   feasible=bool(record["feasible"]))
-
 
 def promote(candidates: Sequence[Tuple[Any, Optional[float], bool]],
             eta: int) -> List[Any]:
@@ -210,63 +200,6 @@ def promote(candidates: Sequence[Tuple[Any, Optional[float], bool]],
     ordered = sorted(valid, key=lambda entry: (
         not entry[2], entry[1], str(entry[0])))
     return [key for key, _, _ in ordered[:keep]]
-
-
-class SearchTrace:
-    """Append-only JSONL trace with a fingerprinted header.
-
-    The file is a valid prefix at every instant: header first, then
-    trial records in the order the (deterministic) search generates
-    them.  Opening an existing trace verifies the header against this
-    search's fingerprint and loads the completed prefix so the caller
-    can skip straight past it.
-    """
-
-    def __init__(self, path: Optional[Path], header: Dict[str, Any]):
-        self.path = Path(path) if path is not None else None
-        self.header = dict(header)
-        self.records: List[Dict[str, Any]] = []
-        self._cursor = 0
-        if self.path is None:
-            return
-        if self.path.exists():
-            lines = [line for line in
-                     self.path.read_text(encoding="utf-8").splitlines()
-                     if line]
-            if not lines:
-                self._write_header()
-                return
-            import json as _json
-            head = _json.loads(lines[0])
-            if head != {"header": self.header}:
-                raise ValueError(
-                    f"search trace {self.path} belongs to a different "
-                    f"search (header mismatch); delete it or pass a "
-                    f"different --trace path")
-            self.records = [_json.loads(line) for line in lines[1:]]
-        else:
-            self._write_header()
-
-    def _write_header(self) -> None:
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("w", encoding="utf-8") as handle:
-            handle.write(canonical_json({"header": self.header}) + "\n")
-
-    def replay(self) -> Optional[Dict[str, Any]]:
-        """The next already-recorded trial, or ``None`` at the tip."""
-        if self._cursor < len(self.records):
-            record = self.records[self._cursor]
-            self._cursor += 1
-            return record
-        return None
-
-    def append(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-        self._cursor = len(self.records)
-        if self.path is not None:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(canonical_json(record) + "\n")
 
 
 @dataclass
@@ -338,6 +271,17 @@ class SearchResult:
                 f"{knobs}")
         return "\n".join(lines)
 
+    def trace(self) -> str:
+        """The JSONL trace: a header line fingerprinting the search,
+        then one canonical-JSON record per trial, in trial order."""
+        header = {"kind": "repro-search", "version": 1,
+                  "algorithm": self.algorithm,
+                  "fingerprint": self.fingerprint}
+        records = [{"header": header}]
+        records.extend(trial.record() for trial in self.trials)
+        return "".join(canonical_json(record) + "\n"
+                       for record in records)
+
     def render_summary(self) -> str:
         return (f"-- search runtime: {len(self.trials)} trials, "
                 f"{self.n_cached} cached, "
@@ -362,128 +306,10 @@ class SearchResult:
         }
 
 
-class _Evaluator:
-    """Shared trial machinery: spec building, caching, trace replay."""
-
-    def __init__(self, scenario: Scenario,
-                 constraints: Sequence[Constraint], objective: str,
-                 trace: SearchTrace, processes: int,
-                 cache: Optional[ResultCache]):
-        self.scenario = scenario
-        registry = default_registry()
-        self.base_assignment = registry.baseline_assignment()
-        self.base_setup = registry.setup_for(self.base_assignment)
-        self.constraints = tuple(constraints)
-        self.objective = objective
-        self.trace = trace
-        self.processes = processes
-        self.cache = cache
-        self.trials: List[Trial] = []
-        self.total_wall_time = 0.0
-        self.n_cached = 0
-
-    def _spec_for(self, overrides: Mapping[str, float],
-                  fidelity_scenario: Scenario) -> Optional[RunSpec]:
-        """The trial's RunSpec, or ``None`` if the combination is
-        invalid by construction (e.g. a draw with Tp > Td)."""
-        try:
-            self.base_setup.apply(dict(overrides))
-        except (ValueError, KeyError):
-            return None
-        return RunSpec.make(self.base_assignment,
-                            context=fidelity_scenario.fingerprint(),
-                            overrides=dict(overrides))
-
-    def run_batch(self, rung: int,
-                  batch: Sequence[Tuple[int, Dict[str, float]]],
-                  fidelity_scenario: Scenario) -> List[Trial]:
-        """Evaluate one rung's trials, replaying the trace prefix.
-
-        ``batch`` is ``(trial_index, overrides)`` in deterministic
-        order.  Trials already in the trace are reused verbatim; the
-        rest run through the cached matrix engine and are appended.
-        """
-        planned: List[Tuple[int, Dict[str, float],
-                            Optional[RunSpec]]] = []
-        replayed: Dict[int, Trial] = {}
-        to_run: List[RunSpec] = []
-        for index, overrides in batch:
-            record = self.trace.replay()
-            if record is not None:
-                trial = Trial.from_record(record)
-                if (trial.index, trial.rung) != (index, rung):
-                    raise ValueError(
-                        f"search trace out of step: expected trial "
-                        f"{index} rung {rung}, found trial "
-                        f"{trial.index} rung {trial.rung}; the trace "
-                        f"belongs to a different search")
-                replayed[index] = trial
-                continue
-            spec = self._spec_for(overrides, fidelity_scenario)
-            planned.append((index, overrides, spec))
-            if spec is not None:
-                to_run.append(spec)
-
-        matrix: Optional[MatrixResult] = None
-        if to_run:
-            matrix = run_specs(to_run, fidelity_scenario,
-                               processes=self.processes,
-                               cache=self.cache)
-            self.total_wall_time += matrix.total_wall_time
-            self.n_cached += matrix.n_cached
-
-        produced: Dict[int, Trial] = {}
-        for index, overrides, spec in planned:
-            ordered = tuple(sorted((str(k), float(v))
-                            for k, v in overrides.items()))
-            if spec is None:
-                trial = Trial(index=index, rung=rung,
-                              overrides=ordered, run_id="", seed=0,
-                              metrics={}, valid=False, feasible=False)
-            else:
-                run = matrix.run_for(spec.run_id)
-                trial = Trial(index=index, rung=rung,
-                              overrides=ordered, run_id=spec.run_id,
-                              seed=run.seed, metrics=dict(run.metrics),
-                              valid=True,
-                              feasible=feasible(run.metrics,
-                                                self.constraints))
-            produced[index] = trial
-
-        out: List[Trial] = []
-        for index, _ in batch:
-            trial = replayed.get(index)
-            if trial is None:
-                trial = produced[index]
-                self.trace.append(trial.record())
-            out.append(trial)
-        self.trials.extend(out)
-        return out
-
-    def reference_metrics(self) -> Dict[str, float]:
-        """The paper-default configuration at full fidelity."""
-        spec = RunSpec.make(self.base_assignment,
-                            context=self.scenario.fingerprint())
-        matrix = run_specs([spec], self.scenario,
-                           processes=1, cache=self.cache)
-        self.total_wall_time += matrix.total_wall_time
-        return dict(matrix.runs[0].metrics)
-
-    def pick_best(self, final_rung: int) -> Optional[Trial]:
-        finalists = [trial for trial in self.trials
-                     if trial.rung == final_rung and trial.valid
-                     and trial.feasible]
-        if not finalists:
-            return None
-        return min(finalists, key=lambda trial: (
-            trial.metrics.get(self.objective, math.inf), trial.run_id))
-
-
-def _search_header(algorithm: str, scenario: Scenario,
-                   space: SearchSpace,
-                   constraints: Sequence[Constraint], objective: str,
-                   params: Dict[str, Any]) -> Dict[str, Any]:
-    fingerprint = content_id({
+def _fingerprint(algorithm: str, scenario: Scenario,
+                 space: SearchSpace, constraints: Sequence[Constraint],
+                 objective: str, params: Dict[str, Any]) -> str:
+    return content_id({
         "algorithm": algorithm,
         "objective": objective,
         "scenario": scenario.fingerprint(),
@@ -492,21 +318,86 @@ def _search_header(algorithm: str, scenario: Scenario,
                         for constraint in constraints],
         "params": params,
     })
-    return {"kind": "repro-search", "version": 1,
-            "algorithm": algorithm, "fingerprint": fingerprint}
 
 
-def _finish(evaluator: _Evaluator, algorithm: str, space: SearchSpace,
-            header: Dict[str, Any], reference: Dict[str, float],
-            final_rung: int) -> SearchResult:
+def _search(algorithm: str, fingerprint: str, scenario: Scenario,
+            space: SearchSpace, constraints: Sequence[Constraint],
+            objective: str, candidates: Sequence[Dict[str, float]],
+            rungs: Sequence[int], processes: int,
+            cache: Optional[ResultCache], eta: int = 2) -> SearchResult:
+    """The one trial loop over ``(candidates, rungs)``.
+
+    ``rungs`` is the fidelity ladder (reading-time prefix lengths, the
+    last one full).  Each rung evaluates the candidates still alive, in
+    index order, through the cached matrix engine; between rungs
+    :func:`promote` keeps the best ``1/eta``.
+    """
+    registry = default_registry()
+    assignment = registry.baseline_assignment()
+    base_setup = registry.setup_for(assignment)
+    constraints = tuple(constraints)
+    trials: List[Trial] = []
+    total_wall_time = 0.0
+    n_cached = 0
+    alive = list(range(len(candidates)))
+    final_rung = len(rungs) - 1
+    for rung, fidelity in enumerate(rungs):
+        rung_scenario = scenario.at_fidelity(fidelity)
+        specs: Dict[int, RunSpec] = {}
+        for index in alive:
+            try:  # invalid by construction, e.g. a draw with Tp > Td
+                base_setup.apply(candidates[index])
+            except (ValueError, KeyError):
+                continue
+            specs[index] = RunSpec.make(
+                assignment, context=rung_scenario.fingerprint(),
+                overrides=candidates[index])
+        if specs:
+            matrix = run_specs(list(specs.values()), rung_scenario,
+                               processes=processes, cache=cache)
+            total_wall_time += matrix.total_wall_time
+            n_cached += matrix.n_cached
+        rung_trials = []
+        for index in alive:
+            overrides = tuple(sorted(candidates[index].items()))
+            spec = specs.get(index)
+            if spec is None:
+                trial = Trial(index=index, rung=rung,
+                              overrides=overrides, run_id="", seed=0,
+                              metrics={}, valid=False, feasible=False)
+            else:
+                run = matrix.run_for(spec.run_id)
+                trial = Trial(index=index, rung=rung,
+                              overrides=overrides, run_id=spec.run_id,
+                              seed=run.seed, metrics=dict(run.metrics),
+                              valid=True,
+                              feasible=feasible(run.metrics, constraints))
+            rung_trials.append(trial)
+        trials.extend(rung_trials)
+        if rung == final_rung:
+            break
+        alive = sorted(promote([(trial.index, trial.objective(objective),
+                                 trial.feasible)
+                                for trial in rung_trials], eta))
+        if not alive:
+            final_rung = rung
+            break
+
+    # The paper-default configuration at full fidelity.
+    reference = run_specs([RunSpec.make(assignment,
+                                        context=scenario.fingerprint())],
+                          scenario, processes=1, cache=cache)
+    total_wall_time += reference.total_wall_time
+    finalists = [trial for trial in trials if trial.rung == final_rung
+                 and trial.valid and trial.feasible]
+    best = min(finalists, default=None, key=lambda trial: (
+        trial.metrics.get(objective, math.inf), trial.run_id))
     return SearchResult(
-        algorithm=algorithm, scenario=evaluator.scenario, space=space,
-        constraints=evaluator.constraints,
-        objective=evaluator.objective, trials=evaluator.trials,
-        reference=reference, fingerprint=header["fingerprint"],
-        best=evaluator.pick_best(final_rung), final_rung=final_rung,
-        total_wall_time=evaluator.total_wall_time,
-        n_cached=evaluator.n_cached)
+        algorithm=algorithm, scenario=scenario, space=space,
+        constraints=constraints, objective=objective, trials=trials,
+        reference=dict(reference.runs[0].metrics),
+        fingerprint=fingerprint, best=best, final_rung=final_rung,
+        total_wall_time=total_wall_time, n_cached=n_cached)
 
 
 def grid_search(scenario: Scenario,
@@ -515,35 +406,33 @@ def grid_search(scenario: Scenario,
                 objective: str = DEFAULT_OBJECTIVE,
                 points: int = 3,
                 processes: int = 1,
-                cache: Optional[ResultCache] = None,
-                trace_path: Optional[Path] = None) -> SearchResult:
+                cache: Optional[ResultCache] = None) -> SearchResult:
     """Exhaustive seeded grid over the space's per-parameter grids."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     space = space or default_space()
-    header = _search_header("grid", scenario, space, constraints,
-                            objective, {"points": points})
-    trace = SearchTrace(trace_path, header)
-    evaluator = _Evaluator(scenario, constraints, objective, trace,
-                           processes, cache)
+    fingerprint = _fingerprint("grid", scenario, space, constraints,
+                               objective, {"points": points})
+    names = [parameter.name for parameter in space.parameters]
     axes = [parameter.grid_values(points)
             for parameter in space.parameters]
-    names = [parameter.name for parameter in space.parameters]
-    batch = [(index, dict(zip(names, values)))
-             for index, values in enumerate(product(*axes))]
-    evaluator.run_batch(0, batch, scenario)
-    reference = evaluator.reference_metrics()
-    return _finish(evaluator, "grid", space, header, reference,
-                   final_rung=0)
+    grid = [dict(zip(names, values)) for values in product(*axes)]
+    return _search("grid", fingerprint, scenario, space, constraints,
+                   objective, grid, [len(scenario.reading_times)],
+                   processes, cache)
 
 
 def _sample(space: SearchSpace, n_trials: int, seed: int,
-            header_fingerprint: str) -> List[Dict[str, float]]:
+            fingerprint: str) -> List[Dict[str, float]]:
     """The deterministic trial sequence for random/halving search.
 
     The stream is keyed by the search fingerprint, so two searches with
     different spaces/constraints/scenarios draw independent sequences,
     while re-running (or resuming) the same search redraws the same one.
     """
-    key = int(header_fingerprint[:16], 16)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    key = int(fingerprint[:16], 16)
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(key,)))
     draws: List[Dict[str, float]] = []
@@ -563,23 +452,16 @@ def random_search(scenario: Scenario,
                   n_trials: int = 20,
                   seed: int = DEFAULT_ROOT_SEED,
                   processes: int = 1,
-                  cache: Optional[ResultCache] = None,
-                  trace_path: Optional[Path] = None) -> SearchResult:
+                  cache: Optional[ResultCache] = None) -> SearchResult:
     """Seeded uniform random search at full fidelity."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     space = space or default_space()
-    header = _search_header("random", scenario, space, constraints,
-                            objective,
-                            {"n_trials": n_trials, "seed": seed})
-    trace = SearchTrace(trace_path, header)
-    evaluator = _Evaluator(scenario, constraints, objective, trace,
-                           processes, cache)
-    draws = _sample(space, n_trials, seed, header["fingerprint"])
-    evaluator.run_batch(0, list(enumerate(draws)), scenario)
-    reference = evaluator.reference_metrics()
-    return _finish(evaluator, "random", space, header, reference,
-                   final_rung=0)
+    fingerprint = _fingerprint("random", scenario, space, constraints,
+                               objective,
+                               {"n_trials": n_trials, "seed": seed})
+    draws = _sample(space, n_trials, seed, fingerprint)
+    return _search("random", fingerprint, scenario, space, constraints,
+                   objective, draws, [len(scenario.reading_times)],
+                   processes, cache)
 
 
 def halving_rungs(n_readings: int, n_trials: int,
@@ -610,38 +492,16 @@ def halving_search(scenario: Scenario,
                    eta: int = 2,
                    seed: int = DEFAULT_ROOT_SEED,
                    processes: int = 1,
-                   cache: Optional[ResultCache] = None,
-                   trace_path: Optional[Path] = None) -> SearchResult:
+                   cache: Optional[ResultCache] = None) -> SearchResult:
     """Successive halving over reading-time-prefix fidelities."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     space = space or default_space()
-    header = _search_header("halving", scenario, space, constraints,
-                            objective, {"n_trials": n_trials,
-                                        "eta": eta, "seed": seed})
-    trace = SearchTrace(trace_path, header)
-    evaluator = _Evaluator(scenario, constraints, objective, trace,
-                           processes, cache)
-    draws = _sample(space, n_trials, seed, header["fingerprint"])
+    fingerprint = _fingerprint("halving", scenario, space, constraints,
+                               objective, {"n_trials": n_trials,
+                                           "eta": eta, "seed": seed})
+    draws = _sample(space, n_trials, seed, fingerprint)
     rungs = halving_rungs(len(scenario.reading_times), n_trials, eta)
-
-    alive = list(range(n_trials))
-    final_rung = len(rungs) - 1
-    for rung, fidelity in enumerate(rungs):
-        fidelity_scenario = scenario.at_fidelity(fidelity)
-        batch = [(index, draws[index]) for index in alive]
-        trials = evaluator.run_batch(rung, batch, fidelity_scenario)
-        if rung == final_rung:
-            break
-        candidates = [(trial.index, trial.objective(objective),
-                       trial.feasible) for trial in trials]
-        alive = sorted(promote(candidates, eta))
-        if not alive:
-            final_rung = rung
-            break
-    reference = evaluator.reference_metrics()
-    return _finish(evaluator, "halving", space, header, reference,
-                   final_rung=final_rung)
+    return _search("halving", fingerprint, scenario, space, constraints,
+                   objective, draws, rungs, processes, cache, eta=eta)
 
 
 #: Algorithm dispatch used by the ``repro tune`` CLI.

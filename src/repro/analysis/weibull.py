@@ -32,17 +32,6 @@ class WeibullFit:
     def median(self) -> float:
         return float(self.scale * np.log(2.0) ** (1.0 / self.shape))
 
-    @property
-    def negative_aging(self) -> bool:
-        """Shape < 1: hazard decreases with dwell time (the Liu et al.
-        finding for web pages)."""
-        return self.shape < 1.0
-
-    def cdf(self, value: float) -> float:
-        """P(X <= value)."""
-        if value <= 0:
-            return 0.0
-        return float(1.0 - np.exp(-(value / self.scale) ** self.shape))
 
 
 def fit_weibull(samples: Sequence[float]) -> WeibullFit:

@@ -74,11 +74,3 @@ class DomTree:
         self.nodes_by_object[source_object_id] = (
             self.nodes_by_object.get(source_object_id, 0) + count)
         return added
-
-    def nodes_from(self, source_object_id: str) -> int:
-        """How many nodes a given object contributed."""
-        return self.nodes_by_object.get(source_object_id, 0)
-
-    def max_depth(self) -> int:
-        """Depth of the deepest node."""
-        return max((node.depth for node in self._nodes), default=0)

@@ -81,19 +81,6 @@ class PageLoadResult:
         return self.load_complete_time - self.data_transmission_time
 
     @property
-    def total_compute_time(self) -> float:
-        return self.tx_compute_time + self.layout_compute_time
-
-    @property
-    def layout_compute_share(self) -> float:
-        """Fraction of processing time spent on layout computation (the
-        paper cites 40–70 % for original browsers)."""
-        total = self.total_compute_time
-        if total == 0:
-            return 0.0
-        return self.layout_compute_time / total
-
-    @property
     def degraded(self) -> bool:
         """True when at least one object was abandoned to impairments."""
         return bool(self.failed_objects)

@@ -178,7 +178,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "objective": args.objective,
         "processes": args.parallel,
         "cache": cache,
-        "trace_path": Path(args.trace) if args.trace else None,
     }
     if args.algorithm == "grid":
         kwargs["points"] = args.points
@@ -193,6 +192,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    if args.trace:
+        trace = Path(args.trace)
+        trace.parent.mkdir(parents=True, exist_ok=True)
+        trace.write_text(result.trace(), encoding="utf-8")
     print(result.report())
     print(result.render_summary())
     if args.report:
@@ -617,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid points per parameter (default: 3)")
     tune.add_argument(
         "--trace", metavar="PATH",
-        help="JSONL search trace; an existing trace resumes the search")
+        help="write the JSONL trace of this search to PATH")
     _add_scenario_options(tune)
     tune.add_argument(
         "--report", metavar="PATH",

@@ -56,24 +56,6 @@ class EngineComparison:
         return _saving(self.original.total_energy,
                        self.energy_aware.total_energy)
 
-    # -- display times (Fig. 14) ------------------------------------------
-    @property
-    def first_display_saving(self) -> float:
-        """Relative reduction of the first (intermediate) display time.
-
-        Mobile pages draw no intermediate display in the energy-aware
-        engine; callers should use final display times there (Fig. 14).
-        """
-        ours = self.energy_aware.load.first_display_time
-        orig = self.original.load.first_display_time
-        if ours is None or orig is None:
-            return 0.0
-        return _saving(orig, ours)
-
-    @property
-    def final_display_saving(self) -> float:
-        return _saving(self.original.load.final_display_time,
-                       self.energy_aware.load.final_display_time)
 
 
 def compare_engines(page: Webpage, reading_time: float = 0.0,

@@ -89,10 +89,6 @@ class SensitivityResult:
         return mean([r.comparison.energy_saving for r in self.rows])
 
     @property
-    def mean_loading_saving(self) -> float:
-        return mean([r.comparison.loading_time_saving for r in self.rows])
-
-    @property
     def total_faults(self) -> FaultStats:
         total = FaultStats()
         for row in self.rows:

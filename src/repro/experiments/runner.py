@@ -1,7 +1,7 @@
 """The table of every reproduced table and figure.
 
 :data:`ALL_EXPERIMENTS` is the registry ``repro experiments`` runs
-(through :func:`repro.runtime.parallel.run_experiments`);
+(through :func:`repro.runtime.parallel.run_tasks`);
 ``tests/experiments/`` checks the same entry points against the
 paper's shapes.  ``python -m repro.experiments.runner [ids...]`` is
 kept as a shorthand for ``python -m repro experiments [ids...]`` and

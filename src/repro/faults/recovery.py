@@ -49,12 +49,3 @@ class RecoveryPolicy:
             raise ValueError(
                 f"attempts_made must be at least 1, got {attempts_made}")
         return self.backoff_base * self.backoff_factor ** (attempts_made - 1)
-
-    @property
-    def worst_case_delay(self) -> float:
-        """Upper bound on time a transfer can burn before giving up
-        (timeouts plus backoffs; wire time of a success not included)."""
-        timeouts = self.timeout * self.max_attempts
-        backoffs = sum(self.backoff(i)
-                       for i in range(1, self.max_attempts))
-        return timeouts + backoffs

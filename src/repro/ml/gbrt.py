@@ -15,7 +15,7 @@ round (the leaf line-search still uses only the drawn samples).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -160,17 +160,6 @@ class GradientBoostedRegressor:
         for tree in self.trees_:
             value += rate * tree.predict_one(row)
         return value
-
-    def staged_predict(self, x: np.ndarray) -> Iterator[np.ndarray]:
-        """Predictions after each boosting round (for tuning M)."""
-        x = self._rows(x)
-
-        def stages() -> Iterator[np.ndarray]:
-            out = np.full(x.shape[0], self.init_, dtype=float)
-            for tree in self.trees_:
-                out = out + self.learning_rate * tree.predict(x)
-                yield out
-        return stages()
 
     # ------------------------------------------------------------------
     # Serialisation (offline training → on-phone deployment, Sec. 4.3.3)

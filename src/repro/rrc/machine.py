@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.rrc.config import PowerProfile, RrcConfig
+from repro.rrc.config import RrcConfig
 from repro.rrc.states import RadioMode, RrcState
 from repro.sim.kernel import Simulator
 
@@ -119,29 +119,6 @@ class RrcMachine:
             self.segments.append(
                 StateSegment(self._segment_start, now, self._mode))
             self._segment_start = now
-
-    def time_in_mode(self, mode: RadioMode) -> float:
-        """Total finalized seconds spent in ``mode``."""
-        return sum(s.duration for s in self.segments if s.mode is mode)
-
-    def time_in_state(self, state: RrcState) -> float:
-        """Total finalized seconds spent in a protocol state (promotions
-        attributed to their destination state)."""
-        return sum(s.duration for s in self.segments
-                   if s.mode.state is state)
-
-    @property
-    def extra_energy(self) -> float:
-        """Total discrete signalling energy charged so far (joules)."""
-        return sum(joules for _, joules in self.extra_energy_events)
-
-    def radio_energy(self, power: Optional[PowerProfile] = None) -> float:
-        """Integrated radio energy (joules) over the finalized segments,
-        including discrete promotion signalling energy."""
-        profile = power or self.config.power
-        area = sum(profile.for_mode(s.mode) * s.duration
-                   for s in self.segments)
-        return area + self.extra_energy
 
     # ------------------------------------------------------------------
     # Timer management

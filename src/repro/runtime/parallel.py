@@ -334,32 +334,3 @@ def run_tasks(kind: str,
         processes=processes,
         root_seed=root_seed,
         total_wall_time=_time.perf_counter() - started)
-
-
-def run_experiments(ids: Optional[Sequence[str]] = None,
-                    processes: int = 1,
-                    cache: Optional[ResultCache] = None,
-                    root_seed: int = DEFAULT_ROOT_SEED) -> SuiteReport:
-    """Fan the figure/table suite out across ``processes`` workers."""
-    return run_tasks(KIND_EXPERIMENT, ids, processes, cache, root_seed)
-
-
-def run_ablations(names: Optional[Sequence[str]] = None,
-                  processes: int = 1,
-                  cache: Optional[ResultCache] = None,
-                  root_seed: int = DEFAULT_ROOT_SEED) -> SuiteReport:
-    """Fan the ablation studies out across ``processes`` workers."""
-    return run_tasks(KIND_ABLATION, names, processes, cache, root_seed)
-
-
-def run_faults_sweep(names: Optional[Sequence[str]] = None,
-                     processes: int = 1,
-                     cache: Optional[ResultCache] = None,
-                     root_seed: int = DEFAULT_ROOT_SEED) -> SuiteReport:
-    """Fan the channel-sensitivity sweep out across ``processes`` workers.
-
-    One task per channel profile; each task's per-page seeds derive from
-    its task seed, so reports are byte-identical across worker counts.
-    """
-    return run_tasks(KIND_FAULTS, names, processes, cache, root_seed)
-

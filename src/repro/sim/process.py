@@ -74,11 +74,6 @@ class CpuProcess:
         if not self.busy:
             self._start_next()
 
-    def submit_all(self, tasks) -> None:
-        """Enqueue several tasks in order."""
-        for task in tasks:
-            self.submit(task)
-
     # ------------------------------------------------------------------
     def _start_next(self) -> None:
         if self.busy or not self._pending:

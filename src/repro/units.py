@@ -52,19 +52,6 @@ def hours(value: float) -> float:
     return value * 3600.0
 
 
-def require_finite(name: str, value: float) -> float:
-    """Validate that ``value`` is a finite number (rejects NaN and ±inf).
-
-    NaN is especially dangerous for anything ordered: every comparison
-    with NaN is false, so ``value < 0`` checks pass and heap invariants
-    silently break downstream.  Callers that order values must reject it
-    explicitly rather than relying on range checks.
-    """
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def require_non_negative(name: str, value: float) -> float:
     """Validate that ``value`` is a finite, non-negative number."""
     if not math.isfinite(value):

@@ -91,16 +91,13 @@ def test_matrix_report_byte_identical_slow_vs_fast(monkeypatch):
         [run.seed for run in slow.runs]
 
 
-def test_tune_trace_byte_identical_slow_vs_fast(tmp_path, monkeypatch):
+def test_tune_trace_byte_identical_slow_vs_fast(monkeypatch):
     kwargs = dict(space=THRESHOLD_SPACE, n_trials=5, objective="energy",
                   seed=123)
-    fast = halving_search(EDGE, trace_path=tmp_path / "fast.jsonl",
-                          **kwargs)
+    fast = halving_search(EDGE, **kwargs)
     _slow(monkeypatch)
-    slow = halving_search(EDGE, trace_path=tmp_path / "slow.jsonl",
-                          **kwargs)
-    assert (tmp_path / "fast.jsonl").read_bytes() == \
-        (tmp_path / "slow.jsonl").read_bytes()
+    slow = halving_search(EDGE, **kwargs)
+    assert fast.trace() == slow.trace()
     assert fast.report() == slow.report()
     assert fast.to_dict() == slow.to_dict()
 
@@ -115,16 +112,13 @@ def test_population_metrics_byte_identical():
     assert all("drop_probability" in metrics for metrics in fast)
 
 
-def test_population_tune_trace_byte_identical(tmp_path, monkeypatch):
+def test_population_tune_trace_byte_identical(monkeypatch):
     kwargs = dict(space=THRESHOLD_SPACE, n_trials=4,
                   objective="drop_probability", seed=7)
-    fast = halving_search(POP, trace_path=tmp_path / "fast.jsonl",
-                          **kwargs)
+    fast = halving_search(POP, **kwargs)
     _slow(monkeypatch)
-    slow = halving_search(POP, trace_path=tmp_path / "slow.jsonl",
-                          **kwargs)
-    assert (tmp_path / "fast.jsonl").read_bytes() == \
-        (tmp_path / "slow.jsonl").read_bytes()
+    slow = halving_search(POP, **kwargs)
+    assert fast.trace() == slow.trace()
     assert fast.report() == slow.report()
     assert fast.to_dict() == slow.to_dict()
 

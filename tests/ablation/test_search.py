@@ -2,12 +2,12 @@
 
 import pytest
 
+import repro.ablation.search as search_module
 from repro.ablation.objective import (PopulationSpec, Scenario,
                                       load_cache_stats, reset_load_cache)
 from repro.ablation.search import (Constraint, Parameter, SearchSpace,
-                                   SearchTrace, default_space, feasible,
-                                   grid_search, halving_rungs,
-                                   halving_search, promote,
+                                   default_space, feasible, grid_search,
+                                   halving_rungs, halving_search, promote,
                                    random_search)
 from repro.runtime.cache import ResultCache
 from repro.runtime.observability import collecting
@@ -124,17 +124,22 @@ def test_grid_search_deterministic_report():
     assert one.best is not None
 
 
-def test_random_search_same_seed_same_trace(tmp_path):
+def test_random_search_same_seed_same_trace():
     kwargs = dict(space=SMALL_SPACE, n_trials=4, seed=99)
-    one = random_search(TINY, trace_path=tmp_path / "a.jsonl", **kwargs)
-    two = random_search(TINY, trace_path=tmp_path / "b.jsonl", **kwargs)
-    assert (tmp_path / "a.jsonl").read_bytes() \
-        == (tmp_path / "b.jsonl").read_bytes()
+    one = random_search(TINY, **kwargs)
+    two = random_search(TINY, **kwargs)
+    assert one.trace() == two.trace()
     assert one.report() == two.report()
     # a different seed draws a different sequence
     other = random_search(TINY, space=SMALL_SPACE, n_trials=4, seed=100)
     assert [t.overrides for t in other.trials] \
         != [t.overrides for t in one.trials]
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_grid_search_rejects_points_below_one(points):
+    with pytest.raises(ValueError, match="points"):
+        grid_search(TINY, SMALL_SPACE, points=points)
 
 
 def test_constraint_excludes_the_unconstrained_winner():
@@ -180,48 +185,36 @@ def test_halving_promotes_and_finishes_at_full_fidelity():
     assert result.best is None or result.best.rung == 1
 
 
-def test_halving_kill_resume_is_byte_identical(tmp_path):
-    """The satellite: kill a search mid-flight, resume, and the
-    completed trace and report match an uninterrupted run exactly."""
-    trace = tmp_path / "trace.jsonl"
+def test_halving_killed_after_rung_zero_resumes_from_the_cache(
+        tmp_path, monkeypatch):
+    """A search killed after its first rung and rerun on the same
+    result cache serves every rung-0 trial from disk and ends with the
+    report and trace of an uninterrupted run."""
     kwargs = dict(space=SMALL_SPACE,
                   constraints=(Constraint("delay", 5.0),),
                   n_trials=4, eta=2, seed=11)
-    full = halving_search(TINY, trace_path=trace, **kwargs)
-    finished = trace.read_bytes()
+    full = halving_search(TINY, **kwargs)
+    cache = ResultCache(tmp_path / "cache")
+    run_specs = search_module.run_specs
+    calls = []
 
-    # Simulate a kill after the header + two trial records.
-    lines = finished.decode().splitlines()
-    trace.write_text("\n".join(lines[:3]) + "\n")
-    resumed = halving_search(TINY, trace_path=trace, **kwargs)
+    def killed_after_rung_zero(*args, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("killed after rung 0")
+        return run_specs(*args, **kw)
 
-    assert trace.read_bytes() == finished
+    monkeypatch.setattr(search_module, "run_specs", killed_after_rung_zero)
+    with pytest.raises(RuntimeError, match="killed"):
+        halving_search(TINY, cache=cache, **kwargs)
+    monkeypatch.undo()
+
+    resumed = halving_search(TINY, cache=cache, **kwargs)
     assert resumed.report() == full.report()
-    assert [t.record() for t in resumed.trials] \
-        == [t.record() for t in full.trials]
-
-
-def test_trace_header_mismatch_raises(tmp_path):
-    trace = tmp_path / "trace.jsonl"
-    random_search(TINY, SMALL_SPACE, n_trials=2, seed=1,
-                  trace_path=trace)
-    with pytest.raises(ValueError):
-        random_search(TINY, SMALL_SPACE, n_trials=2, seed=2,
-                      trace_path=trace)
-
-
-def test_trace_out_of_step_detected(tmp_path):
-    trace_path = tmp_path / "trace.jsonl"
-    result = random_search(TINY, SMALL_SPACE, n_trials=3, seed=1,
-                           trace_path=trace_path)
-    # Corrupt the order: swap the two first trial records.
-    lines = trace_path.read_text().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    trace_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        random_search(TINY, SMALL_SPACE, n_trials=3, seed=1,
-                      trace_path=trace_path)
-    del result
+    assert resumed.trace() == full.trace()
+    rung_zero = [t for t in resumed.trials if t.rung == 0 and t.valid]
+    assert rung_zero
+    assert resumed.n_cached == len(rung_zero)
 
 
 def test_search_caches_across_invocations(tmp_path):
@@ -237,10 +230,9 @@ def test_search_caches_across_invocations(tmp_path):
     assert warm.report() == cold.report()
 
 
-def _edge_halving(trace_path, cache):
+def _edge_halving(cache):
     return halving_search(EDGE_LADDER, space=SMALL_SPACE, n_trials=8,
-                          objective="energy", seed=97, cache=cache,
-                          trace_path=trace_path)
+                          objective="energy", seed=97, cache=cache)
 
 
 def test_cold_halving_search_runs_two_page_loads(tmp_path):
@@ -248,8 +240,7 @@ def test_cold_halving_search_runs_two_page_loads(tmp_path):
     discrete-event loads in all (the baseline projection and the stock
     reference), whatever the trial count."""
     reset_load_cache()
-    result = _edge_halving(tmp_path / "cold.jsonl",
-                           ResultCache(tmp_path / "cache"))
+    result = _edge_halving(ResultCache(tmp_path / "cache"))
     assert result.best is not None
     assert result.n_cached == 0
     assert load_cache_stats()["loads"] == 2
@@ -261,9 +252,9 @@ def test_warm_halving_search_is_fully_cached(tmp_path):
     the cold report."""
     cache = ResultCache(tmp_path / "cache")
     reset_load_cache()
-    cold = _edge_halving(tmp_path / "cold.jsonl", cache)
+    cold = _edge_halving(cache)
     reset_load_cache()
-    warm = _edge_halving(tmp_path / "warm.jsonl", cache)
+    warm = _edge_halving(cache)
     evaluated = sum(1 for trial in warm.trials if trial.valid)
     assert evaluated > 0
     assert warm.n_cached == evaluated
@@ -271,14 +262,14 @@ def test_warm_halving_search_is_fully_cached(tmp_path):
     assert warm.report() == cold.report()
 
 
-def test_population_search_records_work_units(tmp_path):
+def test_population_search_records_work_units():
     """The drop-probability objective runs M/G/N capacity work, and
     the kernel counters see it."""
     reset_load_cache()
     with collecting() as window:
         result = halving_search(POPULATION, space=SMALL_SPACE,
                                 n_trials=4, objective="drop_probability",
-                                seed=97, trace_path=tmp_path / "pop.jsonl")
+                                seed=97)
     assert result.best is not None
     assert "drop_probability" in result.best.metrics
     assert window.snapshot().work_units > 0
@@ -288,9 +279,3 @@ def test_default_space_covers_the_paper_knobs():
     names = [p.name for p in default_space().parameters]
     assert names == ["alpha", "t1", "t2", "tp"]
 
-
-def test_trace_replay_cursor():
-    trace = SearchTrace(None, {"kind": "x"})
-    assert trace.replay() is None
-    trace.append({"trial": 0})
-    assert trace.replay() is None  # cursor already at the tip

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from repro.analysis.weibull import fit_weibull
+from tests.oracles.readouts import weibull_cdf
 
 
 def test_recovers_known_parameters():
@@ -30,17 +31,16 @@ def test_derived_statistics():
     fit = fit_weibull(data)
     assert fit.mean == pytest.approx(float(data.mean()), rel=0.05)
     assert fit.median == pytest.approx(float(np.median(data)), rel=0.05)
-    assert not fit.negative_aging
-    assert fit.cdf(fit.median) == pytest.approx(0.5, abs=0.01)
-    assert fit.cdf(-1.0) == 0.0
+    assert fit.shape >= 1.0  # no negative aging
+    assert weibull_cdf(fit, fit.median) == pytest.approx(0.5, abs=0.01)
+    assert weibull_cdf(fit, -1.0) == 0.0
 
 
 def test_trace_dwell_times_show_negative_aging(default_trace):
     """The stylised fact from Liu et al. that the paper builds on:
     dwell-time Weibull shape < 1."""
     fit = fit_weibull(default_trace.reading_times())
-    assert fit.negative_aging
-    assert 0.3 < fit.shape < 0.9
+    assert 0.3 < fit.shape < 0.9  # < 1: negative aging
 
 
 def test_validation():

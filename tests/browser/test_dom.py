@@ -4,6 +4,7 @@ import pytest
 
 from repro.browser.dom import DomTree
 from repro.webpages.objects import ObjectKind
+from tests.oracles.readouts import max_depth
 
 
 def test_empty_tree_has_document_root():
@@ -16,14 +17,14 @@ def test_add_subtree_counts_nodes():
     tree = DomTree()
     tree.add_subtree("page/index.html", ObjectKind.HTML, 12)
     assert tree.node_count == 13
-    assert tree.nodes_from("page/index.html") == 12
+    assert tree.nodes_by_object["page/index.html"] == 12
 
 
 def test_add_subtree_accumulates_per_object():
     tree = DomTree()
     tree.add_subtree("o", ObjectKind.HTML, 5)
     tree.add_subtree("o", ObjectKind.HTML, 3)
-    assert tree.nodes_from("o") == 8
+    assert tree.nodes_by_object["o"] == 8
 
 
 def test_zero_nodes_is_noop():
@@ -41,7 +42,7 @@ def test_negative_count_rejected():
 def test_nesting_creates_depth():
     tree = DomTree()
     tree.add_subtree("o", ObjectKind.HTML, 20)
-    assert tree.max_depth() >= 3  # every 4th node nests a level
+    assert max_depth(tree) >= 3  # every 4th node nests a level
 
 
 def test_nodes_track_source_and_kind():

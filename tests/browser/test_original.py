@@ -6,6 +6,7 @@ from repro.browser.original import OriginalEngine
 from repro.webpages.objects import ObjectKind
 
 from tests.browser.engine_helpers import run_engine
+from tests.oracles.readouts import layout_compute_share
 
 
 def test_downloads_every_object(small_page):
@@ -38,7 +39,7 @@ def test_reflows_and_redraws_happen(full_page):
 def test_layout_share_in_papers_band(full_comparisons):
     """[7] via the paper: layout computation is 40-70 % of the original
     browser's processing time on full-version pages."""
-    shares = [c.original.load.layout_compute_share
+    shares = [layout_compute_share(c.original.load)
               for c in full_comparisons]
     assert all(0.25 <= share <= 0.80 for share in shares)
     assert 0.35 <= sum(shares) / len(shares) <= 0.70

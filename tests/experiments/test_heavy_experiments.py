@@ -10,7 +10,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ALL_EXPERIMENTS
 from repro.prediction.predictor import ReadingTimePredictor
-from repro.runtime.parallel import run_experiments
+from repro.runtime.parallel import KIND_EXPERIMENT, run_tasks
 from repro.traces.generator import TraceConfig
 from repro.units import hours
 
@@ -84,6 +84,6 @@ def test_runner_registry_covers_every_table_and_figure():
 
 
 def test_runner_selected_subset():
-    suite = run_experiments(("fig03",))
+    suite = run_tasks(KIND_EXPERIMENT, ("fig03",))
     assert [result.task_id for result in suite.results] == ["fig03"]
     assert "break-even" in suite.render()

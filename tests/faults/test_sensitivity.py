@@ -7,7 +7,7 @@ from repro.core.session import browse_and_read
 from repro.experiments.fig_sensitivity import SWEEP_TASKS, run_profile
 from repro.faults.injector import FaultPlan
 from repro.faults.profiles import PROFILE_ORDER, ChannelProfile
-from repro.runtime.parallel import KIND_FAULTS, run_faults_sweep
+from repro.runtime.parallel import KIND_FAULTS, run_tasks
 from repro.runtime.report import CSV_COLUMNS
 from repro.rrc.states import RrcState
 from repro.webpages.corpus import benchmark_pages
@@ -35,8 +35,8 @@ def test_different_seed_different_impairments():
 
 
 def test_parallel_sweep_identical_to_sequential():
-    sequential = run_faults_sweep(FAST_PROFILES, processes=1)
-    parallel = run_faults_sweep(FAST_PROFILES, processes=2)
+    sequential = run_tasks(KIND_FAULTS, FAST_PROFILES, processes=1)
+    parallel = run_tasks(KIND_FAULTS, FAST_PROFILES, processes=2)
     assert [r.report for r in sequential.results] == \
            [r.report for r in parallel.results]
     assert [r.seed for r in sequential.results] == \
@@ -57,7 +57,7 @@ def test_savings_degrade_but_stay_positive():
 
 
 def test_task_report_folds_fault_counters():
-    suite = run_faults_sweep(["congested"], processes=1)
+    suite = run_tasks(KIND_FAULTS, ["congested"], processes=1)
     (result,) = suite.results
     assert result.kind == KIND_FAULTS
     assert result.kernel.faults_injected > 0

@@ -7,6 +7,7 @@ from repro.rrc.machine import RrcMachine
 from repro.rrc.states import RrcState
 from repro.sim.kernel import Simulator
 from repro.units import kb
+from tests.oracles.readouts import time_in_mode
 
 
 def make_link(config=None):
@@ -118,7 +119,7 @@ def test_radio_transmits_exactly_during_wire_time():
     sim.run()
     machine.finalize()
     from repro.rrc.states import RadioMode
-    tx_time = machine.time_in_mode(RadioMode.DCH_TX)
+    tx_time = time_in_mode(machine, RadioMode.DCH_TX)
     transfer = link.transfers[0]
     assert tx_time == pytest.approx(transfer.duration)
 

@@ -8,6 +8,8 @@ from repro.rrc.config import RrcConfig
 from repro.rrc.machine import RrcError, RrcMachine
 from repro.rrc.states import RadioMode, RrcState
 from repro.sim.kernel import Simulator
+from tests.oracles.readouts import (extra_energy, radio_energy,
+                                    time_in_state)
 
 
 def make_machine(config=None):
@@ -34,7 +36,7 @@ def test_idle_promotion_charges_signalling_energy():
     sim, machine = make_machine()
     machine.acquire_channel(lambda: None)
     sim.run()
-    assert machine.extra_energy == pytest.approx(
+    assert extra_energy(machine) == pytest.approx(
         machine.config.promo_idle_signalling_energy)
     assert machine.promotions == {"IDLE": 1, "FACH": 0}
 
@@ -205,7 +207,7 @@ def test_radio_energy_integrates_segments():
     expected = (config.power.promotion * config.promo_idle_latency
                 + config.power.dch_tx * 2.0
                 + config.promo_idle_signalling_energy)
-    assert machine.radio_energy() == pytest.approx(expected)
+    assert radio_energy(machine) == pytest.approx(expected)
 
 
 def test_time_in_state_accounts_promotions_as_dch():
@@ -213,7 +215,7 @@ def test_time_in_state_accounts_promotions_as_dch():
     machine.acquire_channel(lambda: None)
     sim.run()
     machine.finalize()
-    assert machine.time_in_state(RrcState.DCH) == pytest.approx(
+    assert time_in_state(machine, RrcState.DCH) == pytest.approx(
         machine.config.promo_idle_latency)
 
 
@@ -259,7 +261,7 @@ def test_property_any_gap_pattern_keeps_invariants(gaps):
 
     for previous, current in zip(machine.segments, machine.segments[1:]):
         assert previous.end == pytest.approx(current.start)
-    assert machine.radio_energy() > 0
+    assert radio_energy(machine) > 0
     assert machine.state is RrcState.IDLE
     assert not machine.transmitting
 

@@ -12,9 +12,9 @@ import pytest
 from repro.runtime.cache import ResultCache
 from repro.runtime.observability import SimRunStats
 from repro.runtime.parallel import (
+    KIND_ABLATION,
+    KIND_EXPERIMENT,
     TaskResult,
-    run_ablations,
-    run_experiments,
     run_tasks,
 )
 from repro.runtime.report import write_report
@@ -25,8 +25,10 @@ FAST_IDS = ("fig01", "table05")
 def test_parallel_output_identical_to_sequential():
     """The acceptance bar: --parallel N is byte-identical to
     sequential execution for the same root seed."""
-    sequential = run_experiments(FAST_IDS, processes=1, root_seed=99)
-    parallel = run_experiments(FAST_IDS, processes=2, root_seed=99)
+    sequential = run_tasks(KIND_EXPERIMENT, FAST_IDS, processes=1,
+                           root_seed=99)
+    parallel = run_tasks(KIND_EXPERIMENT, FAST_IDS, processes=2,
+                         root_seed=99)
     assert sequential.render() == parallel.render()
     by_id = {r.task_id: r for r in parallel.results}
     for result in sequential.results:
@@ -35,18 +37,18 @@ def test_parallel_output_identical_to_sequential():
 
 
 def test_results_come_back_in_registry_order():
-    suite = run_experiments(("table05", "fig01"), processes=2)
+    suite = run_tasks(KIND_EXPERIMENT, ("table05", "fig01"), processes=2)
     assert [r.task_id for r in suite.results] == ["fig01", "table05"]
 
 
 def test_unknown_id_raises_before_work():
     with pytest.raises(KeyError, match="fig99"):
-        run_experiments(("fig99",))
+        run_tasks(KIND_EXPERIMENT, ("fig99",))
 
 
 def test_zero_processes_rejected():
     with pytest.raises(ValueError):
-        run_experiments(FAST_IDS, processes=0)
+        run_tasks(KIND_EXPERIMENT, FAST_IDS, processes=0)
 
 
 def test_warm_cache_skips_completed_experiments(tmp_path):
@@ -55,11 +57,13 @@ def test_warm_cache_skips_completed_experiments(tmp_path):
     renders = []
     for processes in (1, 2):
         cache = ResultCache(tmp_path / f"cache-{processes}")
-        cold = run_experiments(FAST_IDS, processes=processes, cache=cache)
+        cold = run_tasks(KIND_EXPERIMENT, FAST_IDS, processes=processes,
+                         cache=cache)
         assert [r.cached for r in cold.results] == [False, False]
         assert len(cache) == 2
 
-        warm = run_experiments(FAST_IDS, processes=processes, cache=cache)
+        warm = run_tasks(KIND_EXPERIMENT, FAST_IDS, processes=processes,
+                         cache=cache)
         assert [r.cached for r in warm.results] == [True, True]
         assert warm.n_cached == 2
         assert warm.render() == cold.render()
@@ -73,14 +77,14 @@ def test_warm_cache_skips_completed_experiments(tmp_path):
 
 def test_cache_respects_root_seed(tmp_path):
     cache = ResultCache(tmp_path)
-    run_experiments(("fig01",), cache=cache, root_seed=1)
-    other = run_experiments(("fig01",), cache=cache, root_seed=2)
+    run_tasks(KIND_EXPERIMENT, ("fig01",), cache=cache, root_seed=1)
+    other = run_tasks(KIND_EXPERIMENT, ("fig01",), cache=cache, root_seed=2)
     assert other.results[0].cached is False
     assert len(cache) == 2
 
 
 def test_report_includes_runtime_metrics(tmp_path):
-    suite = run_experiments(FAST_IDS, processes=1)
+    suite = run_tasks(KIND_EXPERIMENT, FAST_IDS, processes=1)
     payload = suite.to_dict()
     assert payload["suite"]["n_tasks"] == 2
     for task in payload["tasks"]:
@@ -118,7 +122,7 @@ def test_task_result_round_trip_keeps_every_counter():
 
 
 def test_render_summary_mentions_cache_state():
-    suite = run_experiments(("fig01",), processes=1)
+    suite = run_tasks(KIND_EXPERIMENT, ("fig01",), processes=1)
     summary = suite.render_summary()
     assert "1 tasks" in summary
     assert "[run" in summary
@@ -133,5 +137,5 @@ def test_ablation_registry_is_wired():
     # Don't run one (they are slow); just check id resolution fails
     # cleanly for unknowns, which exercises the registry lookup.
     with pytest.raises(KeyError, match="nonsense"):
-        run_ablations(("nonsense",))
+        run_tasks(KIND_ABLATION, ("nonsense",))
 

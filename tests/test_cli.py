@@ -93,3 +93,37 @@ def test_profile_unknown_task(capsys):
     assert len(err.splitlines()) == 1
     assert "fig99" in err
     assert "fig01" in err and "table07" in err  # the known ids
+
+
+def _tune(trace, seed):
+    return main(["tune", "--algorithm", "random", "--trials", "3",
+                 "--pages", "www.motors.ebay.com",
+                 "--readings", "2", "9", "30", "--seed", str(seed),
+                 "--trace", str(trace)])
+
+
+@pytest.mark.parametrize("damage", ["other-search", "torn"])
+def test_tune_overwrites_an_existing_trace(tmp_path, capsys, damage):
+    """An existing ``--trace`` file is overwritten, not replayed: one
+    left by a different search or cut short by a torn write ends up
+    byte-equal to a fresh run's trace."""
+    fresh = tmp_path / "fresh.jsonl"
+    assert _tune(fresh, seed=5) == 0
+    trace = tmp_path / "trace.jsonl"
+    if damage == "other-search":
+        assert _tune(trace, seed=6) == 0
+    else:
+        trace.write_bytes(fresh.read_bytes()[:-40])
+    assert trace.read_bytes() != fresh.read_bytes()
+    assert _tune(trace, seed=5) == 0
+    assert trace.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_tune_rejects_points_below_one(capsys, points):
+    code = main(["tune", "--algorithm", "grid", "--points", points,
+                 "--pages", "www.motors.ebay.com",
+                 "--readings", "2", "9", "30"])
+    err = capsys.readouterr().err.strip()
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "points" in err
