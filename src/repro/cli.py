@@ -685,7 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 0/1); only used with --work-dir")
     stream_sweep.add_argument(
         "--unit-blocks", type=int, default=8, metavar="BLOCKS",
-        help="blocks per work unit in --work-dir mode (default: 8)")
+        help="checkpoint interval in --work-dir mode: each point's "
+             "chain publishes its exact state every BLOCKS blocks, "
+             "and a stolen or resumed unit restarts there (default: 8)")
     stream_sweep.add_argument(
         "--stale-after", type=float, default=30.0, metavar="SECONDS",
         help="heartbeat age after which a worker's claim is stolen "

@@ -285,10 +285,6 @@ class RegressionTree:
 
     # ------------------------------------------------------------------
     @property
-    def n_leaves(self) -> int:
-        return len(self.leaves())
-
-    @property
     def n_nodes(self) -> int:
         if self.root is None:
             return 0

@@ -122,11 +122,6 @@ class Link:
         """True while bytes are moving or transfers are queued."""
         return self._active or bool(self._high) or bool(self._low)
 
-    @property
-    def bytes_transferred(self) -> float:
-        """Payload bytes of all completed transfers."""
-        return sum(t.size_bytes for t in self.transfers if t.complete)
-
     def fetch(self, size_bytes: float, on_complete: Callable[[Transfer],
               None], label: str = "", high_priority: bool = True
               ) -> Transfer:

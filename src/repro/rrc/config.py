@@ -101,12 +101,6 @@ class RrcConfig:
                              "IDLE→DCH promotion")
 
     @property
-    def extra_promotion_delay(self) -> float:
-        """Extra latency paid when promoting from IDLE instead of FACH
-        (the paper measures ~1.75 s, Section 3.1)."""
-        return self.promo_idle_latency - self.promo_fach_latency
-
-    @property
     def tail_time(self) -> float:
         """Total tail (T1 + T2) before an inactive radio reaches IDLE."""
         return self.t1 + self.t2

@@ -90,11 +90,6 @@ class RilLink:
         #: Every message that came back with an error, in arrival order.
         self.errors: List[RilMessage] = []
 
-    @property
-    def total_latency(self) -> float:
-        """End-to-end latency of one application → firmware message."""
-        return self._framework_latency + self._socket_latency
-
     def request_fast_dormancy(
             self,
             on_complete: Optional[RilCallback] = None,

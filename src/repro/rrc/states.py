@@ -53,8 +53,3 @@ LEGAL_TRANSITIONS = {
     RrcState.FACH: {RrcState.DCH, RrcState.IDLE},
     RrcState.DCH: {RrcState.FACH},
 }
-
-
-def is_legal_transition(src: RrcState, dst: RrcState) -> bool:
-    """Whether the protocol permits a direct ``src`` → ``dst`` transition."""
-    return dst in LEGAL_TRANSITIONS.get(src, set())

@@ -50,7 +50,7 @@ class SimRunStats:
     work_units: int = 0
     #: Blocks processed by the streamed sweep (repro.stream).
     stream_blocks: int = 0
-    #: Shards written by ``ShardStore.put`` (sched plans, units, points).
+    #: Shards written by ``ShardStore.put`` (sched units and points).
     stream_spills: int = 0
     #: Bytes written to shard files.
     stream_shard_bytes: int = 0
@@ -59,8 +59,8 @@ class SimRunStats:
     stream_peak_carried_bytes: int = 0
     #: Work units (block ranges) executed by the distributed scheduler.
     sched_units: int = 0
-    #: Blocks re-resolved by the carry-chain stitch before the replayed
-    #: frontier coincided with the speculative one.
+    #: Blocks re-resolved after a steal: the blocks of units this
+    #: worker stole from a stale claim (0 on a clean run).
     sched_replay_blocks: int = 0
     #: Stale claims stolen from crashed (or paused) workers.
     sched_steals: int = 0

@@ -8,31 +8,35 @@ many, sharing only a filesystem — drive one sweep to completion:
     per-point seeds, block/unit sizing) plus its fingerprint.  The
     first worker writes it atomically; every later worker verifies the
     fingerprint and refuses (:class:`WorkDirMismatch`) to join a
-    directory built for different parameters.
+    directory built for different parameters or by an older layout.
 
 ``work_dir/tasks/``
     One claim file (:mod:`repro.runtime.lease`) and one done marker
-    per task.  Tasks per point ``i``: ``plan-i`` (seeding pass),
-    ``unit-i-u`` (speculative block-range execution, one per unit),
-    ``stitch-i`` (carry-chain stitch).  Workers scan for ready tasks
-    in a per-worker rotation, claim with an atomic ``O_EXCL`` create,
-    heartbeat while running, and *steal* claims whose heartbeat went
-    stale — a crashed worker's task re-executes elsewhere with no
-    coordinator involved.
+    per task.  Tasks per point ``i`` form one chain: ``unit-i-0``
+    (the scan plus the first blocks), ``unit-i-1``, ... each ready
+    once its predecessor is done, then ``stitch-i`` (the fold of the
+    unit shards).  After every task a worker takes the ready task
+    whose chain has the most blocks left (ties in a per-worker
+    rotation), claims it with an atomic ``O_EXCL`` create, heartbeats
+    while running, and *steals* claims whose heartbeat went stale — a
+    crashed worker's unit re-executes elsewhere from the last
+    published boundary, with no coordinator and no replay.
 
 ``work_dir/shards/point-<n>-<seed>/``
     One :class:`~repro.stream.shard.ShardStore` per point holding the
-    plan, the unit results and the stitched point.  Every read is
-    checksum-verified; a damaged shard drops the task's done marker so
-    the work re-executes instead of poisoning the merge.  Each worker
+    unit shards (each unit's dropped count, aggregate fragment and end
+    boundary) and the stitched point.  Every read is checksum-verified;
+    a damaged shard drops the done marker of the task that wrote it, so
+    that task re-executes instead of poisoning the merge.  Each worker
     reads every stitched point once per run, so a rerun re-stitches a
     point whose shard was damaged after it finished.
 
-Determinism: every task is a pure function of the spec, all results
-land keyed by point/unit id, and :func:`merge_work_dir` assembles
-points in spec order — so the merged report is byte-identical to the
-serial :func:`~repro.stream.sweep.run_stream_sweep` no matter how many
-workers ran, in what interleaving, or how many died along the way.
+Determinism: every task is a pure function of the spec and of the
+boundary its predecessor published, all results land keyed by
+point/unit id, and :func:`merge_work_dir` assembles points in spec
+order — so the merged report is byte-identical to the serial
+:func:`~repro.stream.sweep.run_stream_sweep` no matter how many workers
+ran, in what interleaving, or how many died along the way.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,12 +62,15 @@ from repro.stream.shard import ShardStore, params_fingerprint
 from repro.stream.sweep import (StreamPoint, StreamSweepResult,
                                 point_fingerprint)
 from repro.sched.stitch import stitch_point
-from repro.sched.units import DEFAULT_UNIT_BLOCKS, PointPlan, plan_point
+from repro.sched.units import (DEFAULT_UNIT_BLOCKS, Boundary, PointPlan,
+                               plan_point)
 from repro.sched.worker import run_unit
 
 _SPEC_NAME = "sweep.json"
-_PLAN_KEY = "plan"
 _POINT_KEY = "point"
+#: Work-dir layout: the spec ``version`` and the shard stores' layer
+#: tag.  A directory written under another layout is refused.
+_LAYOUT = 2
 
 
 class WorkDirMismatch(RuntimeError):
@@ -107,7 +114,7 @@ def spec_payload(pool: np.ndarray,
     seeds = [int(s) for s in
              simulator.sweep_seeds(len(counts), seed=seed)]
     payload = {
-        "version": 1,
+        "version": _LAYOUT,
         "pool": [float(v) for v in np.asarray(pool, dtype=np.float64)],
         "config": {
             "n_channels": int(config.n_channels),
@@ -189,7 +196,6 @@ class _WorkDir:
         self.block_arrivals = int(spec["block_arrivals"])
         self.unit_blocks = int(spec["unit_blocks"])
         self.tasks = self.root / "tasks"
-        self.tasks.mkdir(parents=True, exist_ok=True)
 
     @property
     def n_points(self) -> int:
@@ -201,13 +207,22 @@ class _WorkDir:
         n_users = self.counts[point]
         seed = self.seeds[point]
         fingerprint = params_fingerprint({
-            "layer": "sched-v1",
+            "layer": f"sched-v{_LAYOUT}",
             "point": point_fingerprint(self.pool, self.config, n_users,
                                        seed, self.block_arrivals),
             "unit_blocks": self.unit_blocks,
         })
         return ShardStore(self.root / "shards"
                           / f"point-{n_users}-{seed}", fingerprint)
+
+    def plan(self, point: int, boundary: Boundary) -> PointPlan:
+        """The point's plan, rebuilt from the session count that any
+        published boundary carries."""
+        return PointPlan.tile(
+            self.counts[point], self.seeds[point],
+            int(boundary.source_state["n_sessions"]),
+            block_arrivals=self.block_arrivals,
+            unit_blocks=self.unit_blocks)
 
     def done_path(self, task_id: str) -> Path:
         return self.tasks / f"{task_id}.done"
@@ -242,7 +257,7 @@ def _rotated(items: list, offset: int) -> list:
 
 def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
                      worker_index: int = 0,
-                     poll: float = 0.05,
+                     poll: float = 0.01,
                      heartbeat_interval: float = 1.0,
                      stale_after: float = 10.0) -> dict:
     """Run tasks until the whole sweep is complete; returns stats.
@@ -255,9 +270,12 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
     """
     spec = load_spec(work_dir)
     wd = _WorkDir(work_dir, spec)
+    wd.tasks.mkdir(parents=True, exist_ok=True)
     if worker_id is None:
         worker_id = f"w{worker_index}-{os.getpid()}"
     plans: Dict[int, PointPlan] = {}
+    #: Unit shards this worker wrote or read back intact.
+    shards: Dict[Tuple[int, int], tuple] = {}
     #: Points whose stitched shard this run wrote or read back intact.
     stitched: Set[int] = set()
     durations: Dict[str, float] = {}
@@ -282,7 +300,7 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
             try:
                 with lease.Heartbeat(claim,
                                      interval=heartbeat_interval):
-                    fn()
+                    fn(stale)
             except _Retry:
                 return False
             elapsed = time.perf_counter() - started
@@ -293,141 +311,148 @@ def execute_work_dir(work_dir, *, worker_id: Optional[str] = None,
         finally:
             lease.release(claim)
 
-    def _run_plan(point: int) -> None:
-        plan = plan_point(wd.pool, wd.counts[point], wd.seeds[point],
-                          config=wd.config,
-                          block_arrivals=wd.block_arrivals,
-                          unit_blocks=wd.unit_blocks)
-        wd.open_store(point).put(_PLAN_KEY, {}, plan.to_state())
-        plans[point] = plan
-
-    def _load_plan(point: int) -> Optional[PointPlan]:
-        plan = plans.get(point)
-        if plan is not None:
-            return plan
-        got = wd.open_store(point).get(_PLAN_KEY)
+    def _unit_shard(point: int, unit_index: int) -> Optional[tuple]:
+        """A published unit shard, or ``None`` with its done marker
+        cleared, so the unit that wrote it re-executes."""
+        got = shards.get((point, unit_index))
         if got is None:
-            # Done marker without a readable shard: the planner died
-            # mid-publish or the shard was damaged — replan.
-            wd.clear_done(f"plan-{point}")
-            return None
-        plan = PointPlan.from_state(got[1])
-        plans[point] = plan
-        return plan
-
-    def _run_unit(point: int, plan: PointPlan, unit_index: int) -> None:
-        arrays, meta = run_unit(wd.pool, plan, plan.units[unit_index],
-                                config=wd.config)
-        wd.open_store(point).put(_unit_key(unit_index), arrays, meta)
-
-    def _run_stitch(point: int, plan: PointPlan) -> None:
-        store = wd.open_store(point)
-        results = []
-        for unit_index in range(len(plan.units)):
-            got = store.get(_unit_key(unit_index))
+            got = wd.open_store(point).get(_unit_key(unit_index))
             if got is None:
                 wd.clear_done(f"unit-{point}-{unit_index}")
+                return None
+            shards[point, unit_index] = got
+        return got
+
+    def _run_unit(point: int, unit_index: int, stolen: bool) -> None:
+        if unit_index == 0:
+            plan, start = plan_point(
+                wd.pool, wd.counts[point], wd.seeds[point],
+                config=wd.config, block_arrivals=wd.block_arrivals,
+                unit_blocks=wd.unit_blocks)
+            plans[point] = plan
+        else:
+            previous = _unit_shard(point, unit_index - 1)
+            if previous is None:
+                raise _Retry
+            plan, start = plans[point], Boundary.from_shard(*previous)
+        unit = plan.units[unit_index]
+        if stolen:
+            KERNEL_STATS.add(sched_replay_blocks=unit.n_blocks)
+        arrays, meta = run_unit(wd.pool, plan, unit, start,
+                                config=wd.config)
+        wd.open_store(point).put(_unit_key(unit_index), arrays, meta)
+        shards[point, unit_index] = (arrays, meta)
+
+    def _run_stitch(point: int) -> None:
+        plan = plans[point]
+        results = []
+        for unit_index in range(len(plan.units)):
+            got = _unit_shard(point, unit_index)
+            if got is None:
                 raise _Retry
             results.append(got)
-        point_result = stitch_point(wd.pool, plan, results,
-                                    config=wd.config)
-        store.put(_POINT_KEY, {},
-                  {"point": dataclasses.asdict(point_result)})
+        point_result = stitch_point(plan, results)
+        wd.open_store(point).put(_POINT_KEY, {},
+                                 {"point": dataclasses.asdict(point_result)})
         stitched.add(point)
+
+    def _next_task(point: int):
+        """``(task_id, body, blocks_left)`` of the point's first undone
+        task, or ``None`` when a damaged shard reopened a unit."""
+        plan = plans.get(point)
+        unit_index = 0
+        while (plan is None or unit_index < len(plan.units)) \
+                and wd.is_done(f"unit-{point}-{unit_index}"):
+            unit_index += 1
+        if unit_index and plan is None:
+            previous = _unit_shard(point, unit_index - 1)
+            if previous is None:
+                return None
+            plan = plans[point] = wd.plan(point,
+                                          Boundary.from_shard(*previous))
+        if plan is None:
+            # Unit 0 carries the scan: until it runs, the expected
+            # session count stands in for the block count.
+            return (f"unit-{point}-0",
+                    lambda stolen: _run_unit(point, 0, stolen),
+                    wd.counts[point] * wd.config.horizon
+                    / wd.config.mean_interval / wd.block_arrivals)
+        if unit_index == len(plan.units):
+            return (f"stitch-{point}",
+                    lambda _stolen: _run_stitch(point), 0)
+        return (f"unit-{point}-{unit_index}",
+                lambda stolen: _run_unit(point, unit_index, stolen),
+                sum(u.n_blocks for u in plan.units[unit_index:]))
+
+    def _is_stitched(point: int) -> bool:
+        if point in stitched:
+            return True
+        stitch_id = f"stitch-{point}"
+        if not wd.is_done(stitch_id):
+            return False
+        if wd.open_store(point).get(_POINT_KEY) is None:
+            # Done marker without a readable point shard: the merge
+            # would fail on every rerun — re-stitch.
+            wd.clear_done(stitch_id)
+            return False
+        stitched.add(point)
+        return True
 
     point_order = _rotated(list(range(wd.n_points)), worker_index)
     while True:
-        progressed = False
-        pending = False
-        for point in point_order:
-            plan_id = f"plan-{point}"
-            if not wd.is_done(plan_id):
-                pending = True
-                progressed |= _try_run(
-                    plan_id, lambda point=point: _run_plan(point))
-                continue
-            plan = _load_plan(point)
-            if plan is None:
-                pending = True
-                continue
-            unit_order = _rotated(list(range(len(plan.units))),
-                                  worker_index)
-            for unit_index in unit_order:
-                unit_id = f"unit-{point}-{unit_index}"
-                if wd.is_done(unit_id):
-                    continue
-                pending = True
-                progressed |= _try_run(
-                    unit_id,
-                    lambda point=point, plan=plan,
-                    unit_index=unit_index:
-                    _run_unit(point, plan, unit_index))
-            if not all(wd.is_done(f"unit-{point}-{u}")
-                       for u in range(len(plan.units))):
-                pending = True
-                continue
-            stitch_id = f"stitch-{point}"
-            if not wd.is_done(stitch_id):
-                pending = True
-                progressed |= _try_run(
-                    stitch_id,
-                    lambda point=point, plan=plan:
-                    _run_stitch(point, plan))
-            elif point not in stitched:
-                if wd.open_store(point).get(_POINT_KEY) is None:
-                    # Done marker without a readable point shard: the
-                    # merge would fail on every rerun — re-stitch.
-                    wd.clear_done(stitch_id)
-                    pending = True
-                else:
-                    stitched.add(point)
-        if not pending:
+        tasks = [task for task in map(_next_task, [
+            point for point in point_order if not _is_stitched(point)])
+            if task is not None]
+        if not tasks and len(stitched) == wd.n_points:
             return stats
-        if not progressed:
+        # The chain with the most blocks left first: the longest chain
+        # sets the makespan.  Ties keep this worker's rotation.
+        tasks.sort(key=lambda task: -task[2])
+        if not any(_try_run(task_id, body) for task_id, body, _ in tasks):
             time.sleep(poll)
 
 
 def work_dir_progress(work_dir) -> dict:
     """Pure read of a work directory's completion state.
 
-    Unlike :func:`merge_work_dir`'s shard walk, this never creates
-    directories or stores — a freshly ``ensure_spec``'d directory with
-    zero completed tasks reports ``state: "pending"`` and stays
-    byte-for-byte untouched, which is what lets a job-status endpoint
-    poll it safely while (or before, or after a crash of) the workers.
+    This never creates, rewrites or removes a file: a freshly
+    ``ensure_spec``'d directory with zero completed tasks reports
+    ``state: "pending"`` and stays byte-for-byte untouched, and so does
+    a finished one with a damaged shard, which is what lets a
+    job-status endpoint poll it safely while (or before, or after a
+    crash of) the workers.
 
-    Per point: ``pending`` (no task ran), ``running`` (planned and/or
-    some units done) or ``complete`` (stitched).  ``units_total`` is
-    filled from the published plan when one is readable, else ``None``
-    — the plan itself is part of the work being awaited.
+    Per point, under the unit chain:
+
+    - ``plan_done`` — unit 0 is done, so the point's unit ranges are
+      published (unit 0 carries the scan);
+    - ``units_done`` — how many units are done;
+    - ``units_total`` — the point's unit count, read from unit 0's
+      shard, or ``None`` while that shard is missing or unreadable;
+    - ``stitch_done`` — the stitched point is published;
+    - ``state`` — ``pending`` (no task done), ``running`` (some units
+      done) or ``complete`` (stitched).
     """
     root = Path(work_dir)
     spec = load_spec(root)
-    tasks = root / "tasks"
-    counts = [int(n) for n in spec["counts"]]
-    seeds = [int(s) for s in spec["seeds"]]
-    wd: Optional[_WorkDir] = None
+    wd = _WorkDir(root, spec)
     points = []
     n_complete = 0
-    for index, (n_users, seed) in enumerate(zip(counts, seeds)):
-        plan_done = (tasks / f"plan-{index}.done").exists()
-        stitch_done = (tasks / f"stitch-{index}.done").exists()
-        units_done = (len(list(tasks.glob(f"unit-{index}-*.done")))
-                      if tasks.is_dir() else 0)
+    for index, (n_users, seed) in enumerate(zip(wd.counts, wd.seeds)):
+        plan_done = wd.is_done(f"unit-{index}-0")
+        stitch_done = wd.is_done(f"stitch-{index}")
+        units_done = (len(list(wd.tasks.glob(f"unit-{index}-*.done")))
+                      if wd.tasks.is_dir() else 0)
         units_total: Optional[int] = None
         if plan_done:
-            # The plan marker lives in tasks/ and the plan shard under
-            # shards/, so both directories already exist — opening the
-            # store here cannot create anything.
-            if wd is None:
-                wd = _WorkDir(root, spec)
-            got = wd.open_store(index).get(_PLAN_KEY)
+            got = wd.open_store(index).get(_unit_key(0))
             if got is not None:
-                units_total = len(PointPlan.from_state(got[1]).units)
+                units_total = len(wd.plan(
+                    index, Boundary.from_shard(*got)).units)
         if stitch_done:
             state = "complete"
             n_complete += 1
-        elif plan_done or units_done:
+        elif units_done:
             state = "running"
         else:
             state = "pending"
@@ -459,23 +484,24 @@ def work_dir_progress(work_dir) -> dict:
 def merge_work_dir(work_dir) -> StreamSweepResult:
     """Assemble the completed sweep, points in spec order.
 
-    Pure read: any worker (or a later process) merges the same bytes.
-    An incomplete sweep — including a spec-only directory where no
-    task ever ran — raises :class:`WorkDirIncomplete` carrying the
-    progress snapshot, without disturbing the directory.
+    Pure read: any worker (or a later process) merges the same bytes,
+    and a damaged shard leaves the directory as it was.  An incomplete
+    sweep — including a spec-only directory where no task ever ran —
+    raises :class:`WorkDirIncomplete` carrying the progress snapshot.
     """
-    spec = load_spec(work_dir)
-    progress = work_dir_progress(work_dir)
-    if progress["state"] != "complete":
-        raise WorkDirIncomplete(
-            f"work dir {Path(work_dir)} is {progress['state']}: "
-            f"{progress['points_complete']}/{progress['points_total']} "
-            f"points stitched", progress)
-    wd = _WorkDir(work_dir, spec)
+    wd = _WorkDir(work_dir, load_spec(work_dir))
     points = []
     for point in range(wd.n_points):
-        got = wd.open_store(point).get(_POINT_KEY)
+        got = (wd.open_store(point).get(_POINT_KEY)
+               if wd.is_done(f"stitch-{point}") else None)
         if got is None:
+            progress = work_dir_progress(work_dir)
+            if progress["state"] != "complete":
+                raise WorkDirIncomplete(
+                    f"work dir {wd.root} is {progress['state']}: "
+                    f"{progress['points_complete']}/"
+                    f"{progress['points_total']} points stitched",
+                    progress)
             # Done marker present but the stitched shard is unreadable
             # (damaged or torn mid-publish): the stitch must re-run.
             raise WorkDirIncomplete(
@@ -503,7 +529,7 @@ def run_distributed_sweep(pool: np.ndarray,
                           processes: int = 1,
                           block_arrivals: int = DEFAULT_BLOCK_ARRIVALS,
                           unit_blocks: int = DEFAULT_UNIT_BLOCKS,
-                          poll: float = 0.05,
+                          poll: float = 0.01,
                           heartbeat_interval: float = 1.0,
                           stale_after: float = 10.0
                           ) -> StreamSweepResult:

@@ -150,11 +150,6 @@ class EventQueue:
         heapq.heapify(self._heap)
         self._stale = 0
 
-    @property
-    def heap_size(self) -> int:
-        """Physical heap length, including stale cancelled entries."""
-        return len(self._heap)
-
     def __len__(self) -> int:
         return max(self._live, 0)
 

@@ -12,10 +12,12 @@ The design goals, in order:
   shard or none, never a torn one, and two writers of one key never
   share a temp file; the manifest is rewritten the same way after the
   shard it references exists;
-- **self-verifying reads** — ``get`` re-hashes the shard bytes against
-  the manifest; a truncated or corrupted file (or a manifest entry
-  whose file vanished) invalidates that key and returns ``None``, which
-  the executor treats as "re-run the task that wrote it";
+- **self-verifying, pure reads** — ``get`` re-hashes the shard bytes
+  against the manifest; a truncated or corrupted file (or a manifest
+  entry whose file vanished) drops that key from this store's view and
+  returns ``None``, which the executor treats as "re-run the task that
+  wrote it".  Reading never writes: the stale manifest entry stays on
+  disk until a ``put`` replaces it;
 - **parameter hygiene** — the store carries a caller-supplied
   ``fingerprint`` of the run parameters; opening a root whose manifest
   was written under a different fingerprint discards it wholesale
@@ -108,7 +110,9 @@ class ShardStore:
             "fingerprint": self.fingerprint,
             "shards": self._shards,
         }
-        data = json.dumps(manifest, indent=2, sort_keys=True)
+        # Compact, so the C encoder writes it (the unit shards carry
+        # their sketch fragments in the manifest).
+        data = json.dumps(manifest, sort_keys=True)
         _atomic_write(self._manifest_path, data.encode("utf-8"))
 
     def _mutate_manifest(self, mutate) -> None:
@@ -166,24 +170,20 @@ class ShardStore:
             ) -> Optional[Tuple[Dict[str, np.ndarray], dict]]:
         """Read a shard back, or ``None`` if absent or damaged.
 
-        A checksum mismatch or missing file drops the manifest entry
-        (so a later ``put`` starts clean) and returns ``None``.
+        A checksum mismatch or missing file drops the key from this
+        store's view and returns ``None``; nothing on disk changes.
         """
         entry = self._shards.get(key)
         if entry is None:
             return None
-        path = self.root / entry["file"]
         try:
-            data = path.read_bytes()
+            data = (self.root / entry["file"]).read_bytes()
         except OSError:
-            self._invalidate(key)
-            return None
-        if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-            self._invalidate(key)
+            data = None
+        if data is None \
+                or hashlib.sha256(data).hexdigest() != entry["sha256"]:
+            del self._shards[key]
             return None
         with np.load(io.BytesIO(data)) as payload:
             arrays = {name: payload[name] for name in payload.files}
         return arrays, entry.get("meta", {})
-
-    def _invalidate(self, key: str) -> None:
-        self._mutate_manifest(lambda shards: shards.pop(key, None))

@@ -19,17 +19,11 @@ import math
 #: Bytes per kilobyte.  The paper reports page sizes in KB; we follow the
 #: networking convention of 1 KB = 1000 bytes throughout.
 BYTES_PER_KB = 1000.0
-BYTES_PER_MB = 1000.0 * BYTES_PER_KB
 
 
 def kb(value: float) -> float:
     """Convert kilobytes to bytes."""
     return value * BYTES_PER_KB
-
-
-def mb(value: float) -> float:
-    """Convert megabytes to bytes."""
-    return value * BYTES_PER_MB
 
 
 def as_kb(num_bytes: float) -> float:
@@ -67,13 +61,4 @@ def require_positive(name: str, value: float) -> float:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def require_fraction(name: str, value: float) -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value

@@ -74,16 +74,6 @@ class PageSpec:
                 raise ValueError(f"{name} must be in [0, 1]")
         require_positive("js_complexity", self.js_complexity)
 
-    @property
-    def approx_total_kb(self) -> float:
-        """Expected page weight (means, before size jitter)."""
-        return (self.html_kb
-                + self.css_count * self.css_kb
-                + self.js_count * self.js_kb
-                + self.image_count * self.image_kb
-                + self.flash_count * self.flash_kb
-                + self.iframe_count * self.iframe_kb)
-
 
 def _jitter_sizes(rng: np.random.Generator, mean_kb: float,
                   count: int) -> List[float]:

@@ -9,6 +9,7 @@ from repro.rrc.states import RrcState
 from repro.webpages.objects import ObjectKind
 
 from tests.browser.engine_helpers import run_engine
+from tests.oracles.readouts import ril_total_latency
 
 
 def test_downloads_every_object(full_page):
@@ -49,7 +50,7 @@ def test_radio_in_low_power_during_layout(full_page):
     handset, _, result = run_engine(full_page, EnergyAwareEngine)
     handset.machine.finalize()
     release_at = result.started_at + result.data_transmission_time + \
-        handset.ril.total_latency
+        ril_total_latency(handset.ril)
     for segment in handset.machine.segments:
         if segment.start >= release_at + 1e-9:
             assert segment.mode.state is not RrcState.DCH

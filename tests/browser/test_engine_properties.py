@@ -15,6 +15,7 @@ from repro.browser.original import OriginalEngine
 from repro.core.session import Handset
 from repro.rrc.states import RrcState
 from repro.webpages.generator import PageSpec, generate_page
+from tests.oracles.readouts import ril_total_latency
 
 page_specs = st.builds(
     PageSpec,
@@ -81,7 +82,7 @@ def test_property_energy_aware_engine_invariants(spec):
         assert transfer.completed_at <= tx_end + 1e-9
     # Never back to DCH after the release.
     handset.machine.finalize()
-    release = tx_end + handset.ril.total_latency
+    release = tx_end + ril_total_latency(handset.ril)
     for segment in handset.machine.segments:
         if segment.start >= release + 1e-9:
             assert segment.mode.state is not RrcState.DCH

@@ -7,7 +7,7 @@ from repro.rrc.machine import RrcMachine
 from repro.rrc.states import RrcState
 from repro.sim.kernel import Simulator
 from repro.units import kb
-from tests.oracles.readouts import time_in_mode
+from tests.oracles.readouts import bytes_transferred, time_in_mode
 
 
 def make_link(config=None):
@@ -153,7 +153,7 @@ def test_bytes_transferred_counts_completed_payloads():
     link.fetch(kb(10), lambda t: None)
     link.fetch(kb(20), lambda t: None)
     sim.run()
-    assert link.bytes_transferred == pytest.approx(kb(30))
+    assert bytes_transferred(link) == pytest.approx(kb(30))
 
 
 def test_busy_flag():

@@ -2,7 +2,8 @@
 
 Each helper derives one number from state the program keeps anyway —
 an RRC machine's segments, a DOM tree's nodes, a GBRT model's trees, a
-comparison's two page loads — that no code path in ``src/`` consumes.
+comparison's two page loads, a link's transfers, an event queue's heap
+— that no code path in ``src/`` consumes.
 They live here so the program keeps one path per behaviour, and the
 tests that check the program through them keep checking it.
 """
@@ -17,9 +18,14 @@ from repro.browser.engine import PageLoadResult
 from repro.core.comparison import EngineComparison
 from repro.faults.recovery import RecoveryPolicy
 from repro.ml.gbrt import GradientBoostedRegressor
-from repro.rrc.config import PowerProfile
+from repro.ml.tree import RegressionTree
+from repro.network.link import Link
+from repro.rrc.config import PowerProfile, RrcConfig
 from repro.rrc.machine import RrcMachine
-from repro.rrc.states import RadioMode, RrcState
+from repro.rrc.ril import RilLink
+from repro.rrc.states import LEGAL_TRANSITIONS, RadioMode, RrcState
+from repro.sim.events import EventQueue
+from repro.webpages.generator import PageSpec
 
 
 # -- RRC machine --------------------------------------------------------
@@ -51,7 +57,46 @@ def radio_energy(machine: RrcMachine,
     return area + extra_energy(machine)
 
 
+def is_legal_transition(src: RrcState, dst: RrcState) -> bool:
+    """Whether the protocol table permits a direct ``src`` → ``dst``
+    transition."""
+    return dst in LEGAL_TRANSITIONS.get(src, set())
+
+
+def extra_promotion_delay(config: RrcConfig) -> float:
+    """Extra latency paid when promoting from IDLE instead of FACH
+    (the paper measures ~1.75 s, Section 3.1)."""
+    return config.promo_idle_latency - config.promo_fach_latency
+
+
+def ril_total_latency(ril: RilLink) -> float:
+    """End-to-end latency of one application → firmware message."""
+    return ril._framework_latency + ril._socket_latency
+
+
+# -- network, sim -------------------------------------------------------
+
+def bytes_transferred(link: Link) -> float:
+    """Payload bytes of all completed transfers."""
+    return sum(t.size_bytes for t in link.transfers if t.complete)
+
+
+def heap_size(queue: EventQueue) -> int:
+    """Physical heap length, including stale cancelled entries."""
+    return len(queue._heap)
+
+
 # -- browser ------------------------------------------------------------
+
+def approx_total_kb(spec: PageSpec) -> float:
+    """Expected page weight (means, before size jitter)."""
+    return (spec.html_kb
+            + spec.css_count * spec.css_kb
+            + spec.js_count * spec.js_kb
+            + spec.image_count * spec.image_kb
+            + spec.flash_count * spec.flash_kb
+            + spec.iframe_count * spec.iframe_kb)
+
 
 def max_depth(tree: DomTree) -> int:
     """Depth of the deepest node, by a walk down from the root."""
@@ -105,6 +150,11 @@ def weibull_cdf(fit: WeibullFit, value: float) -> float:
     if value <= 0:
         return 0.0
     return float(1.0 - np.exp(-(value / fit.scale) ** fit.shape))
+
+
+def n_leaves(tree: RegressionTree) -> int:
+    """Leaf count of a fitted tree."""
+    return len(tree.leaves())
 
 
 def staged_predict(model: GradientBoostedRegressor,

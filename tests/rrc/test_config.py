@@ -4,6 +4,7 @@ import pytest
 
 from repro.rrc.config import PowerProfile, RrcConfig
 from repro.rrc.states import RadioMode
+from tests.oracles.readouts import extra_promotion_delay
 
 
 def test_paper_defaults():
@@ -20,7 +21,7 @@ def test_paper_defaults():
 
 def test_extra_promotion_delay_matches_paper():
     # Section 3.1: switching to IDLE adds ~1.75 s to the next transfer.
-    assert RrcConfig().extra_promotion_delay == pytest.approx(1.75)
+    assert extra_promotion_delay(RrcConfig()) == pytest.approx(1.75)
 
 
 def test_power_profile_ordering_enforced():

@@ -6,6 +6,7 @@ from repro.rrc.machine import RrcMachine
 from repro.rrc.ril import RilLink, RilMessageType
 from repro.rrc.states import RrcState
 from repro.sim.kernel import Simulator
+from tests.oracles.readouts import ril_total_latency
 
 
 def make_link():
@@ -42,7 +43,7 @@ def test_message_latency_is_sum_of_hops():
     ril.request_fast_dormancy(replies.append)
     sim.run(until=sim.now + 1.0)
     assert replies[0].delivered_at - start == pytest.approx(
-        ril.total_latency)
+        ril_total_latency(ril))
 
 
 def test_channel_release_message():

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.rrc.states import (
-    LEGAL_TRANSITIONS,
-    RadioMode,
-    RrcState,
-    is_legal_transition,
-)
+from repro.rrc.states import LEGAL_TRANSITIONS, RadioMode, RrcState
+from tests.oracles.readouts import is_legal_transition
 
 
 def test_mode_maps_to_protocol_state():

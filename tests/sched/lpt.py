@@ -2,12 +2,12 @@
 
 A one-worker ``execute_work_dir`` run records every task's wall time.
 :func:`list_schedule_makespan` replays those durations on ``n``
-workers by longest-processing-time list scheduling over the plan ->
-units -> stitch dependency graph the executor exposes.  On a machine
-with fewer cores than the modelled workers, a real ``n``-process run
-would only time-slice the CPUs, so this is the honest form of an
-``n``-worker speedup; it is a model, and is labelled so wherever it is
-quoted.
+workers by longest-processing-time list scheduling over the unit
+chains the executor runs, one per point, each ending in its stitch.
+On a machine with fewer cores than the modelled workers, a real
+``n``-process run would only time-slice the CPUs, so this is the
+honest form of an ``n``-worker speedup; it is a model, and is labelled
+so wherever it is quoted.
 """
 
 from __future__ import annotations
@@ -19,21 +19,22 @@ from typing import Dict, List, Mapping, Tuple
 def task_graph(durations: Mapping[str, float]
                ) -> Dict[str, Tuple[List[str], float]]:
     """(dependencies, duration) per task id, read off the executor's
-    task names: ``plan-<p>``, ``unit-<p>-<u>`` and ``stitch-<p>``."""
-    units: Dict[str, List[str]] = {}
+    task names: each point ``p`` is one chain ``unit-p-0`` ->
+    ``unit-p-1`` -> ... -> ``stitch-p``."""
+    units: Dict[str, List[int]] = {}
     for task_id in durations:
         kind, rest = task_id.split("-", 1)
         if kind == "unit":
-            units.setdefault(rest.split("-", 1)[0], []).append(task_id)
+            point, index = rest.split("-")
+            units.setdefault(point, []).append(int(index))
     graph = {}
     for task_id, seconds in durations.items():
         kind, rest = task_id.split("-", 1)
-        if kind == "plan":
-            deps: List[str] = []
-        elif kind == "unit":
-            deps = [f"plan-{rest.split('-', 1)[0]}"]
+        if kind == "unit":
+            point, index = rest.split("-")
+            deps = [f"unit-{point}-{int(index) - 1}"] if int(index) else []
         else:
-            deps = [f"plan-{rest}"] + units.get(rest, [])
+            deps = [f"unit-{rest}-{max(units[rest])}"]
         graph[task_id] = (deps, float(seconds))
     return graph
 

@@ -80,8 +80,8 @@ def test_parallel_over_a_work_dir_resumes_with_zero_units(serial,
 
 
 def test_parallel_counts_every_shard_write(tmp_path):
-    """Every plan, unit and stitched point is one counted spill, from
-    whichever local worker wrote it."""
+    """Every unit and stitched point is one counted spill, from
+    whichever local worker wrote it; no plan shard is written."""
     work_dir = tmp_path / "wd"
     spills, nbytes = _shard_writes(_run("--parallel", "2", "--work-dir",
                                         str(work_dir)))
@@ -91,7 +91,7 @@ def test_parallel_counts_every_shard_write(tmp_path):
         for key, entry in shards.items():
             shard_bytes[manifest.parent.name, key] = entry["bytes"]
     assert {key.split("-")[0] for _, key in shard_bytes} \
-        == {"plan", "unit", "point"}
+        == {"unit", "point"}
     assert spills == len(shard_bytes)
     assert nbytes == sum(shard_bytes.values()) > 0
     # A rerun over the finished dir writes nothing.
@@ -99,7 +99,7 @@ def test_parallel_counts_every_shard_write(tmp_path):
                               str(work_dir))) == (0, 0)
 
 
-@pytest.mark.parametrize("damaged", ["plan", "unit-0000", "point"])
+@pytest.mark.parametrize("damaged", ["unit-0000", "point"])
 def test_rerun_over_a_damaged_shard_prints_the_serial_table(
         serial, tmp_path, damaged):
     """Truncate one kind of shard in every point of a finished work dir:
@@ -150,7 +150,8 @@ def test_zero_session_point_reports_no_service_statistics(tmp_path):
 
 def test_zero_session_point_stitches_to_the_serial_table(tmp_path,
                                                          monkeypatch):
-    """A zero-block plan stitches to the serial point."""
+    """A point with no session runs one empty unit and stitches to the
+    serial point."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     text = _empty_sweep("--parallel", "2")
     assert text.split("-- streamed runtime")[0] == EMPTY_TABLE

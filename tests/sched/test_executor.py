@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from repro.capacity.simulator import CapacityConfig
+from repro.runtime.observability import collecting
 from repro.sched import (WorkDirMismatch, ensure_spec, execute_work_dir,
                          merge_work_dir, run_distributed_sweep,
                          spec_payload)
+from repro.stream.shard import params_fingerprint
 from repro.stream.sweep import lognormal_pool, run_stream_sweep
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -33,6 +35,7 @@ WORKER = """
 import sys
 import numpy as np
 from repro.capacity.simulator import CapacityConfig
+from repro.runtime.observability import collecting
 from repro.sched import run_distributed_sweep
 from repro.stream.sweep import lognormal_pool
 
@@ -130,3 +133,65 @@ def test_killed_worker_is_stolen_and_bytes_still_match(tmp_path):
     survivor = _spawn_worker(1, tmp_path)
     payload = json.loads(_finish(survivor))
     assert payload["report"] == serial.report()
+
+
+def test_work_dir_of_the_previous_layout_is_refused(tmp_path):
+    """A spec written under the plan/speculate/replay layout (spec
+    version 1) is refused, not misread as a unit chain."""
+    old = spec_payload(POOL, COUNTS, CONFIG, **KW)
+    del old["fingerprint"]
+    old["version"] = 1
+    old["fingerprint"] = params_fingerprint(old)
+    ensure_spec(tmp_path, old)
+    with pytest.raises(WorkDirMismatch, match="refusing to join"):
+        run_distributed_sweep(POOL, COUNTS, CONFIG, work_dir=tmp_path,
+                              **KW)
+
+
+def test_clean_run_replays_nothing_and_a_steal_replays_one_unit(
+        tmp_path):
+    with collecting() as clean:
+        run_distributed_sweep(POOL, COUNTS, CONFIG,
+                              work_dir=tmp_path / "clean",
+                              unit_blocks=2, **KW)
+    assert (clean.snapshot().sched_replay_blocks,
+            clean.snapshot().sched_steals) == (0, 0)
+    # A worker died holding unit 0 of point 1: its claim went stale.
+    work_dir = tmp_path / "stolen"
+    ensure_spec(work_dir, spec_payload(POOL, COUNTS, CONFIG,
+                                       unit_blocks=2, **KW))
+    claim = work_dir / "tasks" / "unit-1-0.claim"
+    claim.parent.mkdir()
+    claim.write_text('{"owner": "dead"}')
+    os.utime(claim, (time.time() - 60, time.time() - 60))
+    with collecting() as stolen:
+        stats = execute_work_dir(work_dir, stale_after=2.0, poll=0.01)
+    assert stats["steals"] == 1
+    assert stolen.snapshot().sched_replay_blocks == 2
+    assert merge_work_dir(work_dir).report() == _serial().report()
+
+
+def test_resume_mid_chain_restarts_from_the_published_boundary(tmp_path):
+    """Reopen the last unit of every point of a finished dir: the rerun
+    runs only those units, each from its predecessor's published
+    boundary, and merges the serial bytes."""
+    run_distributed_sweep(POOL, COUNTS, CONFIG, work_dir=tmp_path,
+                          unit_blocks=2, **KW)
+    tasks = tmp_path / "tasks"
+    last = {}
+    for marker in tasks.glob("unit-*.done"):
+        _, point, unit = marker.stem.split("-")
+        last[point] = max(last.get(point, 0), int(unit))
+    assert min(last.values()) >= 1
+    for point, unit in last.items():
+        (tasks / f"unit-{point}-{unit}.done").unlink()
+        (tasks / f"stitch-{point}.done").unlink()
+    with collecting() as rerun:
+        stats = execute_work_dir(tmp_path)
+    assert sorted(stats["tasks"]) == sorted(
+        [f"unit-{p}-{u}" for p, u in last.items()]
+        + [f"stitch-{p}" for p in last])
+    snap = rerun.snapshot()
+    assert snap.sched_units == len(last)
+    assert 0 < snap.stream_blocks <= 2 * len(last)
+    assert merge_work_dir(tmp_path).report() == _serial().report()

@@ -2,12 +2,14 @@
 
 One worker runs every task of the work dir and records each task's
 wall time; :func:`tests.sched.lpt.list_schedule_makespan` replays
-those durations on eight workers.  The speedup is a model, not an
-8-process measurement (see ``tests/sched/lpt.py``).  The sweep has
+those durations on eight workers, over one unit chain per point.  The
+speedup is a model, not an 8-process measurement (see
+``tests/sched/lpt.py``).  The sweep has
 the shape of ``bench/``'s ``sweep`` workload: 2000 channels, a 2 h
-horizon, five load factors, eight blocks per unit.  An 8 h horizon
-gives more units per point and so a larger modelled speedup; the
-shorter one is the harder case for the 3x bound.
+horizon, five load factors, eight blocks per unit.  With five points
+on eight workers the makespan is the longest point's chain, so the
+bound reads total work over the largest point's work; five points of
+load 0.8-1.2 give about 4.
 """
 
 import pytest
@@ -18,17 +20,18 @@ from repro.sched import (ensure_spec, execute_work_dir, merge_work_dir,
 from repro.stream.sweep import default_user_counts, lognormal_pool
 from tests.sched.lpt import list_schedule_makespan
 
-#: Two points: point 0 fans out to three units, point 1 to one long
-#: unit on the critical path plan-1 -> unit-1-0 -> stitch-1 (8 s).
-DAG = {"plan-0": 1.0, "unit-0-0": 4.0, "unit-0-1": 3.0, "unit-0-2": 2.0,
-       "stitch-0": 1.0, "plan-1": 2.0, "unit-1-0": 5.0, "stitch-1": 1.0}
+#: Three points, each one chain: point 0 runs two units, points 1 and 2
+#: one each; point 2's chain unit-2-0 -> stitch-2 (8 s) is critical.
+DAG = {"unit-0-0": 3.0, "unit-0-1": 2.0, "stitch-0": 1.0,
+       "unit-1-0": 4.0, "stitch-1": 1.0,
+       "unit-2-0": 7.0, "stitch-2": 1.0}
 
 
 @pytest.mark.parametrize("n_workers, makespan", [
     (1, 19.0),   # one worker runs every task back to back
-    # LPT trace: plan-1 [0,2], unit-1-0 [2,7], plan-0 [2,3],
-    # unit-0-0 [3,7], unit-0-1 [7,10], unit-0-2 [7,9],
-    # stitch-0 [10,11], stitch-1 [10,11]
+    # LPT trace: unit-2-0 [0,7], unit-1-0 [0,4], unit-0-0 [4,7],
+    # unit-0-1 [7,9], stitch-0 [9,10], stitch-1 [9,10],
+    # stitch-2 [10,11]
     (2, 11.0),
     (8, 8.0),    # enough workers: the critical path
 ])

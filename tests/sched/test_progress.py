@@ -1,6 +1,6 @@
-"""work_dir_progress and the WorkDirIncomplete merge contract
-(satellite #2: a spec-with-zero-progress dir is 'pending', not a
-crash)."""
+"""work_dir_progress and the WorkDirIncomplete merge contract: a
+spec-with-zero-progress dir is 'pending', not a crash, and neither
+read ever writes to the directory."""
 
 import os
 
@@ -78,3 +78,36 @@ def test_progress_is_pure_after_completion_too(tmp_path):
     before = _snapshot(work_dir)
     work_dir_progress(work_dir)
     assert _snapshot(work_dir) == before
+
+
+def _file_bytes(path):
+    return {os.path.join(root, name):
+            open(os.path.join(root, name), "rb").read()
+            for root, dirs, files in os.walk(path) for name in files}
+
+
+@pytest.mark.parametrize("damaged", ["unit-0000", "point"])
+def test_progress_and_merge_never_write_over_a_damaged_shard(tmp_path,
+                                                             damaged):
+    """Polling a finished dir whose shard was damaged afterwards must
+    not repair, rewrite or drop anything: every file keeps its bytes
+    through ``work_dir_progress`` and ``merge_work_dir``."""
+    work_dir = tmp_path / "wd"
+    ensure_spec(work_dir, _payload())
+    execute_work_dir(work_dir, worker_id="t0", worker_index=0,
+                     poll=0.01, heartbeat_interval=0.2,
+                     stale_after=2.0)
+    (shard,) = sorted(work_dir.glob(f"shards/point-9-*/{damaged}.npz"))
+    shard.write_bytes(shard.read_bytes()[:10])
+    before = _file_bytes(work_dir)
+
+    progress = work_dir_progress(work_dir)
+    assert progress["state"] == "complete"
+    if damaged == "point":
+        with pytest.raises(WorkDirIncomplete):
+            merge_work_dir(work_dir)
+    else:
+        assert progress["points"][1]["units_total"] is None
+        assert [p.n_users for p in merge_work_dir(work_dir).points] \
+            == [5, 9]
+    assert _file_bytes(work_dir) == before

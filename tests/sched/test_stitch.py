@@ -1,159 +1,122 @@
-"""The carry-chain stitch is exact: speculative units + frontier
-replay reproduce the serial drop chain on arbitrary fuzzed streams.
+"""The unit chain is exact: units run from the published boundary of
+their predecessor, and the stitch folds them into the serial point.
 
-The hypothesis harness here drives :func:`resolve_drops_block`
-directly (no arrival source in the way): generate a raw stream, cut it
-into blocks and blocks into units, resolve every unit speculatively
-from an empty carry, then stitch with replay-until-coincidence exactly
-as :mod:`repro.sched.stitch` does — the dropped count and the final
-frontier multiset must equal the serial carry-threaded chain, whatever
-the stream, the cuts, or whether coincidence ever happens.
+The Hypothesis property kills the chain at any unit boundary: the
+units before the kill publish their shards to a real
+:class:`~repro.stream.shard.ShardStore`, and a fresh resume rebuilds
+the plan from the last published boundary, runs the remaining units
+and stitches every shard.  The point must equal
+:func:`~repro.stream.sweep.sweep_point` field for field, whatever the
+point, the block size, the checkpoint interval or the kill.
 """
+
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.capacity.simulator import CapacityConfig
-from repro.fleet.capacity import DropCarry, resolve_drops_block
+from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.sched import stitch_point
-from repro.sched.units import plan_point
-from repro.sched.worker import frontier_digest, run_unit
+from repro.sched.units import Boundary, PointPlan, plan_point
+from repro.sched.worker import run_unit
+from repro.stream.shard import ShardStore
 from repro.stream.sweep import lognormal_pool, sweep_point
-from repro.capacity.simulator import CapacitySimulator
+
+POOL = lognormal_pool(seed=7)
 
 
-def _cut(seq, sizes):
-    out, i = [], 0
-    for size in sizes:
-        out.append(seq[i:i + size])
-        i += size
-    if i < len(seq):
-        out.append(seq[i:])
-    return [c for c in out if len(c)]
+def _run_chain(pool, plan, start, config, units, store=None):
+    """Run ``units`` in order from ``start``; returns their results
+    (each also put to ``store`` when one is given)."""
+    results = []
+    for unit in units:
+        arrays, meta = run_unit(pool, plan, unit, start, config=config)
+        if store is not None:
+            store.put(f"unit-{unit.index:04d}", arrays, meta)
+        results.append((arrays, meta))
+        start = Boundary.from_shard(arrays, meta)
+    return results
 
 
-@st.composite
-def stream_case(draw):
-    n = draw(st.integers(min_value=1, max_value=60))
-    gaps = draw(st.lists(st.floats(0.0, 5.0, allow_nan=False),
-                         min_size=n, max_size=n))
-    services = draw(st.lists(st.floats(0.1, 40.0, allow_nan=False),
-                             min_size=n, max_size=n))
-    n_channels = draw(st.integers(min_value=1, max_value=4))
-    block_sizes = draw(st.lists(st.integers(1, 7), min_size=1,
-                                max_size=n))
-    unit_blocks = draw(st.integers(min_value=1, max_value=4))
-    arrivals = np.cumsum(np.asarray(gaps, dtype=float))
-    return (arrivals, np.asarray(services, dtype=float), n_channels,
-            block_sizes, unit_blocks)
-
-
-def _serial_chain(blocks, n_channels):
-    carry = DropCarry.empty()
-    dropped = 0
-    for arrivals, services in blocks:
-        mask, carry = resolve_drops_block(arrivals, services,
-                                          n_channels, carry)
-        dropped += int(mask.sum())
-    return dropped, carry
-
-
-def _speculative_units(blocks, n_channels, unit_blocks):
-    units = []
-    for start in range(0, len(blocks), unit_blocks):
-        chunk = blocks[start:start + unit_blocks]
-        carry = DropCarry.empty()
-        per_block, digests = [], []
-        for arrivals, services in chunk:
-            mask, carry = resolve_drops_block(arrivals, services,
-                                              n_channels, carry)
-            per_block.append(int(mask.sum()))
-            digests.append(frontier_digest(carry))
-        units.append((chunk, per_block, digests, carry))
-    return units
-
-
-def _stitched(units, n_channels):
-    carry = DropCarry.empty()
-    dropped = 0
-    for chunk, per_block, digests, final in units:
-        if np.asarray(carry.busy).size == 0:
-            dropped += sum(per_block)
-            carry = final
-            continue
-        matched_at = None
-        for j, (arrivals, services) in enumerate(chunk):
-            mask, carry = resolve_drops_block(arrivals, services,
-                                              n_channels, carry)
-            dropped += int(mask.sum())
-            if frontier_digest(carry) == digests[j]:
-                matched_at = j
-                break
-        if matched_at is not None and matched_at + 1 < len(chunk):
-            dropped += sum(per_block[matched_at + 1:])
-            carry = final
-    return dropped, carry
-
-
-@settings(max_examples=120, deadline=None)
-@given(stream_case())
-def test_stitch_equals_serial_chain_on_fuzzed_streams(case):
-    arrivals, services, n_channels, block_sizes, unit_blocks = case
-    blocks = list(zip(_cut(arrivals, block_sizes),
-                      _cut(services, block_sizes)))
-    serial_dropped, serial_carry = _serial_chain(blocks, n_channels)
-    units = _speculative_units(blocks, n_channels, unit_blocks)
-    stitched_dropped, stitched_carry = _stitched(units, n_channels)
-    assert stitched_dropped == serial_dropped
-    assert frontier_digest(stitched_carry) \
-        == frontier_digest(serial_carry)
+@settings(max_examples=60, deadline=None)
+@given(n_users=st.integers(1, 60), seed=st.integers(0, 2**16),
+       n_channels=st.integers(1, 30),
+       block_arrivals=st.integers(8, 64), unit_blocks=st.integers(1, 5),
+       kill=st.integers(0, 1000))
+def test_stitch_equals_serial_chain_on_fuzzed_streams(
+        n_users, seed, n_channels, block_arrivals, unit_blocks, kill):
+    config = CapacityConfig(n_channels=n_channels, horizon=300.0, seed=3)
+    plan, origin = plan_point(POOL, n_users, seed, config=config,
+                              block_arrivals=block_arrivals,
+                              unit_blocks=unit_blocks)
+    kill %= len(plan.units) + 1
+    with tempfile.TemporaryDirectory() as root:
+        _run_chain(POOL, plan, origin, config, plan.units[:kill],
+                   ShardStore(root, "chain"))
+        # The resume knows only the spec and the published shards.
+        store = ShardStore(root, "chain")
+        published = [store.get(f"unit-{u:04d}") for u in range(kill)]
+        if kill:
+            start = Boundary.from_shard(*published[-1])
+            resumed = PointPlan.tile(
+                n_users, seed, start.source_state["n_sessions"],
+                block_arrivals=block_arrivals, unit_blocks=unit_blocks)
+            assert resumed == plan
+        else:
+            resumed, start = plan_point(
+                POOL, n_users, seed, config=config,
+                block_arrivals=block_arrivals, unit_blocks=unit_blocks)
+        rest = _run_chain(POOL, resumed, start, config,
+                          resumed.units[kill:], store)
+    stitched = stitch_point(resumed, published + rest)
+    serial = sweep_point(CapacitySimulator(POOL, config), n_users, seed,
+                         block_arrivals=block_arrivals)
+    assert stitched == serial
 
 
 def test_stitch_is_exact_when_frontiers_never_coincide():
-    """Services much longer than a block: the frontier never forgets
-    its past inside a unit, coincidence never fires, and the stitch
-    degenerates to the full serial replay — still exact."""
-    arrivals = np.arange(1.0, 25.0)
-    services = np.full(arrivals.size, 1000.0)
-    blocks = [(arrivals[i:i + 2], services[i:i + 2])
-              for i in range(0, arrivals.size, 2)]
-    serial_dropped, serial_carry = _serial_chain(blocks, 3)
-    units = _speculative_units(blocks, 3, 2)
-    stitched_dropped, stitched_carry = _stitched(units, 3)
-    assert stitched_dropped == serial_dropped
-    assert frontier_digest(stitched_carry) \
-        == frontier_digest(serial_carry)
+    """Services far longer than the horizon: every channel stays busy
+    from the first block on, so no unit boundary ever sees an empty
+    frontier (the case an empty-carry speculation can only get right
+    by replaying the whole unit).  The exact carry still gives the
+    serial point."""
+    pool = np.full(4, 5000.0)
+    config = CapacityConfig(n_channels=3, horizon=200.0, seed=3)
+    plan, origin = plan_point(pool, 20, 5, config=config,
+                              block_arrivals=16, unit_blocks=2)
+    results = _run_chain(pool, plan, origin, config, plan.units)
+    assert len(results) >= 3
+    assert all(arrays["busy"].size == 3 for arrays, _ in results)
+    stitched = stitch_point(plan, results)
+    assert stitched.dropped == stitched.sessions - 3
+    assert stitched == sweep_point(CapacitySimulator(pool, config), 20,
+                                   5, block_arrivals=16)
 
 
 def test_stitch_point_matches_serial_sweep_point():
-    """End to end through the real source: plan, run every unit
-    speculatively, stitch — dataclass-equal to the serial point."""
-    pool = lognormal_pool(seed=7)
+    """End to end through the real source: scan, run the chain, stitch
+    — dataclass-equal to the serial point."""
     config = CapacityConfig(n_channels=100, horizon=400.0, seed=3)
-    simulator = CapacitySimulator(pool, config)
+    simulator = CapacitySimulator(POOL, config)
+    serial = sweep_point(simulator, 2500, 13, block_arrivals=512)
     for unit_blocks in (1, 2, 5):
-        plan = plan_point(pool, 2500, 13, config=config,
-                          block_arrivals=512,
-                          unit_blocks=unit_blocks)
-        results = [run_unit(pool, plan, unit, config=config)
-                   for unit in plan.units]
-        stitched = stitch_point(pool, plan, results, config=config)
-        serial = sweep_point(simulator, 2500, 13, block_arrivals=512)
-        assert stitched == serial
+        plan, origin = plan_point(POOL, 2500, 13, config=config,
+                                  block_arrivals=512,
+                                  unit_blocks=unit_blocks)
+        results = _run_chain(POOL, plan, origin, config, plan.units)
+        assert stitch_point(plan, results) == serial
 
 
 def test_stitch_point_rejects_out_of_order_results():
-    pool = lognormal_pool(seed=7)
     config = CapacityConfig(n_channels=100, horizon=300.0, seed=3)
-    plan = plan_point(pool, 2000, 13, config=config,
-                      block_arrivals=512, unit_blocks=1)
-    results = [run_unit(pool, plan, unit, config=config)
-               for unit in plan.units]
+    plan, origin = plan_point(POOL, 2000, 13, config=config,
+                              block_arrivals=512, unit_blocks=1)
+    results = _run_chain(POOL, plan, origin, config, plan.units)
     assert len(results) >= 2
     results[0], results[1] = results[1], results[0]
     try:
-        stitch_point(pool, plan, results, config=config)
+        stitch_point(plan, results)
     except ValueError as err:
         assert "out of order" in str(err)
     else:

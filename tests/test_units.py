@@ -14,10 +14,6 @@ def test_kb_is_thousand_bytes():
     assert units.kb(760) == 760_000.0
 
 
-def test_mb_is_million_bytes():
-    assert units.mb(2) == 2_000_000.0
-
-
 def test_as_kb_inverts_kb():
     assert units.as_kb(units.kb(123.4)) == pytest.approx(123.4)
 
@@ -48,16 +44,6 @@ def test_require_positive_rejects(bad):
 def test_require_positive_accepts():
     assert units.require_positive("x", 1e-9) == 1e-9
 
-
-@pytest.mark.parametrize("bad", [-0.001, 1.001, float("nan")])
-def test_require_fraction_rejects(bad):
-    with pytest.raises(ValueError):
-        units.require_fraction("x", bad)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_require_fraction_accepts_unit_interval(value):
-    assert units.require_fraction("x", value) == value
 
 
 def test_error_messages_name_the_parameter():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.webpages.generator import PageSpec, generate_page
 from repro.webpages.objects import ObjectKind
+from tests.oracles.readouts import approx_total_kb
 
 
 def base_spec(**overrides):
@@ -47,7 +48,7 @@ def test_object_counts_match_spec():
 def test_total_size_tracks_spec_estimate():
     spec = base_spec(seed=3)
     page = generate_page(spec)
-    assert page.total_kb == pytest.approx(spec.approx_total_kb, rel=0.5)
+    assert page.total_kb == pytest.approx(approx_total_kb(spec), rel=0.5)
 
 
 def test_dynamic_images_only_via_scripts():
