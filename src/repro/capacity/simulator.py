@@ -19,7 +19,6 @@ n_channels) at any horizon.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -29,7 +28,7 @@ from repro.fleet.capacity import (_BLOCK_ARRIVALS, DropCarry,
                                   resolve_drops_block)
 from repro.runtime.seeding import spawn_seeds
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
-from repro.units import hours, require_positive
+from repro.units import hours, require_count, require_positive
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,7 @@ class CapacityConfig:
     def __post_init__(self) -> None:
         # The block kernel's occupancy ceilings are int64 counts; a
         # fractional channel count makes them disagree with the heap.
-        if (not isinstance(self.n_channels, numbers.Integral)
-                or isinstance(self.n_channels, bool)):
-            raise ValueError(f"n_channels must be an integer, got "
-                             f"{self.n_channels!r}")
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be at least 1")
+        require_count("n_channels", self.n_channels)
         require_positive("mean_interval", self.mean_interval)
         require_positive("horizon", self.horizon)
 
@@ -108,7 +102,9 @@ class ArrivalBlockSource:
                  config: Optional[CapacityConfig] = None,
                  seed: Optional[int] = None,
                  block_arrivals: int = DEFAULT_BLOCK_ARRIVALS):
-        require_positive("n_users", n_users)
+        # One check for every capacity run: ``int()`` would truncate a
+        # fractional count while the rate below used the raw value.
+        require_count("n_users", n_users)
         if block_arrivals < 1:
             raise ValueError(
                 f"block_arrivals must be >= 1, got {block_arrivals}")

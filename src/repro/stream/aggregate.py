@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -304,6 +304,38 @@ def _push_node(nodes: List[List], height: int, start_seg: int,
         nodes.append([h + 1, s, sorted(left + right)[1::2]])
 
 
+def _push_rows(nodes: List[List], rows: np.ndarray, first: int) -> None:
+    """Push the height-0 ``rows`` of consecutive segments ``first,
+    first + 1, ...`` onto ``nodes``, leaving the counter
+    :func:`_push_node` leaves after one push per row.
+
+    Level by level: a first node that starts a right sibling completes
+    the counter's top through :func:`_push_node`; the rest start at a
+    multiple of ``2^(h+1)`` segments, so adjacent pairs combine into
+    height ``h+1`` with one row-wise sort (stable when a zero is
+    present, as in :func:`_fold_segments`), and an odd last node waits
+    for its sibling above the nodes the pairs make.
+    """
+    waiting = []
+    height, start = 0, first
+    while rows.shape[0]:
+        if start % (2 << height):
+            _push_node(nodes, height, start, rows[0].tolist())
+            rows = rows[1:]
+            start += 1 << height
+        pairs, odd = divmod(rows.shape[0], 2)
+        if odd:
+            waiting.append([height, start + (2 * pairs << height),
+                            rows[-1].tolist()])
+        if not pairs:
+            break
+        merged = rows[:2 * pairs].reshape(pairs, -1)
+        kind = "stable" if (merged == 0.0).any() else None
+        rows = np.sort(merged, axis=1, kind=kind)[:, 1::2]
+        height += 1
+    nodes.extend(reversed(waiting))
+
+
 class QuantileSketch:
     """Deterministic compacting quantile sketch (MRL/KLL family) over
     elements ``[start, start + count)`` of a globally ordered stream.
@@ -393,9 +425,7 @@ class QuantileSketch:
                            sorted(self._open)[1::2])
                 self._open = []
         rows = _fold_segments(x[take:], k)
-        first = (pos + take) // k
-        for offset, row in enumerate(rows.tolist()):
-            _push_node(self._nodes, 0, first + offset, row)
+        _push_rows(self._nodes, rows, (pos + take) // k)
         self._open.extend(x[take + len(rows) * k:].tolist())
         self._count += int(x.size)
 
@@ -416,26 +446,23 @@ class QuantileSketch:
         if self._count == 0:
             return {key: float("nan") for key in keys}
         # The level compactor's order: the open segment, then the nodes
-        # by increasing height.  Weights differ across nodes, so a
-        # -0.0/0.0 tie is only unresolved inside one node, whose order
-        # the stable sort keeps.
+        # by increasing height, sorted by (value, weight).  Weights
+        # differ across nodes, so a -0.0/0.0 tie is only unresolved
+        # inside one node, whose order the stable lexsort keeps.
         weighted = [(self._open, 1)] + [
             (values, 2 << height)
             for height, _, values in reversed(self._nodes)]
-        items: List[Tuple[float, int]] = sorted(
-            (v, weight) for values, weight in weighted for v in values)
-        out: Dict[str, float] = {}
-        for key, q in zip(keys, qs):
-            target = max(1, math.ceil(q * self._count))
-            cumulative = 0
-            value = items[-1][0]
-            for candidate, weight in items:
-                cumulative += weight
-                if cumulative >= target:
-                    value = candidate
-                    break
-            out[key] = value
-        return out
+        values = np.concatenate([np.asarray(v, dtype=np.float64)
+                                 for v, _ in weighted])
+        weights = np.repeat([w for _, w in weighted],
+                            [len(v) for v, _ in weighted])
+        order = np.lexsort((weights, values))
+        cumulative = np.cumsum(weights[order])
+        # The weights sum to the count, so every target is reached.
+        picks = np.searchsorted(
+            cumulative, [max(1, math.ceil(q * self._count)) for q in qs])
+        return {key: float(values[order[pick]])
+                for key, pick in zip(keys, picks.tolist())}
 
     def to_state(self) -> dict:
         """JSON-safe state (floats round-trip exactly via repr)."""

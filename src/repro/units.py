@@ -15,6 +15,7 @@ factors around, and so that constructors can validate their inputs early.
 from __future__ import annotations
 
 import math
+import numbers
 
 #: Bytes per kilobyte.  The paper reports page sizes in KB; we follow the
 #: networking convention of 1 KB = 1000 bytes throughout.
@@ -53,6 +54,21 @@ def require_non_negative(name: str, value: float) -> float:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def require_count(name: str, value: int) -> int:
+    """Validate that ``value`` is an integer of at least 1.
+
+    Numpy integers count; a float (even an integral one such as
+    ``300.0``) and a ``bool`` do not, so a count is never silently
+    truncated or read from a flag.
+    """
+    if (not isinstance(value, numbers.Integral)
+            or isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return int(value)
 
 
 def require_positive(name: str, value: float) -> float:

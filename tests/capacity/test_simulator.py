@@ -9,6 +9,7 @@ from repro.capacity.simulator import (
     CapacitySimulator,
     capacity_at_drop_target,
 )
+from repro.stream.sweep import sweep_point
 
 
 def make_simulator(service=10.0, channels=50, horizon=3600.0):
@@ -125,3 +126,26 @@ def test_validation():
         simulator.run(0)
     with pytest.raises(ValueError):
         capacity_at_drop_target(simulator, 0.0)
+
+
+@pytest.mark.parametrize("bad", [300.9, 300.0, True])
+def test_non_integral_or_bool_user_counts_are_rejected(bad):
+    """``n_users`` used to be truncated by ``int()`` while the arrival
+    rate came from the raw value: ``run(300.9)`` simulated 300.9 users,
+    ``sweep_point`` then reported ``n_users=300`` beside 300.9's
+    sessions, and ``run(True)`` simulated one user.  The source rejects
+    them once, for every capacity run."""
+    simulator = make_simulator()
+    with pytest.raises(ValueError, match="n_users must be an integer"):
+        simulator.run(bad)
+    with pytest.raises(ValueError, match="n_users must be an integer"):
+        sweep_point(simulator, bad, 5)
+    with pytest.raises(ValueError, match="n_users must be an integer"):
+        simulator.exceeds_drop_target(bad, 0.02)
+
+
+def test_numpy_integer_user_counts_run_like_ints():
+    simulator = make_simulator()
+    assert simulator.run(np.int64(30)) == simulator.run(30)
+    assert sweep_point(simulator, np.int32(30), 5) \
+        == sweep_point(simulator, 30, 5)

@@ -11,6 +11,14 @@ tracking the rank error each compaction adds.  It exports its levels
 in the production counter form — level 0 is the open segment, level
 ``h+1`` the height-``h`` node — so a differential test can compare the
 two states byte for byte.
+
+:class:`RowSketch` is ``QuantileSketch`` as it was before its carries
+and read-out went to numpy: ``_fill`` pushes each folded segment row
+through ``_push_node`` one at a time (where the production fill hands
+all rows to ``_push_rows``), and ``quantiles`` walks ``sorted()``
+``(value, weight)`` tuples (where production uses ``lexsort`` +
+``cumsum`` + ``searchsorted``).  It covers fragments (start > 0) and
+stitches, which the level compactor cannot.
 """
 
 import math
@@ -18,7 +26,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.stream.aggregate import _UNIT_EXP, ExactSum, _require_finite
+from repro.stream.aggregate import (_UNIT_EXP, ExactSum, QuantileSketch,
+                                    _fold_segments, _push_node,
+                                    _require_finite)
 
 #: int64 chunk length for mantissa partial sums: 512 * 2^53 < 2^63.
 _SUM_CHUNK = 512
@@ -109,3 +119,54 @@ class LevelSketch:
                       for level, buf in reversed(
                           list(enumerate(self.levels))[1:]) if buf],
         }
+
+
+class RowSketch(QuantileSketch):
+    """:class:`QuantileSketch` with the per-row carry loop and the
+    tuple-sorting quantile read-out."""
+
+    __slots__ = ()
+
+    def _fill(self, x: np.ndarray) -> None:
+        k = self.K
+        pos = self._start + self._count
+        take = min(-len(self._open) % k, x.size)
+        if take:
+            self._open.extend(x[:take].tolist())
+            if len(self._open) == k:
+                _push_node(self._nodes, 0, (pos + take) // k - 1,
+                           sorted(self._open)[1::2])
+                self._open = []
+        rows = _fold_segments(x[take:], k)
+        first = (pos + take) // k
+        for offset, row in enumerate(rows.tolist()):
+            _push_node(self._nodes, 0, first + offset, row)
+        self._open.extend(x[take + len(rows) * k:].tolist())
+        self._count += int(x.size)
+
+    def quantiles(self, qs) -> Dict[str, float]:
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"q must be in [0, 1], got {q}")
+        self._require_whole()
+        keys = [f"p{round(q * 100):d}" if (q * 100) == round(q * 100)
+                else f"p{q * 100:g}" for q in qs]
+        if self._count == 0:
+            return {key: float("nan") for key in keys}
+        weighted = [(self._open, 1)] + [
+            (values, 2 << height)
+            for height, _, values in reversed(self._nodes)]
+        items: List[Tuple[float, int]] = sorted(
+            (v, weight) for values, weight in weighted for v in values)
+        out: Dict[str, float] = {}
+        for key, q in zip(keys, qs):
+            target = max(1, math.ceil(q * self._count))
+            cumulative = 0
+            value = items[-1][0]
+            for candidate, weight in items:
+                cumulative += weight
+                if cumulative >= target:
+                    value = candidate
+                    break
+            out[key] = value
+        return out

@@ -9,6 +9,9 @@ This module keeps the references that loop is held to:
   source chunks;
 - :func:`heap_drops` / :func:`resolve_drops_block` — the Erlang-loss
   drop process as a per-session min-heap loop;
+- :func:`binned_live_counts` — the resolver's live counts by
+  ``searchsorted`` + ``bincount`` + ``cumsum`` binning, which the
+  merge rank of ``repro.fleet.capacity._live_counts`` replaced;
 - :func:`chained_drops` — the kernel chained over an in-memory stream;
 - :func:`in_memory_point` / :func:`in_memory_sweep` — a sweep point
   from the whole-array draw, resolved and aggregated in one block.
@@ -54,6 +57,22 @@ def heap_drops(arrivals: np.ndarray, services: np.ndarray,
     heap = list(busy)
     heapq.heapify(heap)
     return _heap_resolve(heap, arrivals, services, n_channels)
+
+
+def binned_live_counts(arrivals: np.ndarray, departures: np.ndarray,
+                       busy: np.ndarray) -> np.ndarray:
+    """``L_i``, the releases at or before each sorted arrival: every
+    release is binned to the first arrival index it does not follow
+    (``side='left'``, so a release equal to an arrival counts for it),
+    and the per-bin counts are cumulative-summed."""
+    m = int(arrivals.size)
+    bins = np.searchsorted(arrivals, np.sort(departures), side='left')
+    live = np.cumsum(np.bincount(bins, minlength=m + 1))[:m]
+    if busy.size:
+        busy_bins = np.searchsorted(arrivals, np.sort(busy), side='left')
+        live = live + np.cumsum(
+            np.bincount(busy_bins, minlength=m + 1))[:m]
+    return live
 
 
 def resolve_drops_block(arrivals, services, n_channels, carry=None,

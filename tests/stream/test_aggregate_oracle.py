@@ -8,7 +8,10 @@ interleaved merges), the two must hold the same state byte for byte —
 ``repr`` of the exported state and of the quantiles, not just
 equality, because ``-0.0 == 0.0`` would hide a reordered signed zero.
 The sketch is driven as a whole stream (start 0) and as fragments cut
-at a drawn start, stitched back together.
+at a drawn start, stitched back together.  ``RowSketch`` keeps the
+per-row ``_push_node`` fill and the ``sorted()`` quantile read-out that
+``_push_rows`` and the ``lexsort`` read-out replaced; it covers
+fragments, which the level compactor cannot.
 """
 
 import json
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stream.aggregate import ExactSum, QuantileSketch
-from tests.oracles.aggregate import LevelSketch, OracleExactSum
+from tests.oracles.aggregate import LevelSketch, OracleExactSum, RowSketch
 
 K = QuantileSketch.K
 
@@ -111,3 +114,100 @@ def test_fragment_sketches_stitch_to_oracle(case, cut):
         states = [json.loads(json.dumps(fragment.to_state()))
                   for fragment in fragments]
         _assert_matches(QuantileSketch.stitch(states), oracle)
+
+
+class _SmallSketch(QuantileSketch):
+    """The production sketch at a segment length small enough that a
+    few hundred values climb many heights."""
+
+    __slots__ = ()
+    K = 4
+
+
+class _SmallRowSketch(RowSketch):
+    __slots__ = ()
+    K = 4
+
+
+def _assert_same_sketch(fast: QuantileSketch, slow: QuantileSketch,
+                        qs=_QS) -> None:
+    """Node for node (heights, start segments and values), exported
+    state and, for a whole stream, quantiles — all by ``repr``."""
+    assert repr(fast._nodes) == repr(slow._nodes)
+    assert repr(fast.to_state()) == repr(slow.to_state())
+    if not fast.to_state()["start"]:
+        assert repr(fast.quantiles(qs)) == repr(slow.quantiles(qs))
+
+
+@st.composite
+def fragment_feeds(draw, k):
+    """Values with many ties and signed zeros, a fragment start, and
+    the chunk sizes the fragment is fed in (long runs included, so one
+    block carries many rows through several heights)."""
+    pool = draw(atoms)
+    if draw(st.booleans()):
+        pool += [0.0, -0.0]
+    n = draw(st.integers(min_value=0, max_value=70 * k + 3))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    values = np.asarray(pool, dtype=np.float64)[
+        np.random.default_rng(seed).integers(len(pool), size=n)]
+    start = draw(st.integers(min_value=0, max_value=n))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=40 * k),
+                          max_size=8))
+    return values, start, sizes
+
+
+def _feed(sketch, values, sizes):
+    offset = 0
+    for size in sizes + [values.size]:
+        sketch.add_block(values[offset:offset + size])
+        offset += size
+    return sketch
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_carries_match_per_row_pushes(data):
+    """``_push_rows`` leaves the counter one ``_push_node`` per row
+    leaves, for a whole stream and for a fragment anchored at a drawn
+    start (its first row often a right sibling whose left one lies
+    before the fragment), at the production ``K`` and at ``K = 4``;
+    stitched back, the fragments give the per-row fill's whole-stream
+    sketch and quantiles."""
+    fast_cls, slow_cls = data.draw(st.sampled_from(
+        [(QuantileSketch, RowSketch), (_SmallSketch, _SmallRowSketch)]))
+    values, start, sizes = data.draw(fragment_feeds(fast_cls.K))
+    whole = [_feed(cls(), values, sizes) for cls in (fast_cls, slow_cls)]
+    _assert_same_sketch(*whole)
+    suffix = [_feed(cls(start), values[start:], sizes)
+              for cls in (fast_cls, slow_cls)]
+    _assert_same_sketch(*suffix)
+    prefix = fast_cls().add_block(values[:start]).to_state()
+    stitched = [cls.stitch([prefix, json.loads(json.dumps(part.to_state()))])
+                for cls, part in zip((fast_cls, slow_cls), suffix)]
+    _assert_same_sketch(*stitched)
+    _assert_same_sketch(stitched[0], whole[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                max_size=12 * 4),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                          st.sampled_from([0.0, -0.0, 1.0, 7.0])),
+                max_size=12),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                max_size=6))
+def test_quantile_readout_matches_sorted_tuples(open_values, nodes, qs):
+    """The ``lexsort`` read-out picks the value the ``sorted()`` walk
+    over ``(value, weight)`` picks, bit for bit (a ``-0.0``/``0.0`` tie
+    across weights included), for hand-built counters of any shape."""
+    fast, slow = QuantileSketch(), RowSketch()
+    counter = [[height, 0, [value] * (1 + height % 3)]
+               for height, value in sorted(nodes, reverse=True)]
+    count = len(open_values) + sum((2 << h) * len(v)
+                                   for h, _, v in counter)
+    for sketch in (fast, slow):
+        sketch._open = list(open_values)
+        sketch._nodes = [list(node) for node in counter]
+        sketch._count = count
+    assert repr(fast.quantiles(qs)) == repr(slow.quantiles(qs))
