@@ -1,9 +1,9 @@
 """Claim-file leases over a shared directory.
 
-The distributed sweep executor (:mod:`repro.sched`) and the shard
-manifest writer lock coordinate through plain files on a directory
-every participant can see — no coordinator process, no sockets.  The
-primitive is a *claim file*:
+The distributed sweep executor (:mod:`repro.sched`) coordinates its
+workers through plain files on a directory every participant can see
+— no coordinator process, no sockets.  The primitive is a *claim
+file*:
 
 - **acquire** — ``O_CREAT | O_EXCL`` of ``<name>.claim`` with a JSON
   payload naming the owner.  Exactly one creator wins; everyone else
@@ -153,20 +153,3 @@ class Heartbeat:
         if self._thread is not None:
             self._thread.join()
 
-
-def acquire_blocking(path, owner: str, *, timeout: float,
-                     poll: float = 0.005,
-                     stale_after: float = DEFAULT_STALE_AFTER) -> bool:
-    """Spin on :func:`try_claim` until acquired or ``timeout`` elapses.
-
-    Meant for short-lived critical sections (the shard manifest lock),
-    where the hold time is milliseconds and a bounded wait beats
-    failing fast.
-    """
-    deadline = time.monotonic() + float(timeout)
-    while True:
-        if try_claim(path, owner, stale_after=stale_after):
-            return True
-        if time.monotonic() >= deadline:
-            return False
-        time.sleep(poll)

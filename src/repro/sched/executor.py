@@ -25,9 +25,10 @@ many, sharing only a filesystem — drive one sweep to completion:
 ``work_dir/shards/point-<n>-<seed>/``
     One :class:`~repro.stream.shard.ShardStore` per point holding the
     unit shards (each unit's dropped count, aggregate fragment and end
-    boundary) and the stitched point.  Every read is checksum-verified;
-    a damaged shard drops the done marker of the task that wrote it, so
-    that task re-executes instead of poisoning the merge.  Each worker
+    boundary) and the stitched point, one self-verifying file each.
+    Every read checks the file's digest, fingerprint and key; a damaged
+    shard drops the done marker of the task that wrote it, so that
+    task re-executes instead of poisoning the merge.  Each worker
     reads every stitched point once per run, so a rerun re-stitches a
     point whose shard was damaged after it finished.
 
@@ -58,7 +59,8 @@ from repro.runtime import lease
 from repro.runtime.observability import (KERNEL_STATS, SimRunStats,
                                          collecting)
 from repro.stream import DEFAULT_BLOCK_ARRIVALS
-from repro.stream.shard import ShardStore, params_fingerprint
+from repro.stream.shard import (ShardStore, atomic_write,
+                                params_fingerprint)
 from repro.stream.sweep import (StreamPoint, StreamSweepResult,
                                 point_fingerprint)
 from repro.sched.stitch import stitch_point
@@ -69,8 +71,9 @@ from repro.sched.worker import run_unit
 _SPEC_NAME = "sweep.json"
 _POINT_KEY = "point"
 #: Work-dir layout: the spec ``version`` and the shard stores' layer
-#: tag.  A directory written under another layout is refused.
-_LAYOUT = 2
+#: tag.  A directory written under another layout is refused: 1 was
+#: the plan/speculate/replay layout, 2 indexed shards in a manifest.
+_LAYOUT = 3
 
 
 class WorkDirMismatch(RuntimeError):
@@ -161,14 +164,25 @@ def ensure_spec(work_dir, payload: dict) -> dict:
 
 
 def load_spec(work_dir) -> dict:
+    """The work directory's spec; :class:`WorkDirMismatch` if it is
+    missing, unreadable, or not a JSON object with a fingerprint."""
     spec_path = Path(work_dir) / _SPEC_NAME
     try:
         with open(spec_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            spec = json.load(handle)
     except FileNotFoundError:
         raise WorkDirMismatch(
             f"no sweep spec at {spec_path}; initialise the work "
             f"directory with ensure_spec / run_distributed_sweep first")
+    except (OSError, ValueError) as exc:
+        raise WorkDirMismatch(
+            f"cannot read the sweep spec at {spec_path}: {exc}") from None
+    if not isinstance(spec, dict) \
+            or not isinstance(spec.get("fingerprint"), str):
+        raise WorkDirMismatch(
+            f"the sweep spec at {spec_path} is not a JSON object "
+            f"with a fingerprint")
+    return spec
 
 
 def _spec_config(spec: dict) -> CapacityConfig:
@@ -202,8 +216,7 @@ class _WorkDir:
         return len(self.counts)
 
     def open_store(self, point: int) -> ShardStore:
-        """A fresh store per access, so the manifest reflects what
-        other workers have published since."""
+        """The point's shard store."""
         n_users = self.counts[point]
         seed = self.seeds[point]
         fingerprint = params_fingerprint({
@@ -234,12 +247,8 @@ class _WorkDir:
         return self.done_path(task_id).exists()
 
     def mark_done(self, task_id: str, payload: dict) -> None:
-        path = self.done_path(task_id)
-        tmp = path.with_name(path.name
-                             + f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        tmp.write_text(json.dumps(payload, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write(self.done_path(task_id),
+                     json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def clear_done(self, task_id: str) -> None:
         try:

@@ -8,8 +8,9 @@ on top of those blocks:
 - :mod:`repro.stream.aggregate` — chunking-invariant online
   aggregators (exact count/sum/mean-variance, min/max, deterministic
   quantile sketch) and their per-unit fragments;
-- :mod:`repro.stream.shard` — spill-to-disk npz shards with a JSON
-  manifest, the storage of a :mod:`repro.sched` work dir;
+- :mod:`repro.stream.shard` — self-verifying spill-to-disk npz
+  shards, one file per key, the storage of a :mod:`repro.sched` work
+  dir;
 - :mod:`repro.stream.sweep` — the ``repro stream-sweep`` driver, whose
   ``sweep_point`` folds each resolved block's services into the
   point's aggregate.

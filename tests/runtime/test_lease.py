@@ -68,11 +68,3 @@ def test_heartbeat_reports_lost_lease(tmp_path):
             time.sleep(0.01)
     assert beat.lost
 
-
-def test_acquire_blocking_waits_for_release(tmp_path):
-    path = tmp_path / "m.lock"
-    assert lease.try_claim(path, "a")
-    assert not lease.acquire_blocking(path, "b", timeout=0.05)
-    lease.release(path)
-    assert lease.acquire_blocking(path, "b", timeout=0.5)
-    assert lease.claim_owner(path) == "b"

@@ -80,20 +80,17 @@ def test_parallel_over_a_work_dir_resumes_with_zero_units(serial,
 
 
 def test_parallel_counts_every_shard_write(tmp_path):
-    """Every unit and stitched point is one counted spill, from
-    whichever local worker wrote it; no plan shard is written."""
+    """Every unit and stitched point is one counted spill of one shard
+    file, from whichever local worker wrote it; no plan shard is
+    written."""
     work_dir = tmp_path / "wd"
     spills, nbytes = _shard_writes(_run("--parallel", "2", "--work-dir",
                                         str(work_dir)))
-    shard_bytes = {}
-    for manifest in (work_dir / "shards").glob("*/manifest.json"):
-        shards = json.loads(manifest.read_text())["shards"]
-        for key, entry in shards.items():
-            shard_bytes[manifest.parent.name, key] = entry["bytes"]
-    assert {key.split("-")[0] for _, key in shard_bytes} \
+    shards = sorted((work_dir / "shards").glob("*/*.npz"))
+    assert {shard.stem.split("-")[0] for shard in shards} \
         == {"unit", "point"}
-    assert spills == len(shard_bytes)
-    assert nbytes == sum(shard_bytes.values()) > 0
+    assert spills == len(shards)
+    assert nbytes == sum(shard.stat().st_size for shard in shards) > 0
     # A rerun over the finished dir writes nothing.
     assert _shard_writes(_run("--parallel", "2", "--work-dir",
                               str(work_dir))) == (0, 0)
@@ -183,3 +180,21 @@ def test_mismatched_work_dir_is_one_line_exit_2(tmp_path):
     assert "Traceback" not in rejoined.stderr
     (line,) = rejoined.stderr.splitlines()
     assert work_dir in line
+
+
+@pytest.mark.parametrize("spec", ["{torn", "[]"])
+def test_damaged_spec_is_one_line_exit_2(tmp_path, capsys, spec):
+    """A finished work dir whose ``sweep.json`` is torn, or is not a
+    JSON object, is refused like a mismatched one: one stderr line
+    naming the spec, exit 2, no traceback."""
+    work_dir = tmp_path / "wd"
+    args = ["stream-sweep", "--scale", "1", "--horizon", "600",
+            "--users", "250", "--work-dir", str(work_dir)]
+    assert main(args) == 0
+    (work_dir / "sweep.json").write_text(spec)
+    capsys.readouterr()
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert str(work_dir / "sweep.json") in line

@@ -136,16 +136,19 @@ def test_killed_worker_is_stolen_and_bytes_still_match(tmp_path):
 
 
 def test_work_dir_of_the_previous_layout_is_refused(tmp_path):
-    """A spec written under the plan/speculate/replay layout (spec
-    version 1) is refused, not misread as a unit chain."""
-    old = spec_payload(POOL, COUNTS, CONFIG, **KW)
-    del old["fingerprint"]
-    old["version"] = 1
-    old["fingerprint"] = params_fingerprint(old)
-    ensure_spec(tmp_path, old)
-    with pytest.raises(WorkDirMismatch, match="refusing to join"):
-        run_distributed_sweep(POOL, COUNTS, CONFIG, work_dir=tmp_path,
-                              **KW)
+    """A spec written under an older layout is refused, not misread:
+    version 1 is the plan/speculate/replay layout, version 2 indexed
+    its shards in a manifest."""
+    for version in (1, 2):
+        old = spec_payload(POOL, COUNTS, CONFIG, **KW)
+        del old["fingerprint"]
+        old["version"] = version
+        old["fingerprint"] = params_fingerprint(old)
+        work_dir = tmp_path / f"v{version}"
+        ensure_spec(work_dir, old)
+        with pytest.raises(WorkDirMismatch, match="refusing to join"):
+            run_distributed_sweep(POOL, COUNTS, CONFIG,
+                                  work_dir=work_dir, **KW)
 
 
 def test_clean_run_replays_nothing_and_a_steal_replays_one_unit(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.capacity.simulator import CapacityConfig
-from repro.sched import (WorkDirIncomplete, ensure_spec,
+from repro.sched import (WorkDirIncomplete, WorkDirMismatch, ensure_spec,
                          execute_work_dir, merge_work_dir, spec_payload,
                          work_dir_progress)
 from repro.stream.sweep import lognormal_pool
@@ -41,6 +41,17 @@ def test_spec_only_dir_is_pending_and_read_only(tmp_path):
     assert [p["state"] for p in progress["points"]] == \
         ["pending", "pending"]
     assert _snapshot(work_dir) == before
+
+
+@pytest.mark.parametrize("spec", ["{torn", "[]"])
+def test_damaged_spec_is_a_mismatch(tmp_path, spec):
+    """A spec that cannot be read, or is not a JSON object, is refused
+    with the error a job-status read already maps to an unknown job."""
+    work_dir = tmp_path / "wd"
+    ensure_spec(work_dir, _payload())
+    (work_dir / "sweep.json").write_text(spec)
+    with pytest.raises(WorkDirMismatch, match="sweep.json"):
+        work_dir_progress(work_dir)
 
 
 def test_merge_on_pending_dir_raises_incomplete(tmp_path):

@@ -65,7 +65,7 @@ def test_plan_units_regenerate_their_exact_blocks():
 def test_plan_roundtrips_through_json():
     """A plan is never stored: it is rebuilt from the session count a
     published boundary carries, after the boundary's JSON round trip
-    through a shard manifest."""
+    through a shard header."""
     plan, origin = plan_point(POOL, 1500, 9, config=CONFIG,
                               block_arrivals=1024, unit_blocks=4)
     arrays, meta = run_unit(POOL, plan, plan.units[0], origin,

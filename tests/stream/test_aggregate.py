@@ -267,7 +267,7 @@ def test_sketch_stitch_equals_sequential_over_partitions(values, cuts):
 @settings(max_examples=60, deadline=None)
 @given(service_streams(), cut_lists)
 def test_sketch_stitch_survives_json_roundtrip(values, cuts):
-    """Fragments ride in shard manifests as JSON; repr round-trips
+    """Fragments ride in shard headers as JSON; repr round-trips
     floats exactly, so the stitched sketch stays byte-identical."""
     serial = QuantileSketch().add_block(values)
     states = [json.loads(json.dumps(fragment.to_state()))
