@@ -17,7 +17,7 @@ Subcommands::
     repro train --trace trace.csv --out model.json
     repro predict --model model.json --trace trace.csv --threshold 9
     repro session --user 35
-    repro serve [--port 8323] [--batch-window 0.005] [--job-dir jobs/]
+    repro serve [--port 8323] [--max-batch 64] [--job-dir jobs/]
 
 Also reachable as ``python -m repro``.  Each command imports the modules
 it runs, so ``--help`` and a sweep worker never load the browser,
@@ -421,17 +421,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"invalid port {args.port}: must be 0..65535",
               file=sys.stderr)
         return 2
-    if args.batch_window < 0:
-        print(f"invalid --batch-window {args.batch_window}: "
-              "must be >= 0", file=sys.stderr)
-        return 2
     if min(args.workers, args.max_jobs, args.max_batch) < 1:
         print("--workers, --max-jobs and --max-batch must be >= 1",
               file=sys.stderr)
         return 2
 
-    service = WhatIfService(batch_window=args.batch_window,
-                            max_batch=args.max_batch,
+    service = WhatIfService(max_batch=args.max_batch,
                             load_cache_dir=args.cache_dir)
     jobs = None
     if args.job_dir is not None:
@@ -450,8 +445,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     thread.start()
     host, port = thread.address
     print(f"serving on http://{host}:{port} "
-          f"(batch window {args.batch_window * 1000:.1f} ms, "
-          f"jobs {'enabled' if jobs else 'disabled'})", flush=True)
+          f"(jobs {'enabled' if jobs else 'disabled'})", flush=True)
 
     done = []
 
@@ -738,12 +732,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8323,
                        help="listen port; 0 binds an ephemeral port "
                             "(default: 8323)")
-    serve.add_argument("--batch-window", type=float, default=0.005,
-                       metavar="S",
-                       help="micro-batch collection window in seconds; "
-                            "0 disables batching (default: 0.005)")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="max predictions per batch (default: 64)")
+                       help="max predictions per batch; batches form "
+                            "only while every core is busy "
+                            "(default: 64)")
     serve.add_argument("--job-dir", metavar="DIR",
                        help="enable async /sweep jobs rooted at DIR "
                             "(resumable across restarts)")

@@ -69,7 +69,7 @@ class SimRunStats:
     #: Micro-batches the serving layer executed (each one fleet call).
     serve_batches: int = 0
     #: Requests that rode another request's computation — duplicates
-    #: coalesced by the micro-batcher within one window.
+    #: the micro-batcher coalesced onto a pending or computing entry.
     serve_coalesced: int = 0
 
     @property

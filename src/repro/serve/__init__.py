@@ -7,16 +7,17 @@ quantiles do I get?"* — by running the exact evaluator/capacity code
 paths the offline figures use, seeded content-addressably so the same
 request always yields the same bytes.  Around it:
 
-- :class:`~repro.serve.batcher.MicroBatcher` — coalesces concurrent
-  predictions into batched fleet calls (and dedupes identical ones);
+- :class:`~repro.serve.batcher.MicroBatcher` — computes a prediction at
+  once while a core is free, batches the ones that queue while every
+  core is busy, and dedupes identical in-flight ones;
 - :class:`~repro.serve.jobs.JobManager` — async population sweeps as
   resumable ``repro.sched`` work directories behind a bounded queue;
 - :class:`~repro.serve.http.ServeApp` + a stdlib threading HTTP
   server (``repro serve``), the one transport.
 """
 
-from repro.serve.batcher import (BatcherClosed, DEFAULT_BATCH_WINDOW,
-                                 DEFAULT_MAX_BATCH, MicroBatcher)
+from repro.serve.batcher import (BatcherClosed, DEFAULT_MAX_BATCH,
+                                 MicroBatcher)
 from repro.serve.http import (ServeApp, ServerThread, create_server)
 from repro.serve.jobs import JobManager, JobQueueFull, UnknownJob
 from repro.serve.metrics import LATENCY_QUANTILES, ServeMetrics
@@ -27,7 +28,6 @@ from repro.serve.service import (PREDICT_LAYER, WhatIfService,
 
 __all__ = [
     "BatcherClosed",
-    "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_BATCH",
     "JobManager",
     "JobQueueFull",

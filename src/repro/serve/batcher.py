@@ -1,37 +1,53 @@
-"""Micro-batching across concurrent request threads.
+"""Micro-batching across concurrent request threads, gated on core
+occupancy.
 
 The fleet engines are batch-native: one ``evaluate_setups`` call over N
 trials costs far less than N calls over one trial each (one unit-grid
-pass, one set of array allocations).  A serving process receives
-those N trials as N *concurrent HTTP requests*, so the batcher's job is
-to re-assemble them: the first request thread to arrive becomes the
-round's **leader**, waits a small collection window for peers, then
-executes everyone's work as one batch and distributes the results.
+pass, one set of array allocations).  A serving process receives those
+N trials as N *concurrent HTTP requests*.  Holding a request back to
+collect peers only pays when no core could start it now, so the
+batcher keys batching on occupancy, never on a clock: it runs at most
+``slots`` rounds at once, one per core the process may run on.
 
-Duplicate requests (same canonical key) inside one window coalesce onto
-a single slot — one computation fans out to every waiter, which is what
-makes hot what-if scenarios nearly free under load.
+- A request that finds a free slot computes at once, as a round of one.
+- A request that finds every slot busy joins the pending queue.  The
+  thread of the queue's first entry leads the next round: it waits on
+  the condition until a slot frees, then takes up to ``max_batch``
+  pending items as one round.  The first entry left behind leads the
+  round after it.
 
-``window=0`` disables batching entirely: every caller computes its own
-single-item batch inline.  That degenerate mode is the honest
-"unbatched" baseline that ``tests/serve/test_batching_latency.py``
-holds the batched p99 against: same code path, no coalescing, no
-shared fleet call.
+So a round grows exactly with the backlog that built up while every
+core was busy, and a quiet server never waits.
+
+A request whose canonical key matches an entry that is pending or still
+computing coalesces onto it: one computation fans out to every waiter
+(the ``SingleFlight`` idea applied to rounds).  Entries stay keyed until
+their round's results are set, which is what makes hot what-if
+scenarios nearly free under load.
+
+``slots=math.inf`` is the unbatched mode on the same path: every
+request computes at once as a round of one, and nothing coalesces (each
+call is keyed apart), so no request ever waits for a peer.  It is the
+honest baseline that ``tests/serve/test_batching_latency.py`` holds the
+batched p99 against.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import threading
-import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
-#: Default collection window, seconds.  Long enough that a burst of
-#: closed-loop clients lands in one round, short enough to be invisible
-#: next to a cold page-load (hundreds of ms).
-DEFAULT_BATCH_WINDOW = 0.005
-
-#: Default cap on distinct keys per round; a full round executes early.
+#: Default cap on distinct keys per round.
 DEFAULT_MAX_BATCH = 64
+
+
+def core_slots() -> int:
+    """Cores this process may run on: the default round concurrency."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class BatcherClosed(RuntimeError):
@@ -39,7 +55,8 @@ class BatcherClosed(RuntimeError):
 
 
 class _Entry:
-    __slots__ = ("key", "item", "event", "result", "error", "waiters")
+    __slots__ = ("key", "item", "event", "result", "error", "waiters",
+                 "taken")
 
     def __init__(self, key: Hashable, item):
         self.key = key
@@ -47,12 +64,14 @@ class _Entry:
         self.event = threading.Event()
         self.result = None
         self.error: Optional[BaseException] = None
-        #: Extra callers riding this slot (duplicates coalesced).
+        #: Extra callers riding this entry (duplicates coalesced).
         self.waiters = 0
+        #: Set once a round holds this entry (no longer pending).
+        self.taken = False
 
 
 class MicroBatcher:
-    """Coalesce concurrent ``submit`` calls into windowed batches.
+    """Coalesce concurrent ``submit`` calls into occupancy-gated rounds.
 
     ``compute`` receives the round's unique items (in arrival order)
     and must return one result per item, same order.  If it raises, the
@@ -60,81 +79,81 @@ class MicroBatcher:
     will fail identically per-item anyway, and a transient fault is the
     caller's to retry.
 
-    ``on_round(n_items, n_coalesced)`` fires after each executed round
-    (and after each inline single-item computation when ``window=0``),
+    ``slots`` bounds the rounds computing at once (default: the cores
+    this process may run on; ``math.inf`` never queues and never
+    coalesces).
+    ``on_round(n_items, n_coalesced)`` fires after each executed round,
     so the owner can fold batching effectiveness into its metrics.
     """
 
     def __init__(self, compute: Callable[[List[object]], Sequence[object]],
-                 window: float = DEFAULT_BATCH_WINDOW,
+                 slots: Optional[float] = None,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  on_round: Optional[Callable[[int, int], None]] = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        slots = core_slots() if slots is None else slots
+        if not slots >= 1:
+            raise ValueError(f"slots must be >= 1, got {slots}")
         self._compute = compute
-        self.window = float(window)
+        self.slots = slots
+        self._coalesce = slots != math.inf
         self.max_batch = int(max_batch)
         self._on_round = on_round
         self._cond = threading.Condition()
-        self._pending: Dict[Hashable, _Entry] = {}
-        self._leader_active = False
+        #: Every entry that is pending or computing, by key.
+        self._entries: Dict[Hashable, _Entry] = {}
+        #: Pending entries, in arrival order.
+        self._queue: List[_Entry] = []
+        self._busy = 0
         self._closed = False
 
     # -- hot path --------------------------------------------------------
 
     def submit(self, key: Hashable, item):
         """Compute ``item`` (or join an identical in-flight one)."""
-        if self.window <= 0:
-            return self._run_inline(key, item)
+        if not self._coalesce:
+            key = object()
+        batch = None
         with self._cond:
             if self._closed:
                 raise BatcherClosed("batcher is closed")
-            entry = self._pending.get(key)
-            lead = False
+            entry = self._entries.get(key)
             if entry is not None:
                 entry.waiters += 1
             else:
                 entry = _Entry(key, item)
-                self._pending[key] = entry
-                if not self._leader_active:
-                    self._leader_active = True
-                    lead = True
-                elif len(self._pending) >= self.max_batch:
-                    self._cond.notify_all()  # wake the leader early
-        if lead:
-            self._lead_round()
+                self._entries[key] = entry
+                if self._queue or self._busy >= self.slots:
+                    self._queue.append(entry)
+                    batch = self._await_slot(entry)
+                else:
+                    self._busy += 1
+                    batch = [entry]
+        if batch:
+            self._run(batch)
         entry.event.wait()
         if entry.error is not None:
             raise entry.error
         return entry.result
 
-    def _run_inline(self, key: Hashable, item):
-        with self._cond:
-            if self._closed:
-                raise BatcherClosed("batcher is closed")
-        results = self._compute([item])
-        if len(results) != 1:
-            raise RuntimeError(
-                f"batch compute returned {len(results)} results "
-                "for 1 item")
-        if self._on_round is not None:
-            self._on_round(1, 0)
-        return results[0]
+    def _await_slot(self, entry: _Entry) -> Optional[List[_Entry]]:
+        """Hold ``entry`` pending until another leader's round takes it
+        (None) or it heads the queue with a slot free: then take the
+        round it leads.  Called with the condition held."""
+        while not entry.taken:
+            if self._queue[0] is entry and self._busy < self.slots:
+                batch = self._queue[:self.max_batch]
+                del self._queue[:self.max_batch]
+                for member in batch:
+                    member.taken = True
+                self._busy += 1
+                self._cond.notify_all()
+                return batch
+            self._cond.wait()
+        return None
 
-    def _lead_round(self) -> None:
-        deadline = time.monotonic() + self.window
-        with self._cond:
-            while (len(self._pending) < self.max_batch
-                   and not self._closed):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            batch = list(self._pending.values())
-            self._pending = {}
-            self._leader_active = False
-            self._cond.notify_all()
-        coalesced = sum(entry.waiters for entry in batch)
+    def _run(self, batch: List[_Entry]) -> None:
         try:
             results = self._compute([entry.item for entry in batch])
             if len(results) != len(batch):
@@ -147,6 +166,12 @@ class MicroBatcher:
             for entry in batch:
                 entry.error = exc
         finally:
+            with self._cond:
+                for entry in batch:
+                    del self._entries[entry.key]
+                coalesced = sum(entry.waiters for entry in batch)
+                self._busy -= 1
+                self._cond.notify_all()
             for entry in batch:
                 entry.event.set()
             if self._on_round is not None:
@@ -155,22 +180,15 @@ class MicroBatcher:
     # -- lifecycle -------------------------------------------------------
 
     def close(self, timeout: float = 30.0) -> None:
-        """Refuse new work, then wait for in-flight rounds to drain.
+        """Refuse new work, then wait for accepted work to drain.
 
-        Entries already registered keep their promise: the active
-        leader still executes them (its collection wait is cut short by
-        the notify), so a graceful shutdown answers everything it
-        accepted.
+        Entries already registered keep their promise: a round queued
+        behind busy slots still runs when a slot frees, so a graceful
+        shutdown answers everything it accepted.
         """
-        deadline = time.monotonic() + timeout
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
-            while self._pending or self._leader_active:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(min(remaining, 0.05))
+            self._cond.wait_for(lambda: not self._entries, timeout)
 
     @property
     def closed(self) -> bool:

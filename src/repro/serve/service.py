@@ -1,10 +1,11 @@
 """The transport-agnostic what-if core: scenario in, prediction out.
 
 One :class:`WhatIfService` owns the process-wide warm state (corpus,
-load memo, benchmark memo — all thread-safe single-flight caches after
-this PR) and a :class:`~repro.serve.batcher.MicroBatcher` that turns
-concurrent ``predict`` calls into batched ``evaluate_setups`` fleet
-calls.  Determinism is the contract:
+load memo, benchmark memo — all thread-safe single-flight caches) and a
+:class:`~repro.serve.batcher.MicroBatcher` that computes a ``predict``
+call at once while a core is free and, once every core is busy, turns
+the calls that queue up into batched ``evaluate_setups`` fleet calls.
+Determinism is the contract:
 
 - the request's evaluation seed is spawned from a content-addressed
   run ID (``serve-predict-v1`` + scenario fingerprint + setup fields),
@@ -22,6 +23,7 @@ calls.  Determinism is the contract:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
@@ -33,8 +35,7 @@ from repro.capacity.simulator import CapacityConfig, CapacitySimulator
 from repro.runtime.cache import ResultCache
 from repro.runtime.observability import KERNEL_STATS
 from repro.runtime.parallel import warm_process
-from repro.serve.batcher import (DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH,
-                                 MicroBatcher)
+from repro.serve.batcher import DEFAULT_MAX_BATCH, MicroBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.schema import PredictRequest
 from repro.stream.shard import params_fingerprint
@@ -60,18 +61,34 @@ def predict_eval_seed(request: PredictRequest) -> int:
 
 
 class WhatIfService:
-    """Answers ``predict`` calls; owns the batcher and warm caches."""
+    """Answers ``predict`` calls; owns the batcher and warm caches.
+
+    Predictions batch by core occupancy (see :mod:`repro.serve.batcher`).
+    ``batch_window`` stays only for ``bench/oracle.py``, which builds
+    the unbatched service as ``WhatIfService(batch_window=0)``: omitted
+    means occupancy batching, ``0`` means unbatched (unlimited slots on
+    the same path: each request computes at once and alone), and any
+    other value raises ``ValueError``.  Both modes answer with the same
+    bytes.
+    """
 
     def __init__(self, *,
-                 batch_window: float = DEFAULT_BATCH_WINDOW,
+                 batch_window: Optional[float] = None,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  load_cache_dir: Optional[str] = None,
                  metrics: Optional[ServeMetrics] = None):
+        if batch_window is None:
+            slots = None
+        elif batch_window == 0:
+            slots = math.inf
+        else:
+            raise ValueError("batch_window must be omitted (occupancy "
+                             f"batching) or 0 (unbatched), got "
+                             f"{batch_window!r}")
         self.metrics = metrics or ServeMetrics()
         self._load_cache = (ResultCache(load_cache_dir)
                             if load_cache_dir is not None else None)
-        self._batcher = MicroBatcher(self._compute_batch,
-                                     window=batch_window,
+        self._batcher = MicroBatcher(self._compute_batch, slots=slots,
                                      max_batch=max_batch,
                                      on_round=self._record_round)
         self._warm = False
@@ -94,7 +111,7 @@ class WhatIfService:
     # -- the request path ------------------------------------------------
 
     def predict(self, request: PredictRequest) -> dict:
-        """One what-if answer, batched with concurrent peers."""
+        """One what-if answer, batched with peers while cores are busy."""
         started = time.perf_counter()
         try:
             response = self._batcher.submit(request.canonical(), request)

@@ -61,9 +61,21 @@ _HALF_BITS = 26
 _SUM_CHUNK = 1 << 14
 
 
-def _require_finite(x: np.ndarray) -> None:
-    if x.size and not np.isfinite(x).all():
-        raise ValueError("aggregators require finite values")
+class _Accumulator:
+    """The one public ``add_block`` of every aggregator here: it checks
+    the block's finiteness once, then folds it through the class's
+    ``_add_finite``, which trusts it.  A composite's ``_add_finite``
+    folds its members' ``_add_finite`` without checking again."""
+
+    __slots__ = ()
+
+    def add_block(self, values):
+        x = np.asarray(values, dtype=np.float64).ravel()
+        if x.size:
+            if not np.isfinite(x).all():
+                raise ValueError("aggregators require finite values")
+            self._add_finite(x)
+        return self
 
 
 def _fold_segments(x: np.ndarray, k: int) -> np.ndarray:
@@ -79,7 +91,7 @@ def _fold_segments(x: np.ndarray, k: int) -> np.ndarray:
     return np.sort(segments, axis=1, kind=kind)[:, 1::2]
 
 
-class ExactSum:
+class ExactSum(_Accumulator):
     """Exact big-integer accumulator for float64 sums."""
 
     __slots__ = ("_units",)
@@ -92,11 +104,7 @@ class ExactSum:
         """The exact sum, in units of 2^-1126."""
         return self._units
 
-    def add_block(self, values) -> "ExactSum":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
+    def _add_finite(self, x: np.ndarray) -> None:
         total = 0
         for start in range(0, x.size, _SUM_CHUNK):
             mantissa, exponent = np.frexp(x[start:start + _SUM_CHUNK])
@@ -114,7 +122,6 @@ class ExactSum:
                 total += ((int(his[b]) << _HALF_BITS) + int(los[b])) \
                     << (low + b)
         self._units += total
-        return self
 
     def merge(self, other: "ExactSum") -> "ExactSum":
         self._units += other._units
@@ -141,7 +148,7 @@ class ExactSum:
         return hash(self._units)
 
 
-class MeanVariance:
+class MeanVariance(_Accumulator):
     """Exact count/sum/sum-of-squares; mean and variance on demand."""
 
     __slots__ = ("_count", "_sum", "_sumsq")
@@ -160,11 +167,7 @@ class MeanVariance:
     def total(self) -> float:
         return self._sum.value
 
-    def add_block(self, values) -> "MeanVariance":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
+    def _add_finite(self, x: np.ndarray) -> None:
         # The square is one double op per element — deterministic and
         # chunking-invariant; the *sum* of squares is then exact.
         with np.errstate(over="ignore"):
@@ -173,9 +176,8 @@ class MeanVariance:
             raise ValueError("aggregators require values whose square "
                              "is finite: x * x overflows float64")
         self._count += int(x.size)
-        self._sum.add_block(x)
-        self._sumsq.add_block(squares)
-        return self
+        self._sum._add_finite(x)
+        self._sumsq._add_finite(squares)
 
     def merge(self, other: "MeanVariance") -> "MeanVariance":
         self._count += other._count
@@ -238,7 +240,7 @@ class MeanVariance:
     __hash__ = None
 
 
-class MinMax:
+class MinMax(_Accumulator):
     """Running extrema (exact and trivially associative)."""
 
     __slots__ = ("_min", "_max")
@@ -256,16 +258,11 @@ class MinMax:
     def maximum(self) -> Optional[float]:
         return self._max
 
-    def add_block(self, values) -> "MinMax":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
+    def _add_finite(self, x: np.ndarray) -> None:
         low = float(x.min())
         high = float(x.max())
         self._min = low if self._min is None else min(self._min, low)
         self._max = high if self._max is None else max(self._max, high)
-        return self
 
     def merge(self, other: "MinMax") -> "MinMax":
         if other._min is not None:
@@ -336,7 +333,7 @@ def _push_rows(nodes: List[List], rows: np.ndarray, first: int) -> None:
     nodes.extend(reversed(waiting))
 
 
-class QuantileSketch:
+class QuantileSketch(_Accumulator):
     """Deterministic compacting quantile sketch (MRL/KLL family) over
     elements ``[start, start + count)`` of a globally ordered stream.
 
@@ -398,17 +395,12 @@ class QuantileSketch:
             raise ValueError("a fragment (start > 0) has no quantiles "
                              "of its own: stitch the fragments first")
 
-    def add_block(self, values) -> "QuantileSketch":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
+    def _add_finite(self, x: np.ndarray) -> None:
         # head: global positions before the first K-aligned boundary
         head = min(max(-self._start % self.K - self._count, 0), x.size)
         self._head.extend(x[:head].tolist())
         self._count += head
         self._fill(x[head:])
-        return self
 
     def _fill(self, x: np.ndarray) -> None:
         """Fold raws at global position ``start + count``, past the
@@ -528,7 +520,7 @@ class QuantileSketch:
 SERVICE_QUANTILES = (0.5, 0.9, 0.99)
 
 
-class ServiceAggregate:
+class ServiceAggregate(_Accumulator):
     """Composite aggregate over the service times of stream elements
     ``[start, start + count)``: exact moments, extrema and the quantile
     sketch that the stream-sweep report consumes.
@@ -548,12 +540,10 @@ class ServiceAggregate:
         self.extrema = MinMax()
         self.sketch = QuantileSketch(start)
 
-    def add_block(self, values) -> "ServiceAggregate":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        self.moments.add_block(x)
-        self.extrema.add_block(x)
-        self.sketch.add_block(x)
-        return self
+    def _add_finite(self, x: np.ndarray) -> None:
+        self.moments._add_finite(x)
+        self.extrema._add_finite(x)
+        self.sketch._add_finite(x)
 
     def state_nbytes(self) -> int:
         """Rough resident footprint (for peak carried-state tracking)."""

@@ -27,8 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.stream.aggregate import (_UNIT_EXP, ExactSum, QuantileSketch,
-                                    _fold_segments, _push_node,
-                                    _require_finite)
+                                    _fold_segments, _push_node)
 
 #: int64 chunk length for mantissa partial sums: 512 * 2^53 < 2^63.
 _SUM_CHUNK = 512
@@ -39,11 +38,7 @@ class OracleExactSum(ExactSum):
 
     __slots__ = ()
 
-    def add_block(self, values) -> "OracleExactSum":
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return self
-        _require_finite(x)
+    def _add_finite(self, x: np.ndarray) -> None:
         mantissa, exponent = np.frexp(x)
         m53 = np.ldexp(mantissa, 53).astype(np.int64)
         shifts = exponent.astype(np.int64) + (_UNIT_EXP - 53)
@@ -56,7 +51,6 @@ class OracleExactSum(ExactSum):
                                 .sum(dtype=np.int64))
             total += subtotal << int(shift)
         self._units += total
-        return self
 
 
 class LevelSketch:

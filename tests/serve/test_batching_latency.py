@@ -27,8 +27,9 @@ from repro.serve import ServeApp, ServerThread, WhatIfService
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 6
 PASSES = 3
-#: Batch window per mode, seconds.
-WINDOWS = {"unbatched": 0.0, "batched": 0.005}
+#: ``batch_window`` per mode: 0 is unbatched, None the default
+#: (occupancy batching).
+WINDOWS = {"unbatched": 0.0, "batched": None}
 
 PAYLOADS = (
     {"n_users": 120, "n_channels": 80, "horizon": 900.0,

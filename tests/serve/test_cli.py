@@ -1,5 +1,7 @@
 """``repro serve`` CLI error paths."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -11,8 +13,14 @@ def test_serve_rejects_bad_port(capsys):
 
 
 def test_serve_rejects_negative_window(capsys):
-    assert main(["serve", "--batch-window", "-1"]) == 2
-    assert "batch-window" in capsys.readouterr().err
+    """Batching is gated on core occupancy: there is no window to set,
+    so argparse rejects ``--batch-window`` at any value."""
+    for value in ("-1", "0", "0.005"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--batch-window", value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch-window" in \
+            capsys.readouterr().err
 
 
 def test_serve_rejects_bad_worker_counts(capsys):

@@ -27,7 +27,7 @@ SWEEP = {"users": [5, 9], "n_channels": 8, "horizon": 50.0,
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    service = WhatIfService(batch_window=0.002)
+    service = WhatIfService()
     service.warmup()
     jobs = JobManager(tmp_path_factory.mktemp("jobs"), workers=1)
     thread = ServerThread(ServeApp(service, jobs)).start()

@@ -2,7 +2,6 @@
 evaluator and the direct capacity simulator, batched or not."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -82,69 +81,48 @@ def test_response_is_json_serialisable(response):
     assert json.loads(encoded) == json.loads(encoded)
 
 
+def _dumps(response):
+    return json.dumps(response, sort_keys=True)
+
+
 def test_batched_equals_unbatched_byte_for_byte(response):
-    """Concurrent requests through a windowed batcher answer with the
-    same bytes the inline path produced."""
+    """A round's composition never shows in its answers: one
+    ``_compute_batch`` over [a, b, a] answers each request with the
+    bytes it gets alone, and alone equals the inline path's bytes."""
     payloads = [
         dict(PAYLOAD),
         {"n_users": 25, "n_channels": 30, "horizon": 300.0,
          "mean_interval": 8.0, "profile": "congested"},
-        dict(PAYLOAD),  # duplicate: exercises coalescing
+        dict(PAYLOAD),  # the same request twice in one round
     ]
     requests = [PredictRequest.from_payload(p) for p in payloads]
 
-    service = WhatIfService(batch_window=0.2)
-    barrier = threading.Barrier(len(requests))
-    batched = [None] * len(requests)
-
-    def submit(index):
-        barrier.wait()
-        batched[index] = service.predict(requests[index])
-
-    threads = [threading.Thread(target=submit, args=(index,))
-               for index in range(len(requests))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    service.close()
-
-    inline = WhatIfService(batch_window=0.0)
+    service = WhatIfService()
     try:
-        for request, got in zip(requests, batched):
-            want = inline.predict(request)
-            assert json.dumps(got, sort_keys=True) == \
-                json.dumps(want, sort_keys=True)
+        batched = service._compute_batch(requests)
+        alone = [service._compute_batch([request])[0]
+                 for request in requests]
     finally:
-        inline.close()
-    assert json.dumps(batched[0], sort_keys=True) == \
-        json.dumps(response, sort_keys=True)
+        service.close()
+    assert [_dumps(got) for got in batched] == \
+        [_dumps(want) for want in alone]
+    assert _dumps(batched[0]) == _dumps(response)
 
 
 def test_distinct_scenarios_answer_independently():
     """Scenario grouping must not leak one profile's metrics into
-    another's response."""
-    service = WhatIfService(batch_window=0.2)
+    another's response when both ride one round."""
+    service = WhatIfService()
     a = PredictRequest.from_payload(
         {"n_users": 20, "n_channels": 25, "horizon": 200.0,
          "profile": "ideal"})
     b = PredictRequest.from_payload(
         {"n_users": 20, "n_channels": 25, "horizon": 200.0,
          "profile": "cell_edge"})
-    barrier = threading.Barrier(2)
-    out = {}
-
-    def submit(tag, request):
-        barrier.wait()
-        out[tag] = service.predict(request)
-
-    threads = [threading.Thread(target=submit, args=args)
-               for args in (("a", a), ("b", b))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    service.close()
+    try:
+        out = dict(zip("ab", service._compute_batch([a, b])))
+    finally:
+        service.close()
 
     assert out["a"]["run_id"] != out["b"]["run_id"]
     for tag, request in (("a", a), ("b", b)):
@@ -152,3 +130,12 @@ def test_distinct_scenarios_answer_independently():
                                 request.scenario(with_population=True),
                                 predict_eval_seed(request))
         assert out[tag]["metrics"] == golden
+
+
+def test_batch_window_is_omitted_or_zero():
+    """``batch_window`` is kept for the unbatched oracle's
+    ``WhatIfService(batch_window=0)``; any other window is refused."""
+    for window in (0.005, 0.2, -1.0):
+        with pytest.raises(ValueError, match="batch_window"):
+            WhatIfService(batch_window=window)
+    WhatIfService(batch_window=0).close()

@@ -108,6 +108,22 @@ def test_mean_variance_rejects_square_overflow_without_warning():
     assert stats.to_state() == before
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("make", [ExactSum, MeanVariance, MinMax,
+                                  QuantileSketch, ServiceAggregate])
+def test_non_finite_block_is_rejected_at_every_door(make, bad):
+    """``ServiceAggregate`` checks finiteness once per block and its
+    members trust that check, so each public ``add_block`` must still
+    reject a non-finite block itself, with the one message, and leave
+    the aggregate untouched."""
+    aggregate = make().add_block([1.0, 2.0])
+    before = aggregate.to_state()
+    with pytest.raises(ValueError,
+                       match="^aggregators require finite values$"):
+        aggregate.add_block([3.0, bad, 4.0])
+    assert aggregate.to_state() == before
+
+
 def test_mean_variance_matches_numpy():
     rng = np.random.default_rng(3)
     x = rng.lognormal(2.0, 0.7, size=5000)
